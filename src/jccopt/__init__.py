@@ -6,12 +6,12 @@ alternating level-bisection scheme plus baseline approximations, and
 ships a reserve-dispatch front end and CLI on top.
 """
 
-from .algorithms import (BisectionConfig, GroupStats, InnerResult, OuterRecord,
-                         SolveReport, gamma_value, init_bounds,
+from .algorithms import (METHODS, BisectionConfig, GroupStats, InnerResult,
+                         OuterRecord, SolveReport, gamma_value, init_bounds,
                          inner_alternation, out_of_sample_reliability, s_step,
-                         shortfalls, solve_also_x_multi, solve_also_x_single,
-                         solve_cvar, solve_intuitive_extension, solve_oracle,
-                         z_step)
+                         shortfalls, solve, solve_also_x_multi,
+                         solve_also_x_single, solve_cvar,
+                         solve_intuitive_extension, solve_oracle, z_step)
 from .dispatch import (Adn, Bus, DispatchCase, DispatchModel, Generator, Line,
                        Network, Segment, WindFarm, WindScenarioSet,
                        aggregate_errors, audit_dispatch, build_ccp,
@@ -19,8 +19,7 @@ from .dispatch import (Adn, Bus, DispatchCase, DispatchModel, Generator, Line,
                        deterministic_dispatch, load_case, rho_sweep)
 from .errors import CapacityError, ModelError, NumericError
 from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution,
-                 SimplexBackend, default_backend, dump_lp, register_backend,
-                 solve_lp)
+                 SimplexBackend, dump_lp, solve_lp)
 from .scenarios import ScenarioGenSpec, generate_scenarios, spec_from_dict
 from .model import (TOL_ZERO, BiAffineConstraint, CcpProblem, JccGroup,
                     Polytope, RelaxationState, RobustifiedConstraint,
@@ -32,8 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "ModelError", "NumericError",
-    "LpProblem", "LpSolution", "SimplexBackend", "solve_lp",
-    "register_backend", "default_backend", "dump_lp",
+    "LpProblem", "LpSolution", "SimplexBackend", "solve_lp", "dump_lp",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
     "TOL_ZERO", "SampleSet", "BiAffineConstraint", "RobustifiedConstraint",
     "robustified_constraint", "Polytope", "JccGroup", "CcpProblem",
@@ -42,8 +40,8 @@ __all__ = [
     "BisectionConfig", "SolveReport", "GroupStats", "OuterRecord",
     "InnerResult", "s_step", "z_step", "shortfalls", "gamma_value",
     "inner_alternation", "init_bounds", "out_of_sample_reliability",
-    "solve_also_x_multi", "solve_also_x_single", "solve_intuitive_extension",
-    "solve_cvar", "solve_oracle",
+    "METHODS", "solve", "solve_also_x_multi", "solve_also_x_single",
+    "solve_intuitive_extension", "solve_cvar", "solve_oracle",
     "Segment", "Generator", "Adn", "WindFarm", "WindScenarioSet", "Bus",
     "Line", "Network", "DispatchCase", "DispatchModel", "aggregate_errors",
     "compute_ptdf", "build_ccp", "audit_dispatch", "deterministic_dispatch",

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import lp
 from .errors import CapacityError, ModelError, NumericError
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution
+from .lp import OPTIMAL, UNBOUNDED, LpProblem
 from .model import (TOL_ZERO, CcpProblem, JccGroup, RelaxationState, SampleSet,
                     evaluate_group)
 
@@ -44,22 +44,27 @@ METHOD_INTUITIVE = "intuitive"
 METHOD_CVAR = "cvar"
 METHOD_ORACLE = "oracle"
 
+METHODS = (METHOD_ALSO_X, METHOD_ALSO_X_SINGLE, METHOD_INTUITIVE, METHOD_CVAR,
+           METHOD_ORACLE)
+
 ORACLE_CAP = 10 ** 6
+# Inner loop: stop when the weighted shortfall Gamma reaches GAMMA_TOL
+# (the level is accepted), moves by less than DELTA2, or after MAX_INNER
+# alternations.  MAX_OUTER caps the bisection midpoints.
+GAMMA_TOL = 1e-8
+DELTA2 = 1e-4
+MAX_INNER = 50
+MAX_OUTER = 100
 
 
 @dataclass
 class BisectionConfig:
-    """Level-bisection controls.  delta1 = None resolves to the scale-aware
-    default 1e-4 * max(1, f_upper + f_lower)."""
+    """Level bracket and terminal gap.  delta1 = None resolves to the
+    scale-aware default 1e-4 * max(1, f_upper + f_lower)."""
 
     f_lower: float
     f_upper: float
     delta1: float | None = None
-    delta2: float = 1e-4
-    gamma_tol: float = 1e-8
-    max_outer: int = 100
-    max_inner: int = 50
-    tol_zero: float = TOL_ZERO
 
     def resolved_delta1(self) -> float:
         if self.delta1 is not None:
@@ -67,9 +72,8 @@ class BisectionConfig:
         return 1e-4 * max(1.0, self.f_upper + self.f_lower)
 
     @classmethod
-    def from_problem(cls, problem: CcpProblem, backend=None, **overrides):
-        f_lo, f_hi = init_bounds(problem, backend=backend)
-        return cls(f_lower=f_lo, f_upper=f_hi, **overrides)
+    def from_problem(cls, problem: CcpProblem):
+        return cls(*init_bounds(problem))
 
 
 @dataclass
@@ -325,6 +329,12 @@ class SStepAssembler:
         s = [y[blk] for blk in self.s_blocks]
         return x, s
 
+    def session_at(self, f: float) -> lp.SimplexSession:
+        """Warm-restartable solver of the full-activation LP at level f;
+        later objectives reuse its basis."""
+        ones = [np.ones(g.n) for g in self.problem.groups]
+        return lp.SimplexBackend().start_session(self.lp_at(f, ones))
+
 
 def shortfalls(problem: CcpProblem, x: np.ndarray) -> list[np.ndarray]:
     """Canonical per-scenario shortfalls max(0, worst robustified value)."""
@@ -337,7 +347,7 @@ def shortfalls(problem: CcpProblem, x: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def s_step(problem: CcpProblem, z, f: float, backend=None):
+def s_step(problem: CcpProblem, z, f: float):
     """Weighted-shortfall LP at level f.
 
     ``z`` is a RelaxationState or a list of per-group weight vectors.
@@ -348,7 +358,7 @@ def s_step(problem: CcpProblem, z, f: float, backend=None):
     """
     weights = z.z if isinstance(z, RelaxationState) else z
     asm = SStepAssembler(problem)
-    sol = lp.solve_lp(asm.lp_at(f, weights), backend)
+    sol = lp.solve_lp(asm.lp_at(f, weights))
     if sol.status == UNBOUNDED:
         raise NumericError(
             "shortfall LP unbounded: the polytope is unbounded along a "
@@ -388,18 +398,6 @@ def z_step(s: np.ndarray, epsilon: float) -> np.ndarray:
     return z
 
 
-def z_step_lp(s: np.ndarray, epsilon: float, backend=None) -> np.ndarray:
-    """LP formulation of the activation step (test cross-check for z_step)."""
-    s = np.asarray(s, dtype=float)
-    n = s.size
-    p = LpProblem(s, G=-np.ones((1, n)) / n, h=np.array([-(1.0 - epsilon)]),
-                  lower=np.zeros(n), upper=np.ones(n))
-    sol = lp.solve_lp(p, backend)
-    if sol.status != OPTIMAL:
-        raise NumericError(f"activation LP came back {sol.status}")
-    return sol.x
-
-
 def gamma_value(z: list[np.ndarray], s: list[np.ndarray]) -> float:
     m = len(z)
     return float(sum(float(zi @ si) / si.size for zi, si in zip(z, s)) / m)
@@ -421,14 +419,15 @@ class InnerResult:
         return self.reason != "lp-infeasible"
 
 
-def _inner_alternation(problem, session_factory, f, cfg: BisectionConfig):
+def _inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
     """Alternate shortfall and activation steps at a fixed level f."""
-    session, asm = session_factory(f)
+    problem = asm.problem
+    session = asm.session_at(f)
     state = RelaxationState.full_activation(problem)
     gamma_prev = None
     delta = None
     gammas: list[float] = []
-    for k in range(cfg.max_inner):
+    for k in range(MAX_INNER):
         sol = session.solve(asm.objective_for(state.z))
         if sol.status == UNBOUNDED:
             raise NumericError("shortfall LP unbounded (pathological polytope)")
@@ -445,49 +444,17 @@ def _inner_alternation(problem, session_factory, f, cfg: BisectionConfig):
         gammas.append(gamma)
         delta = None if gamma_prev is None else abs(gamma - gamma_prev)
         state = RelaxationState(z=z, s=s)
-        if gamma <= cfg.gamma_tol:
+        if gamma <= GAMMA_TOL:
             return InnerResult(x, s, z, gamma, delta, k + 1, "gamma", gammas)
-        if delta is not None and delta < cfg.delta2:
+        if delta is not None and delta < DELTA2:
             return InnerResult(x, s, z, gamma, delta, k + 1, "delta", gammas)
         gamma_prev = gamma
-    return InnerResult(x, s, z, gamma, delta, cfg.max_inner, "max_inner", gammas)
+    return InnerResult(x, s, z, gamma, delta, MAX_INNER, "max_inner", gammas)
 
 
-def inner_alternation(problem: CcpProblem, f: float,
-                      cfg: BisectionConfig | None = None,
-                      backend=None) -> InnerResult:
+def inner_alternation(problem: CcpProblem, f: float) -> InnerResult:
     """Public single-level alternation (fresh LP skeleton per call)."""
-    cfg = cfg or BisectionConfig(f_lower=0.0, f_upper=f)
-    asm = SStepAssembler(problem)
-    factory = _session_factory(asm, backend)
-    return _inner_alternation(problem, factory, f, cfg)
-
-
-def _session_factory(asm: SStepAssembler, backend):
-    backend = backend or lp.default_backend()
-
-    def make(f):
-        lp_f = asm.lp_at(f, [np.ones(g.n) for g in asm.problem.groups])
-        if hasattr(backend, "start_session"):
-            return backend.start_session(lp_f), asm
-        return _ColdSession(backend, lp_f), asm
-
-    return make
-
-
-class _ColdSession:
-    """Session shim for backends without warm restarts."""
-
-    def __init__(self, backend, problem: LpProblem):
-        self.backend = backend
-        self.problem = problem
-
-    def solve(self, c=None):
-        p = self.problem
-        if c is not None:
-            p = LpProblem(np.asarray(c, float), p.G, p.h, p.A_eq, p.b_eq,
-                          p.lower, p.upper)
-        return self.backend.solve(p)
+    return _inner_alternation(SStepAssembler(problem), f)
 
 
 # -- hard-constrained LPs ----------------------------------------------------
@@ -525,12 +492,12 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
     return builder.finish(obj)
 
 
-def _polish(problem: CcpProblem, masks, backend, fallback_x):
+def _polish(problem: CcpProblem, masks, fallback_x):
     """Re-minimize the true cost subject to the accepted scenario selection
     imposed hard.  Falls back to the raw accepted point if the cleanup LP
     stumbles numerically (it is feasible by construction)."""
     try:
-        sol = lp.solve_lp(scenario_hard_lp(problem, masks), backend)
+        sol = lp.solve_lp(scenario_hard_lp(problem, masks))
     except NumericError:
         return fallback_x
     if sol.status != OPTIMAL:
@@ -540,16 +507,16 @@ def _polish(problem: CcpProblem, masks, backend, fallback_x):
 
 # -- bound initialization ----------------------------------------------------
 
-def init_bounds(problem: CcpProblem, backend=None) -> tuple[float, float]:
+def init_bounds(problem: CcpProblem) -> tuple[float, float]:
     """Level bracket: lower from the mean-value LP, upper from the CVaR
     restriction when it is feasible, otherwise a multiplicative guess."""
-    sol = lp.solve_lp(mean_value_lp(problem), backend)
+    sol = lp.solve_lp(mean_value_lp(problem))
     if sol.status != OPTIMAL:
         raise ModelError(
             f"mean-value problem is {sol.status}; provide explicit level "
             "bounds instead")
     f_lo = float(sol.objective)
-    cvar = solve_cvar(problem, backend=backend)
+    cvar = solve_cvar(problem)
     if cvar.is_feasible:
         return f_lo, float(cvar.objective)
     if f_lo > 0:
@@ -576,174 +543,125 @@ def _objective(problem: CcpProblem, x: np.ndarray) -> float:
     return float(problem.objective @ x)
 
 
-def _infeasible_report(method, problem, cfg, trace) -> SolveReport:
-    return SolveReport(method=method, status=INFEASIBLE_STATUS, x=None,
-                       objective=None, per_group=[], trace=trace,
-                       f_lower=cfg.f_lower, f_upper=cfg.f_upper)
+def _level_record(problem, f, x, gamma, delta, inner_iterations, accepted):
+    return OuterRecord(
+        f=f, gamma=gamma, delta=delta, inner_iterations=inner_iterations,
+        accepted=accepted,
+        objective=None if x is None else _objective(problem, x),
+        violation_rates=None if x is None else _violation_rates(problem, x))
 
 
 # -- main solvers ------------------------------------------------------------
 
-def solve_also_x_multi(problem: CcpProblem, cfg: BisectionConfig | None = None,
-                       backend=None) -> SolveReport:
-    """Alternating relaxation under level bisection (any number of groups).
+def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
+            test_level) -> SolveReport:
+    """Level bisection shared by the bisection methods.
 
-    A level is accepted exactly when the alternation reaches Gamma <=
-    gamma_tol; the report carries the last accepted point, cost-polished
-    over its final scenario selection.  If no midpoint is ever accepted the
-    initial upper level gets one direct test before declaring Infeasible.
+    ``test_level(asm, f)`` tests level f on the shared shortfall-LP
+    skeleton and returns the level's OuterRecord plus, when the level is
+    accepted, ``(x, masks)``: the candidate point and the per-group
+    scenario selection that the polish re-imposes hard.  If no midpoint
+    is ever accepted the initial upper level gets one direct test before
+    the report declares Infeasible.
     """
-    cfg = cfg or BisectionConfig.from_problem(problem, backend=backend)
+    cfg = cfg or BisectionConfig.from_problem(problem)
     asm = SStepAssembler(problem)
-    factory = _session_factory(asm, backend)
     delta1 = cfg.resolved_delta1()
     f_lo, f_hi = float(cfg.f_lower), float(cfg.f_upper)
     best = None
     trace = []
-    cfg_run = BisectionConfig(f_lo, f_hi, cfg.delta1, cfg.delta2,
-                              cfg.gamma_tol, cfg.max_outer, cfg.max_inner,
-                              cfg.tol_zero)
 
     def run_level(f: float):
-        inner = _inner_alternation(problem, factory, f, cfg_run)
-        ok = (inner.lp_feasible and inner.gamma is not None
-              and inner.gamma <= cfg.gamma_tol)
-        trace.append(OuterRecord(
-            f=f, gamma=inner.gamma, delta=inner.delta,
-            inner_iterations=inner.iterations, accepted=ok,
-            objective=None if inner.x is None else _objective(problem, inner.x),
-            violation_rates=None if inner.x is None else _violation_rates(problem, inner.x)))
-        return inner, ok
+        record, found = test_level(asm, f)
+        trace.append(record)
+        return found
 
-    for _ in range(cfg.max_outer):
+    for _ in range(MAX_OUTER):
         if f_hi - f_lo <= delta1:
             break
         f = 0.5 * (f_lo + f_hi)
-        inner, accepted = run_level(f)
-        if accepted:
-            f_hi = f
-            best = inner
-        else:
+        found = run_level(f)
+        if found is None:
             f_lo = f
+        else:
+            f_hi, best = f, found
     if best is None:
         # No midpoint certified; the initial upper level may still be
         # achievable (always is when it came from a feasible CVaR warm
         # start and the optimum sits in the top delta1 sliver).
-        inner, accepted = run_level(float(cfg.f_upper))
-        if accepted:
-            best = inner
+        best = run_level(float(cfg.f_upper))
+        if best is not None:
             f_hi = float(cfg.f_upper)
-    final_cfg = BisectionConfig(f_lo, f_hi, cfg.delta1, cfg.delta2,
-                                cfg.gamma_tol, cfg.max_outer, cfg.max_inner,
-                                cfg.tol_zero)
     if best is None:
-        return _infeasible_report(METHOD_ALSO_X, problem, final_cfg, trace)
-    masks = [zi > 0.0 for zi in best.z]
-    x = _polish(problem, masks, backend, best.x)
-    return SolveReport(method=METHOD_ALSO_X, status=FEASIBLE, x=x,
-                       objective=_objective(problem, x),
-                       per_group=_group_stats(problem, x), trace=trace,
-                       f_lower=f_lo, f_upper=f_hi)
-
-
-def _bisect_full_activation(problem, method, accept, cfg, backend):
-    """Shared driver for the z == 1 variants: bisection with a single
-    full-activation shortfall step per level and a rate-based accept test."""
-    cfg = cfg or BisectionConfig.from_problem(problem, backend=backend)
-    asm = SStepAssembler(problem)
-    factory = _session_factory(asm, backend)
-    delta1 = cfg.resolved_delta1()
-    f_lo, f_hi = float(cfg.f_lower), float(cfg.f_upper)
-    ones = [np.ones(g.n) for g in problem.groups]
-    best = None
-    trace = []
-
-    def run_level(f: float):
-        session, _ = factory(f)
-        sol = session.solve(asm.objective_for(ones))
-        if sol.status == UNBOUNDED:
-            raise NumericError("shortfall LP unbounded (pathological polytope)")
-        if sol.status != OPTIMAL:
-            x, s, ok = None, None, False
-        else:
-            x, _ = asm.split(sol.x)
-            s = shortfalls(problem, x)
-            ok = accept(s)
-        trace.append(OuterRecord(
-            f=f, gamma=None if s is None else gamma_value(ones, s),
-            delta=None, inner_iterations=1, accepted=ok,
-            objective=None if x is None else _objective(problem, x),
-            violation_rates=None if x is None else _violation_rates(problem, x)))
-        return (x, s), ok
-
-    for _ in range(cfg.max_outer):
-        if f_hi - f_lo <= delta1:
-            break
-        f = 0.5 * (f_lo + f_hi)
-        cand, ok = run_level(f)
-        if ok:
-            f_hi = f
-            best = cand
-        else:
-            f_lo = f
-    if best is None:
-        # last resort: certify the initial upper level itself
-        cand, ok = run_level(float(cfg.f_upper))
-        if ok:
-            best = cand
-            f_hi = float(cfg.f_upper)
-    final_cfg = BisectionConfig(f_lo, f_hi, cfg.delta1, cfg.delta2,
-                                cfg.gamma_tol, cfg.max_outer, cfg.max_inner,
-                                cfg.tol_zero)
-    if best is None:
-        return _infeasible_report(method, problem, final_cfg, trace)
-    x_raw, s = best
-    masks = [si <= cfg.tol_zero for si in s]
-    x = _polish(problem, masks, backend, x_raw)
+        return SolveReport(method=method, status=INFEASIBLE_STATUS, x=None,
+                           objective=None, per_group=[], trace=trace,
+                           f_lower=f_lo, f_upper=f_hi)
+    x_raw, masks = best
+    x = _polish(problem, masks, x_raw)
     return SolveReport(method=method, status=FEASIBLE, x=x,
                        objective=_objective(problem, x),
                        per_group=_group_stats(problem, x), trace=trace,
                        f_lower=f_lo, f_upper=f_hi)
 
 
-def solve_also_x_single(problem: CcpProblem, cfg: BisectionConfig | None = None,
-                        backend=None) -> SolveReport:
+def _alternation_level(asm: SStepAssembler, f: float):
+    """Accept f exactly when the alternation reaches Gamma <= GAMMA_TOL;
+    the polish keeps the scenarios with positive final weight."""
+    inner = _inner_alternation(asm, f)
+    ok = inner.gamma is not None and inner.gamma <= GAMMA_TOL
+    record = _level_record(asm.problem, f, inner.x, inner.gamma, inner.delta,
+                           inner.iterations, ok)
+    return record, ((inner.x, [zi > 0.0 for zi in inner.z]) if ok else None)
+
+
+def _full_activation_level(asm: SStepAssembler, f: float):
+    """One full-activation shortfall LP; accept f when every group's
+    fraction of exactly-satisfied scenarios reaches 1 - epsilon.  The
+    polish keeps those satisfied scenarios."""
+    problem = asm.problem
+    sol = asm.session_at(f).solve()
+    if sol.status == UNBOUNDED:
+        raise NumericError("shortfall LP unbounded (pathological polytope)")
+    x = s = gamma = None
+    ok = False
+    if sol.status == OPTIMAL:
+        x, _ = asm.split(sol.x)
+        s = shortfalls(problem, x)
+        gamma = gamma_value([np.ones(g.n) for g in problem.groups], s)
+        ok = all(float(np.mean(si <= TOL_ZERO)) >= 1.0 - g.epsilon - 1e-12
+                 for si, g in zip(s, problem.groups))
+    record = _level_record(problem, f, x, gamma, None, 1, ok)
+    return record, ((x, [si <= TOL_ZERO for si in s]) if ok else None)
+
+
+def solve_also_x_multi(problem: CcpProblem,
+                       cfg: BisectionConfig | None = None) -> SolveReport:
+    """Alternating relaxation under level bisection (any number of groups).
+    The report carries the last accepted point, cost-polished over its
+    final scenario selection."""
+    return _bisect(problem, METHOD_ALSO_X, cfg, _alternation_level)
+
+
+def solve_also_x_single(problem: CcpProblem,
+                        cfg: BisectionConfig | None = None) -> SolveReport:
     """Single-group variant: full activation, accept a level when the
     fraction of exactly-satisfied scenarios reaches 1 - epsilon."""
     if problem.n_groups != 1:
         raise ModelError(
             f"single-group solver got {problem.n_groups} groups; use "
             "solve_also_x_multi")
-    g = problem.groups[0]
-    tol = (cfg.tol_zero if cfg else TOL_ZERO)
-
-    def accept(s):
-        rate = float(np.mean(s[0] <= tol))
-        return rate >= 1.0 - g.epsilon - 1e-12
-
-    report = _bisect_full_activation(problem, METHOD_ALSO_X_SINGLE, accept,
-                                     cfg, backend)
-    return report
+    return _bisect(problem, METHOD_ALSO_X_SINGLE, cfg, _full_activation_level)
 
 
 def solve_intuitive_extension(problem: CcpProblem,
-                              cfg: BisectionConfig | None = None,
-                              backend=None) -> SolveReport:
+                              cfg: BisectionConfig | None = None) -> SolveReport:
     """Pooled baseline: one full-activation shortfall step per level and a
     level is accepted only when every group hits its rate simultaneously.
     No per-group re-weighting, which is exactly its handicap."""
-    tol = (cfg.tol_zero if cfg else TOL_ZERO)
-    epsilons = [g.epsilon for g in problem.groups]
-
-    def accept(s):
-        return all(float(np.mean(si <= tol)) >= 1.0 - eps - 1e-12
-                   for si, eps in zip(s, epsilons))
-
-    return _bisect_full_activation(problem, METHOD_INTUITIVE, accept, cfg,
-                                   backend)
+    return _bisect(problem, METHOD_INTUITIVE, cfg, _full_activation_level)
 
 
-def solve_cvar(problem: CcpProblem, backend=None) -> SolveReport:
+def solve_cvar(problem: CcpProblem) -> SolveReport:
     """CVaR restriction: per group, a tail-average certificate that the
     worst constraint stays nonpositive.  Convex, conservative, one LP.
 
@@ -777,7 +695,7 @@ def solve_cvar(problem: CcpProblem, backend=None) -> SolveReport:
         builder.append_rows(row, np.array([0.0]))
     obj = np.zeros(builder.cols)
     obj[:problem.n_vars] = problem.objective
-    sol = lp.solve_lp(builder.finish(obj), backend)
+    sol = lp.solve_lp(builder.finish(obj))
     if sol.status == UNBOUNDED:
         raise NumericError("CVaR LP unbounded (pathological polytope)")
     if sol.status != OPTIMAL:
@@ -797,7 +715,7 @@ def oracle_enumeration_count(problem: CcpProblem) -> int:
     return total
 
 
-def solve_oracle(problem: CcpProblem, backend=None) -> SolveReport:
+def solve_oracle(problem: CcpProblem) -> SolveReport:
     """Exhaustive scenario-subset search (exact sample optimum).
 
     Per group, any keep-set of ceil((1-eps)*n) scenarios certifies the rate;
@@ -821,7 +739,7 @@ def solve_oracle(problem: CcpProblem, backend=None) -> SolveReport:
             mask = np.zeros(g.n, dtype=bool)
             mask[list(subset)] = True
             masks.append(mask)
-        sol = lp.solve_lp(scenario_hard_lp(problem, masks), backend)
+        sol = lp.solve_lp(scenario_hard_lp(problem, masks))
         if sol.status == OPTIMAL and sol.objective < best_obj:
             best_obj = sol.objective
             best_x = sol.x[:problem.n_vars]
@@ -849,10 +767,20 @@ def out_of_sample_reliability(x: np.ndarray, groups: list[JccGroup],
             for g, ts in zip(groups, test_sets)]
 
 
-SOLVERS = {
-    METHOD_ALSO_X: solve_also_x_multi,
-    METHOD_ALSO_X_SINGLE: solve_also_x_single,
-    METHOD_INTUITIVE: solve_intuitive_extension,
-    METHOD_CVAR: lambda p, cfg=None, backend=None: solve_cvar(p, backend=backend),
-    METHOD_ORACLE: lambda p, cfg=None, backend=None: solve_oracle(p, backend=backend),
-}
+
+def solve(problem: CcpProblem, method: str,
+          cfg: BisectionConfig | None = None) -> SolveReport:
+    """Solve with the named method (one of METHODS).  ``cfg`` sets the
+    level bracket of the bisection methods; cvar and oracle ignore it."""
+    # Names resolve at call time, so rebinding a solver attribute of this
+    # module (e.g. to wrap it) reaches every caller.
+    if method == METHOD_CVAR:
+        return solve_cvar(problem)
+    if method == METHOD_ORACLE:
+        return solve_oracle(problem)
+    bisection = {METHOD_ALSO_X: solve_also_x_multi,
+                 METHOD_ALSO_X_SINGLE: solve_also_x_single,
+                 METHOD_INTUITIVE: solve_intuitive_extension}
+    if method not in bisection:
+        raise ModelError(f"unknown method {method!r}")
+    return bisection[method](problem, cfg)

@@ -29,9 +29,7 @@ from .toys import INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy, two_group_toy
 log = logging.getLogger("jccopt")
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
-METHOD_CHOICES = (alg.METHOD_ALSO_X, alg.METHOD_ALSO_X_SINGLE,
-                  alg.METHOD_INTUITIVE, alg.METHOD_CVAR, alg.METHOD_ORACLE,
-                  "all")
+METHOD_CHOICES = alg.METHODS + ("all",)
 EXAMPLE1_EPS = (0.0, 0.2, 0.4, 0.6, 0.8)
 
 
@@ -85,21 +83,6 @@ def _applicable_methods(problem, requested: str) -> list[str]:
     return methods
 
 
-def _run_method(problem, method: str, bounds=None, delta1=None, backend=None):
-    if method == alg.METHOD_CVAR:
-        return alg.solve_cvar(problem, backend=backend)
-    if method == alg.METHOD_ORACLE:
-        return alg.solve_oracle(problem, backend=backend)
-    if bounds is None:
-        cfg = alg.BisectionConfig.from_problem(problem, backend=backend)
-    else:
-        cfg = alg.BisectionConfig(bounds[0], bounds[1], delta1=delta1)
-    solver = {alg.METHOD_ALSO_X: alg.solve_also_x_multi,
-              alg.METHOD_ALSO_X_SINGLE: alg.solve_also_x_single,
-              alg.METHOD_INTUITIVE: alg.solve_intuitive_extension}[method]
-    return solver(problem, cfg, backend=backend)
-
-
 def _rates(report) -> str:
     if not report.per_group:
         return "n/a"
@@ -115,10 +98,10 @@ def cmd_example1(args) -> int:
         if not 0.0 <= eps < 1.0:
             raise ModelError(f"--eps {eps:g} outside [0, 1)")
         problem = interval_toy(eps)
+        cfg = alg.BisectionConfig(*INTERVAL_BOUNDS, delta1=1e-4)
         per_method = {}
         for method in _applicable_methods(problem, args.method):
-            report = _run_method(problem, method, bounds=INTERVAL_BOUNDS,
-                                 delta1=1e-4)
+            report = alg.solve(problem, method, cfg)
             per_method[method] = report.to_dict()
             print(f"eps={eps:.2f} method={method:<14} {report.status:<10} "
                   f"objective={_fmt(report.objective)} viol={_rates(report)}")
@@ -133,10 +116,9 @@ def cmd_example1(args) -> int:
 def cmd_example2(args) -> int:
     problem = two_group_toy(seed=args.seed)
     out = _out_dir(args)
-    lo, hi = TWO_GROUP_BOUNDS
-    for method, solver in ((alg.METHOD_ALSO_X, alg.solve_also_x_multi),
-                           (alg.METHOD_INTUITIVE, alg.solve_intuitive_extension)):
-        report = solver(problem, alg.BisectionConfig(lo, hi))
+    for method in (alg.METHOD_ALSO_X, alg.METHOD_INTUITIVE):
+        report = alg.solve(problem, method,
+                           alg.BisectionConfig(*TWO_GROUP_BOUNDS))
         rows = []
         for k, rec in enumerate(report.trace, start=1):
             vr = rec.violation_rates or (None, None)
@@ -159,14 +141,14 @@ def _load_json(path: Path) -> dict:
 
 def cmd_solve(args) -> int:
     problem = problem_from_dict(_load_json(Path(args.problem)))
-    bounds = None
+    cfg = None
     if (args.f_lower is None) != (args.f_upper is None):
         raise ModelError("--f-lower and --f-upper must be given together")
     if args.f_lower is not None:
-        bounds = (args.f_lower, args.f_upper)
+        cfg = alg.BisectionConfig(args.f_lower, args.f_upper)
     results = {}
     for method in _applicable_methods(problem, args.method):
-        report = _run_method(problem, method, bounds=bounds)
+        report = alg.solve(problem, method, cfg)
         results[method] = report.to_dict()
         print(f"method={method:<14} {report.status:<10} "
               f"objective={_fmt(report.objective)} viol={_rates(report)}")
@@ -245,7 +227,7 @@ def cmd_dispatch(args) -> int:
     audits = {}
     trajectory_x = None
     for method in _applicable_methods(model.problem, args.method):
-        report = _run_method(model.problem, method)
+        report = alg.solve(model.problem, method)
         results[method] = report.to_dict()
         cost = (None if report.objective is None
                 else report.objective + model.cost_offset)

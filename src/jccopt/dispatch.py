@@ -796,17 +796,14 @@ def audit_dispatch(model: DispatchModel, x: np.ndarray) -> dict[str, float]:
 
 # -- solves ----------------------------------------------------------------------
 
-def deterministic_dispatch(case: DispatchCase, scenario_reduction: str = "mean",
-                           backend=None):
+def deterministic_dispatch(case: DispatchCase):
     """Dispatch with every uncertain quantity at its scenario mean and all
     group constraints imposed hard (no relaxation, no margin).  Supplies
     the lower level bound."""
     from . import algorithms
     from . import lp as lp_mod
-    if scenario_reduction != "mean":
-        raise ModelError(f"unsupported scenario reduction {scenario_reduction!r}")
     model = build_ccp(case)
-    sol = lp_mod.solve_lp(algorithms.mean_value_lp(model.problem), backend)
+    sol = lp_mod.solve_lp(algorithms.mean_value_lp(model.problem))
     if sol.status != lp_mod.OPTIMAL:
         return model, algorithms.SolveReport(
             method="deterministic", status=algorithms.INFEASIBLE_STATUS,
@@ -818,8 +815,8 @@ def deterministic_dispatch(case: DispatchCase, scenario_reduction: str = "mean",
         per_group=algorithms._group_stats(model.problem, x))
 
 
-def rho_sweep(case: DispatchCase, rho_grid, methods=("also-x", "cvar"),
-              backend=None) -> list[dict]:
+def rho_sweep(case: DispatchCase, rho_grid,
+              methods=("also-x", "cvar")) -> list[dict]:
     """Solve the case across a shared-radius grid.
 
     One row per (rho, method): status, objective (LP part), full cost
@@ -834,10 +831,7 @@ def rho_sweep(case: DispatchCase, rho_grid, methods=("also-x", "cvar"),
         model = build_ccp(case, rho_override=float(rho))
         test_sets = model.test_sample_sets()
         for method in methods:
-            solver = algorithms.SOLVERS.get(method)
-            if solver is None:
-                raise ModelError(f"unknown method {method!r}")
-            report = solver(model.problem, backend=backend)
+            report = algorithms.solve(model.problem, method)
             if report.is_feasible:
                 if test_sets is not None:
                     rel = algorithms.out_of_sample_reliability(

@@ -7,9 +7,6 @@ so boxes never inflate the row count.  Pricing is largest-reduced-cost
 with a deterministic lowest-index tie-break; after a degenerate stall
 the solver switches permanently to Bland's rule, which guarantees
 termination.  Everything is plain numpy and fully deterministic.
-
-Alternative backends can be registered via :func:`register_backend`;
-the bundled simplex stays the default.
 """
 
 from __future__ import annotations
@@ -478,6 +475,12 @@ class SimplexSession:
         self._infeasible = False
 
     def solve(self, c: np.ndarray | None = None) -> LpSolution:
+        """Re-solve under objective ``c`` (default: the session LP's own).
+
+        A warm re-solve that fails numerically is retried once cold, from
+        a fresh tableau: the rank-one updates accumulated over earlier
+        re-solves can drift past the feasibility audit.
+        """
         if self._infeasible:
             return LpSolution(INFEASIBLE)
         prob = self._problem
@@ -487,17 +490,23 @@ class SimplexSession:
                 raise ModelError("session objective has the wrong length")
             prob = LpProblem(c, prob.G, prob.h, prob.A_eq, prob.b_eq,
                              prob.lower, prob.upper)
-        if self._tab is None:
-            tab, status, sol = self._backend._solve_tableau(prob)
-            if sol is not None:
-                if sol.status == INFEASIBLE:
-                    self._infeasible = True
-                return sol
-            if status == INFEASIBLE:
+        if self._tab is not None:
+            try:
+                return self._warm(prob)
+            except NumericError:
+                self._tab = None
+        tab, status, sol = self._backend._solve_tableau(prob)
+        if sol is not None:
+            if sol.status == INFEASIBLE:
                 self._infeasible = True
-            elif status == OPTIMAL:
-                self._tab = tab
-            return self._backend._extract(prob, tab, status)
+            return sol
+        if status == INFEASIBLE:
+            self._infeasible = True
+        elif status == OPTIMAL:
+            self._tab = tab
+        return self._backend._extract(prob, tab, status)
+
+    def _warm(self, prob: LpProblem) -> LpSolution:
         tab = self._tab
         cost = np.concatenate([prob.c, np.zeros(tab.A.shape[1] - prob.c.size)])
         tab._stall = 0
@@ -508,22 +517,9 @@ class SimplexSession:
         return self._backend._extract(prob, tab, OPTIMAL)
 
 
-_default_backend = SimplexBackend()
+_SIMPLEX = SimplexBackend()
 
 
-def register_backend(backend) -> None:
-    """Route subsequent :func:`solve_lp` calls to ``backend`` (duck-typed:
-    anything with ``solve(LpProblem) -> LpSolution``)."""
-    global _default_backend
-    if not hasattr(backend, "solve"):
-        raise ModelError("backend must expose solve(problem) -> LpSolution")
-    _default_backend = backend
-
-
-def default_backend():
-    return _default_backend
-
-
-def solve_lp(problem: LpProblem, backend=None) -> LpSolution:
-    """Solve an LP with the bundled simplex (or a registered backend)."""
-    return (backend or _default_backend).solve(problem)
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve an LP with the bundled simplex."""
+    return _SIMPLEX.solve(problem)

@@ -2,7 +2,21 @@
 
 import numpy as np
 
-from jccopt import BiAffineConstraint, CcpProblem, JccGroup, Polytope, SampleSet
+from jccopt import (OPTIMAL, BiAffineConstraint, CcpProblem, JccGroup,
+                    LpProblem, NumericError, Polytope, SampleSet, solve_lp)
+
+
+def z_step_lp(s: np.ndarray, epsilon: float) -> np.ndarray:
+    """LP formulation of the activation step, the reference that the
+    closed-form z_step is checked against."""
+    s = np.asarray(s, dtype=float)
+    n = s.size
+    p = LpProblem(s, G=-np.ones((1, n)) / n, h=np.array([-(1.0 - epsilon)]),
+                  lower=np.zeros(n), upper=np.ones(n))
+    sol = solve_lp(p)
+    if sol.status != OPTIMAL:
+        raise NumericError(f"activation LP came back {sol.status}")
+    return sol.x
 
 
 def random_instance(seed: int) -> CcpProblem:

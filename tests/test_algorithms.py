@@ -3,19 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jccopt import (BiAffineConstraint, BisectionConfig, CapacityError,
-                    CcpProblem, JccGroup, ModelError, Polytope, SampleSet,
-                    init_bounds, inner_alternation, out_of_sample_reliability,
-                    s_step, shortfalls, solve_also_x_multi,
-                    solve_also_x_single, solve_cvar,
+from jccopt import (METHODS, BiAffineConstraint, BisectionConfig,
+                    CapacityError, CcpProblem, JccGroup, ModelError, Polytope,
+                    SampleSet, init_bounds, inner_alternation,
+                    out_of_sample_reliability, s_step, shortfalls, solve,
+                    solve_also_x_multi, solve_also_x_single, solve_cvar,
                     solve_intuitive_extension, solve_oracle, z_step)
-from jccopt.algorithms import gamma_value, mean_value_lp, z_step_lp
+from jccopt.algorithms import gamma_value, mean_value_lp
+from jccopt.cases import overlap_case
+from jccopt.dispatch import rho_sweep
 from jccopt.model import RelaxationState
 from jccopt import lp
 from jccopt.toys import (INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy,
                          two_group_toy)
 
-from helpers import random_instance
+from helpers import random_instance, z_step_lp
 
 
 def interval_cfg():
@@ -125,14 +127,14 @@ def test_s_step_rejects_l2_groups():
 # -- inner alternation ---------------------------------------------------------
 
 def test_inner_alternation_one_shot_at_loose_level():
-    res = inner_alternation(interval_toy(0.4), 8.0, interval_cfg())
+    res = inner_alternation(interval_toy(0.4), 8.0)
     assert res.reason == "gamma"
     assert res.iterations == 1
     assert res.gamma == 0.0
 
 
 def test_inner_alternation_tight_level_stays_positive():
-    res = inner_alternation(interval_toy(0.4), 0.5, interval_cfg())
+    res = inner_alternation(interval_toy(0.4), 0.5)
     assert res.lp_feasible  # x=0.5 is inside the polytope
     assert res.reason in ("delta", "max_inner")
     assert res.gamma > 0.0
@@ -142,7 +144,7 @@ def test_gamma_sequences_nonincreasing():
     for seed in range(5):
         p = two_group_toy(seed)
         for f in (2.0, 3.0, 4.0, 6.0):
-            res = inner_alternation(p, f, BisectionConfig(*TWO_GROUP_BOUNDS))
+            res = inner_alternation(p, f)
             for a, b in zip(res.gammas, res.gammas[1:]):
                 assert b <= a + 1e-12
 
@@ -218,6 +220,30 @@ def test_interval_cvar_always_infeasible(eps):
 
 
 # -- solver behavior ------------------------------------------------------------
+
+NAMED_SOLVERS = {
+    "also-x": solve_also_x_multi,
+    "also-x-single": solve_also_x_single,
+    "intuitive": solve_intuitive_extension,
+    "cvar": solve_cvar,
+    "oracle": solve_oracle,
+}
+
+
+# Single-group problems, so that also-x-single applies to both.
+@pytest.mark.parametrize("p", [interval_toy(0.4), random_instance(3)],
+                         ids=["interval", "random3"])
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_runs_the_named_solver(method, p):
+    assert solve(p, method).to_dict() == NAMED_SOLVERS[method](p).to_dict()
+
+
+def test_unknown_method_is_a_model_error():
+    with pytest.raises(ModelError, match="unknown method 'bogus'"):
+        solve(interval_toy(0.4), "bogus")
+    with pytest.raises(ModelError, match="unknown method 'bogus'"):
+        rho_sweep(overlap_case(), [0.0], methods=("bogus",))
+
 
 def test_single_group_solver_rejects_multi_group():
     with pytest.raises(ModelError, match="multi"):

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from jccopt import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution,
-                    ModelError, NumericError, SimplexBackend, default_backend,
-                    dump_lp, register_backend, solve_lp)
+from jccopt import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, ModelError,
+                    NumericError, SimplexBackend, dump_lp, solve_lp)
 from jccopt.lp import residuals
 
 
@@ -185,35 +184,31 @@ def test_session_caches_infeasibility():
     assert sess.solve(np.array([-5.0])).status == INFEASIBLE
 
 
-class _ScipyBackend:
-    """LpProblem-speaking adapter around scipy, for the backend registry."""
+def test_session_retries_a_failed_warm_solve_cold(monkeypatch):
+    import jccopt.lp as lpmod
+    rng = np.random.default_rng(3)
+    p = LpProblem(rng.normal(size=6), G=rng.normal(size=(12, 6)),
+                  h=rng.normal(size=12) + 5.0,
+                  lower=np.full(6, -2.0), upper=np.full(6, 2.0))
+    c2 = rng.normal(size=6)
 
-    def solve(self, p: LpProblem) -> LpSolution:
-        ref = _scipy_solve(p)
-        status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(ref.status)
-        if status != OPTIMAL:
-            return LpSolution(status)
-        return LpSolution(OPTIMAL, x=ref.x, objective=float(ref.fun),
-                          iterations=int(getattr(ref, "nit", 0)))
+    def fail(cost):
+        raise NumericError("forced warm failure")
 
+    sess = SimplexBackend().start_session(p)
+    assert sess.solve().status == OPTIMAL
+    monkeypatch.setattr(sess._tab, "run", fail)
+    warm = sess.solve(c2)
+    cold = solve_lp(LpProblem(c2, p.G, p.h, lower=p.lower, upper=p.upper))
+    assert warm.status == cold.status == OPTIMAL
+    assert warm.objective == cold.objective
+    assert np.array_equal(warm.x, cold.x)
 
-def test_register_backend_roundtrip():
-    bundled = default_backend()
-    try:
-        register_backend(_ScipyBackend())
-        sol = solve_lp(LpProblem(c=[1.0], lower=[3.0], upper=[7.0]))
-        assert sol.status == OPTIMAL and sol.objective == pytest.approx(3.0)
-    finally:
-        register_backend(bundled)
-    assert default_backend() is bundled
-    with pytest.raises(ModelError):
-        register_backend(object())
-
-
-def test_explicit_backend_argument_overrides_default():
-    p = LpProblem(c=[-2.0], lower=[0.0], upper=[1.5])
-    sol = solve_lp(p, backend=_ScipyBackend())
-    assert sol.objective == pytest.approx(-3.0)
+    # Only one retry: an error from the cold solve propagates.
+    monkeypatch.setattr(sess._tab, "run", fail)
+    monkeypatch.setattr(lpmod, "ITER_FACTOR", 0)
+    with pytest.raises(NumericError, match="iteration cap"):
+        sess.solve(p.c)
 
 
 def test_dump_lp_lists_everything():
