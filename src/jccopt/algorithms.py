@@ -157,8 +157,9 @@ def _margin_columns(group: JccGroup, rho: float):
             "worst case and cannot be embedded in an LP; use l1 or linf")
     plans = []
     for con in group.constraints:
+        A = con.A
         nz = [r for r in range(con.xi_dim)
-              if con.a0[r] != 0.0 or np.any(con.A[r] != 0.0)]
+              if con.a0[r] != 0.0 or np.any(A[r] != 0.0)]
         plans.append(nz)
     return plans
 
@@ -196,11 +197,12 @@ class _ScenarioLpBuilder:
     def margin_rows(self, group: JccGroup, plans, col_of):
         """Bound-variable rows +-(A[r] x + a0[r]) <= bound_col."""
         for j, con in enumerate(group.constraints):
+            A = con.A
             for r in plans[j]:
                 cols = col_of(j, r)
                 for sign in (1.0, -1.0):
                     row = np.zeros(self.cols)
-                    row[:self.n] = sign * con.A[r]
+                    row[:self.n] = sign * A[r]
                     row[cols] = -1.0
                     self.append_rows(row[None, :], np.array([-sign * con.a0[r]]))
 

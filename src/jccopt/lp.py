@@ -7,6 +7,15 @@ so boxes never inflate the row count.  Pricing is largest-reduced-cost
 with a deterministic lowest-index tie-break; after a degenerate stall
 the solver switches permanently to Bland's rule, which guarantees
 termination.  Everything is plain numpy and fully deterministic.
+
+A pivot updates only the block it changes: the rows where the pivot
+column is nonzero, crossed with the columns where the normalised pivot
+row is nonzero.  Every other entry of the rank-one update would subtract
+a zero, so the block update gives the same tableau as the dense one (up
+to the sign of some zeros) at a fraction of the cost on scenario LPs,
+whose pivot rows and columns are mostly zero.  A cold ``solve`` drops its
+tableau's ``T`` before recomputing the basic values, since it never
+pivots again; sessions keep theirs for warm re-solves.
 """
 
 from __future__ import annotations
@@ -31,6 +40,11 @@ PIVOT_TOL = 1e-10
 ITER_FACTOR = 50
 
 _BASIC, _NB_LO, _NB_UP, _NB_FREE, _FIXED = 0, 1, 2, 3, 4
+# Pricing sign per vstat: a nonbasic column at its lower bound improves
+# when its reduced cost is negative, one at its upper bound when positive.
+# Free columns are priced on -|d| separately.  Basic and fixed columns
+# never enter; artificials are always one or the other.
+_PRICE_SIGN = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
 
 
 def _as_matrix(a, rows, cols, name):
@@ -194,6 +208,7 @@ class _Tableau:
         free = no_lo & ~np.isfinite(self.hi)
         vstat[free] = _NB_FREE
         val[free] = 0.0
+        self.free_cols = np.flatnonzero(free)
         vstat[np.isfinite(self.lo) & (self.hi == self.lo)] = _FIXED
 
         resid = self.b - self.A @ val
@@ -242,22 +257,19 @@ class _Tableau:
 
     def _entering(self, d):
         st = self.vstat
-        score = np.zeros_like(d)
-        lo_mask = st == _NB_LO
-        up_mask = st == _NB_UP
-        fr_mask = st == _NB_FREE
-        score[lo_mask] = d[lo_mask]
-        score[up_mask] = -d[up_mask]
-        score[fr_mask] = -np.abs(d[fr_mask])
-        if self.first_art < score.size:
-            score[self.first_art:] = 0.0  # artificials never re-enter
-        cand = score < -FEAS_TOL
-        if not np.any(cand):
-            return -1, 0
+        score = d * _PRICE_SIGN[st]
+        if self.free_cols.size:
+            fr = self.free_cols[st[self.free_cols] == _NB_FREE]
+            score[fr] = -np.abs(d[fr])
         if self.bland:
-            q = int(np.flatnonzero(cand)[0])
+            cand = score < -FEAS_TOL
+            q = int(cand.argmax())
+            if not cand[q]:
+                return -1, 0
         else:
-            q = int(np.argmin(score))
+            q = int(score.argmin())
+            if not score[q] < -FEAS_TOL:
+                return -1, 0
         if st[q] == _NB_UP:
             direction = -1
         elif st[q] == _NB_FREE:
@@ -270,14 +282,14 @@ class _Tableau:
         """Largest step t >= 0 for the entering column.  Returns
         (t, blocking_row or -1, is_bound_flip)."""
         w = self.T[:, q]
-        delta = -direction * w  # change in xb per unit step
-        lo_b = self.lo[self.basis]
-        hi_b = self.hi[self.basis]
-        lim = np.full(self.m, np.inf)
-        dn = (delta < -PIVOT_TOL) & np.isfinite(lo_b)
-        up = (delta > PIVOT_TOL) & np.isfinite(hi_b)
-        lim[dn] = (self.xb[dn] - lo_b[dn]) / (-delta[dn])
-        lim[up] = (hi_b[up] - self.xb[up]) / delta[up]
+        # Rows whose basic variable moves; the others never block.
+        rows = (np.abs(w) > PIVOT_TOL).nonzero()[0]
+        delta = -direction * w[rows]  # change in xb per unit step
+        basic = self.basis[rows]
+        xb = self.xb[rows]
+        # An infinite bound gives an infinite limit.
+        lim = np.where(delta < 0.0, (xb - self.lo[basic]) / (-delta),
+                       (self.hi[basic] - xb) / delta)
         lim = np.maximum(lim, 0.0)
         lim_min = float(lim.min(initial=np.inf))
         span = self.hi[q] - self.lo[q]
@@ -286,14 +298,12 @@ class _Tableau:
             if not np.isfinite(t_flip):
                 return np.inf, -1, False
             return t_flip, -1, True
-        ties = np.flatnonzero(lim <= lim_min + 1e-12)
-        good = ties[np.abs(w[ties]) >= PIVOT_TOL]
-        pool = good if good.size else ties
+        ties = (lim <= lim_min + 1e-12).nonzero()[0]
         if self.bland:
-            r = int(pool[np.argmin(self.basis[pool])])
+            k = ties[np.argmin(basic[ties])]
         else:
-            r = int(pool[np.argmax(np.abs(w[pool]))])
-        return float(lim[r]), r, False
+            k = ties[np.argmax(np.abs(delta[ties]))]
+        return float(lim[k]), int(rows[k]), False
 
     def _pivot(self, r, q, entering_value):
         piv = self.T[r, q]
@@ -301,12 +311,18 @@ class _Tableau:
             raise NumericError(
                 f"pivot {piv:.3e} below tolerance at row {r}, col {q} "
                 f"(iteration {self.iterations})")
-        self.T[r] /= piv
-        col = self.T[:, q].copy()
-        col[r] = 0.0
-        self.T -= col[:, None] * self.T[r][None, :]
-        self.T[:, q] = 0.0
-        self.T[r, q] = 1.0
+        T = self.T
+        T[r] /= piv
+        prow = T[r]
+        # Only the block of rows where column q is nonzero and columns
+        # where row r is nonzero changes.  Column q is reset below, so
+        # zeroing T[r, q] first keeps row r and column q out of the block.
+        T[r, q] = 0.0
+        rows = T[:, q].nonzero()[0]
+        cols = prow.nonzero()[0]
+        T[rows[:, None], cols] -= T[rows, q][:, None] * prow[cols]
+        T[rows, q] = 0.0
+        T[r, q] = 1.0
         leave = int(self.basis[r])
         self.basis[r] = q
         self.xb[r] = entering_value
@@ -398,6 +414,7 @@ class SimplexBackend:
         tab, status, sol = self._solve_tableau(problem)
         if sol is not None:
             return sol
+        tab.T = None  # no more pivots; free it before refresh_basics
         return self._extract(problem, tab, status)
 
     def start_session(self, problem: LpProblem) -> "SimplexSession":
@@ -473,13 +490,15 @@ class SimplexSession:
         self._problem = problem
         self._tab = None
         self._infeasible = False
+        self._retired = 0  # pivots of tableaux dropped by a cold retry
 
     def solve(self, c: np.ndarray | None = None) -> LpSolution:
         """Re-solve under objective ``c`` (default: the session LP's own).
 
         A warm re-solve that fails numerically is retried once cold, from
         a fresh tableau: the rank-one updates accumulated over earlier
-        re-solves can drift past the feasibility audit.
+        re-solves can drift past the feasibility audit.  ``iterations``
+        counts the session's pivots so far, across such retries.
         """
         if self._infeasible:
             return LpSolution(INFEASIBLE)
@@ -492,9 +511,13 @@ class SimplexSession:
                              prob.lower, prob.upper)
         if self._tab is not None:
             try:
-                return self._warm(prob)
+                sol = self._warm(prob)
             except NumericError:
+                self._retired += self._tab.iterations
                 self._tab = None
+            else:
+                sol.iterations += self._retired
+                return sol
         tab, status, sol = self._backend._solve_tableau(prob)
         if sol is not None:
             if sol.status == INFEASIBLE:
@@ -504,7 +527,9 @@ class SimplexSession:
             self._infeasible = True
         elif status == OPTIMAL:
             self._tab = tab
-        return self._backend._extract(prob, tab, status)
+        sol = self._backend._extract(prob, tab, status)
+        sol.iterations += self._retired
+        return sol
 
     def _warm(self, prob: LpProblem) -> LpSolution:
         tab = self._tab

@@ -106,38 +106,50 @@ class SampleSet:
                 writer.writerow([repr(float(v)) for v in row])
 
 
-@dataclass
 class BiAffineConstraint:
-    """g(x, xi) = xi'(A x + a0) + c'x + d  <= 0 (target form)."""
+    """g(x, xi) = xi'(A x + a0) + c'x + d  <= 0 (target form).
 
-    A: np.ndarray
-    a0: np.ndarray
-    c: np.ndarray
-    d: float = 0.0
+    ``A`` (xi-dim x x-dim) is stored as the flat indices and values of its
+    stored entries: the nonzeros and any ``-0.0``, so that every entry,
+    sign of zero included, reads back exactly; fewer than one entry in
+    500 of a compiled dispatch constraint is nonzero.  ``A`` is read-only:
+    each read returns a fresh dense float64 array, and writing into that
+    array leaves the constraint unchanged.
+    """
 
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.a0 = np.atleast_1d(np.asarray(self.a0, dtype=float))
-        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        self.d = float(self.d)
-        k, n = self.A.shape
+    def __init__(self, A, a0, c, d: float = 0.0):
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.a0 = np.atleast_1d(np.asarray(a0, dtype=float))
+        self.c = np.atleast_1d(np.asarray(c, dtype=float))
+        self.d = float(d)
+        k, n = A.shape
         if self.a0.shape != (k,):
             raise ModelError(f"a0 must have length {k} (rows of A), got {self.a0.shape}")
         if self.c.shape != (n,):
             raise ModelError(f"c must have length {n} (cols of A), got {self.c.shape}")
-        for name, arr in (("A", self.A), ("a0", self.a0), ("c", self.c)):
+        for name, arr in (("A", A), ("a0", self.a0), ("c", self.c)):
             if not np.all(np.isfinite(arr)):
                 raise ModelError(f"{name} must be finite")
         if not np.isfinite(self.d):
             raise ModelError("d must be finite")
+        flat = A.ravel()
+        self.A_shape = (k, n)
+        self.A_index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+        self.A_value = flat[self.A_index]
+
+    @property
+    def A(self) -> np.ndarray:
+        out = np.zeros(self.A_shape)
+        out.ravel()[self.A_index] = self.A_value
+        return out
 
     @property
     def xi_dim(self) -> int:
-        return self.A.shape[0]
+        return self.A_shape[0]
 
     @property
     def x_dim(self) -> int:
-        return self.A.shape[1]
+        return self.A_shape[1]
 
     def a(self, x: np.ndarray) -> np.ndarray:
         """Uncertainty-facing coefficient vector at decision x."""

@@ -10,7 +10,10 @@ from scipy.optimize import linprog
 
 from jccopt import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, ModelError,
                     NumericError, SimplexBackend, dump_lp, solve_lp)
-from jccopt.lp import residuals
+from jccopt import algorithms, lp
+from jccopt.cases import three_bus_case
+from jccopt.dispatch import build_ccp
+from jccopt.lp import _Tableau, residuals
 
 
 def test_box_only_minimum():
@@ -196,19 +199,82 @@ def test_session_retries_a_failed_warm_solve_cold(monkeypatch):
         raise NumericError("forced warm failure")
 
     sess = SimplexBackend().start_session(p)
-    assert sess.solve().status == OPTIMAL
+    first = sess.solve()
+    assert first.status == OPTIMAL
     monkeypatch.setattr(sess._tab, "run", fail)
     warm = sess.solve(c2)
     cold = solve_lp(LpProblem(c2, p.G, p.h, lower=p.lower, upper=p.upper))
     assert warm.status == cold.status == OPTIMAL
     assert warm.objective == cold.objective
     assert np.array_equal(warm.x, cold.x)
+    # The session's pivot count stays cumulative across the retry.
+    assert warm.iterations > first.iterations
+    assert warm.iterations == first.iterations + cold.iterations
 
     # Only one retry: an error from the cold solve propagates.
     monkeypatch.setattr(sess._tab, "run", fail)
     monkeypatch.setattr(lpmod, "ITER_FACTOR", 0)
     with pytest.raises(NumericError, match="iteration cap"):
         sess.solve(p.c)
+
+
+def _dense_pivot(T, r, q):
+    """The full rank-one pivot update, kept as the block update's reference."""
+    T = T.copy()
+    T[r] /= T[r, q]
+    col = T[:, q].copy()
+    col[r] = 0.0
+    T -= col[:, None] * T[r][None, :]
+    T[:, q] = 0.0
+    T[r, q] = 1.0
+    return T
+
+
+@pytest.mark.parametrize("case", ["random", "lone_column", "lone_row", "lone_both"])
+def test_block_pivot_equals_dense_update(case):
+    rng = np.random.default_rng(7)
+    m, n = 9, 5
+    for _ in range(50):
+        tab = _Tableau(LpProblem(np.zeros(n), G=np.zeros((m, n)), h=np.ones(m)))
+        dens = rng.uniform(0.05, 0.6)
+        T = np.where(rng.random(tab.T.shape) < dens, rng.normal(size=tab.T.shape), 0.0)
+        T[rng.random(T.shape) < 0.05] = -0.0
+        r, q = int(rng.integers(m)), int(rng.integers(T.shape[1]))
+        T[r, q] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        if case in ("lone_column", "lone_both"):
+            T[np.arange(m) != r, q] = 0.0
+        if case in ("lone_row", "lone_both"):
+            T[r, np.arange(T.shape[1]) != q] = 0.0
+        want = _dense_pivot(T, r, q)
+        tab.T = T.copy()
+        tab._pivot(r, q, 0.0)
+        assert np.array_equal(tab.T, want)  # == treats -0.0 and 0.0 as equal
+
+
+# The CVaR LP of the bundled three-bus case: the pivot count and objective of
+# the dense-update simplex.  The block update must reproduce both.
+@pytest.mark.parametrize("rho, iterations, objective", [
+    (0.0, 171, 92.62545841376078),
+    (0.01, 237, 92.96545841376079),
+])
+def test_three_bus_cvar_lp_is_pinned(monkeypatch, rho, iterations, objective):
+    seen = []
+
+    def grab(problem):
+        sol = solve_lp(problem)
+        seen.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(lp, "solve_lp", grab)
+    algorithms.solve_cvar(build_ccp(three_bus_case(), rho_override=rho).problem)
+    [(problem, sol)] = seen
+    assert sol.status == OPTIMAL
+    assert sol.iterations == iterations
+    # The last bits come from the LAPACK solve in refresh_basics.
+    assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
+    ref = _scipy_solve(problem)
+    assert ref.status == 0
+    assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
 
 def test_dump_lp_lists_everything():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, ModelError,
                     Polytope, SampleSet, evaluate_group, problem_from_dict,
                     problem_to_dict, robustified_constraint, validate_problem)
+from jccopt.cases import three_bus_case
+from jccopt.dispatch import build_ccp
 from jccopt.model import dual_norm, norm_value
 from jccopt.toys import interval_toy, two_group_toy
 
@@ -174,6 +176,44 @@ def test_problem_json_roundtrip_bitwise():
             assert np.array_equal(ca.a0, cb.a0)
             assert np.array_equal(ca.c, cb.c)
             assert ca.d == cb.d
+
+
+def _stored(M):
+    return np.count_nonzero((M != 0.0) | np.signbit(M))
+
+
+def test_bi_affine_A_reads_back_exactly():
+    rng = np.random.default_rng(11)
+    mats = [np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -2.0]]),
+            np.full((2, 3), -0.0), np.zeros((1, 4)), np.array([[3.0]])]
+    for _ in range(20):
+        k, n = rng.integers(1, 6, size=2)
+        M = np.where(rng.random((k, n)) < 0.3, rng.normal(size=(k, n)), 0.0)
+        M[rng.random((k, n)) < 0.2] = -0.0
+        mats.append(M)
+    for M in mats:
+        con = BiAffineConstraint(A=M, a0=np.zeros(M.shape[0]), c=np.zeros(M.shape[1]))
+        A = con.A
+        assert A.shape == M.shape and A.dtype == np.float64
+        assert np.array_equal(A, M)
+        assert np.array_equal(np.signbit(A), np.signbit(M))
+        assert con.A_index.size == _stored(M)
+        assert con.A is not con.A
+        A[...] = 7.0  # a read is a copy: the constraint does not change
+        assert np.array_equal(con.A, M)
+
+
+def test_three_bus_constraints_store_only_their_entries():
+    p = build_ccp(three_bus_case()).problem
+    cons = [con for g in p.groups for con in g.constraints]
+    for con in cons:
+        assert con.A_index.size == con.A_value.size == _stored(con.A)
+    # 92 nonzeros and 24 negative zeros out of 55,488 dense entries.
+    assert sum(con.A.size for con in cons) == 55488
+    assert sum(np.count_nonzero(con.A) for con in cons) == 92
+    assert sum(con.A_index.size for con in cons) == 116
+    blob = json.dumps(problem_to_dict(p))
+    assert json.dumps(problem_to_dict(problem_from_dict(json.loads(blob)))) == blob
 
 
 def test_problem_json_omits_infinite_bounds():
