@@ -22,10 +22,8 @@ from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution,
                  SimplexBackend, dump_lp, solve_lp)
 from .scenarios import ScenarioGenSpec, generate_scenarios, spec_from_dict
 from .model import (TOL_ZERO, BiAffineConstraint, CcpProblem, JccGroup,
-                    Polytope, RelaxationState, RobustifiedConstraint,
-                    SampleSet, ViolationReport, evaluate_group,
-                    problem_from_dict, problem_to_dict, robustified_constraint,
-                    validate_problem)
+                    Polytope, SampleSet, ViolationReport, evaluate_group,
+                    problem_from_dict, problem_to_dict, validate_problem)
 
 __version__ = "0.1.0"
 
@@ -33,9 +31,8 @@ __all__ = [
     "CapacityError", "ModelError", "NumericError",
     "LpProblem", "LpSolution", "SimplexBackend", "solve_lp", "dump_lp",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
-    "TOL_ZERO", "SampleSet", "BiAffineConstraint", "RobustifiedConstraint",
-    "robustified_constraint", "Polytope", "JccGroup", "CcpProblem",
-    "RelaxationState", "ViolationReport", "evaluate_group",
+    "TOL_ZERO", "SampleSet", "BiAffineConstraint", "Polytope", "JccGroup",
+    "CcpProblem", "ViolationReport", "evaluate_group",
     "validate_problem", "problem_to_dict", "problem_from_dict",
     "BisectionConfig", "SolveReport", "GroupStats", "OuterRecord",
     "InnerResult", "s_step", "z_step", "shortfalls", "gamma_value",

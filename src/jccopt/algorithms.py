@@ -18,7 +18,8 @@ that cannot re-weight scenarios, a CVaR restriction, and an exhaustive
 scenario-subset oracle for small instances.
 
 All subproblems are plain LPs; Wasserstein margins enter through dual-norm
-bound variables (see model.robustified_constraint).
+bound variables (``_ScenarioLpBuilder.add_margins``); point evaluation of
+the same margins is ``model.JccGroup.values``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import numpy as np
 from . import lp
 from .errors import CapacityError, ModelError, NumericError
 from .lp import OPTIMAL, UNBOUNDED, LpProblem
-from .model import (TOL_ZERO, CcpProblem, JccGroup, RelaxationState, SampleSet,
-                    evaluate_group)
+from .model import TOL_ZERO, CcpProblem, JccGroup, SampleSet, evaluate_group
 
 FEASIBLE = "feasible"
 INFEASIBLE_STATUS = "infeasible"
@@ -139,52 +139,25 @@ class SolveReport:
 
 # -- LP assembly -------------------------------------------------------------
 
-def _margin_columns(group: JccGroup, rho: float):
-    """Per-constraint auxiliary column plan for the Wasserstein margin.
-
-    Returns a list (one entry per constraint) of lists of component row
-    indices that need +-(A[r] x + a0[r]) <= bound rows.  For the l1
-    uncertainty norm (dual linf) one shared bound variable covers all
-    components; for linf (dual l1) each component gets its own, and the
-    margin is rho times their sum.  Identically-zero components are
-    skipped: they contribute nothing to either norm.
-    """
-    if rho == 0.0:
-        return None
-    if group.norm == "l2":
-        raise ModelError(
-            f"group {group.label!r}: l2 uncertainty norm has a second-order "
-            "worst case and cannot be embedded in an LP; use l1 or linf")
-    plans = []
-    for con in group.constraints:
-        A = con.A
-        nz = [r for r in range(con.xi_dim)
-              if con.a0[r] != 0.0 or np.any(A[r] != 0.0)]
-        plans.append(nz)
-    return plans
-
-
 class _ScenarioLpBuilder:
     """Shared row assembly for all scenario-based LPs over a CcpProblem.
 
-    Column layout: decision x first, then caller-registered blocks
-    (shortfalls, CVaR tails, margin bounds, ...).  Rows are collected
-    densely and stacked once.
+    Column layout: decision x first, then caller-added blocks (shortfalls,
+    CVaR tails, margin bounds, ...) in the order they are added.  Rows are
+    collected densely and stacked once.
     """
 
     def __init__(self, problem: CcpProblem):
         self.problem = problem
         self.n = problem.n_vars
         self.cols = self.n
-        self.blocks: dict[str, slice] = {}
         self.rows: list[np.ndarray] = []
         self.rhs: list[np.ndarray] = []
         self.lo_extra: list[np.ndarray] = []
         self.hi_extra: list[np.ndarray] = []
 
-    def add_block(self, name: str, size: int, lo=0.0, hi=np.inf) -> slice:
+    def add_block(self, size: int, lo=0.0, hi=np.inf) -> slice:
         blk = slice(self.cols, self.cols + size)
-        self.blocks[name] = blk
         self.cols += size
         self.lo_extra.append(np.full(size, lo))
         self.hi_extra.append(np.full(size, hi))
@@ -194,33 +167,63 @@ class _ScenarioLpBuilder:
         self.rows.append(mat)
         self.rhs.append(np.atleast_1d(rhs))
 
-    def margin_rows(self, group: JccGroup, plans, col_of):
-        """Bound-variable rows +-(A[r] x + a0[r]) <= bound_col."""
-        for j, con in enumerate(group.constraints):
-            A = con.A
-            for r in plans[j]:
-                cols = col_of(j, r)
-                for sign in (1.0, -1.0):
-                    row = np.zeros(self.cols)
-                    row[:self.n] = sign * A[r]
-                    row[cols] = -1.0
-                    self.append_rows(row[None, :], np.array([-sign * con.a0[r]]))
+    def add_margins(self, group: JccGroup, rho: float) -> list[dict]:
+        """Columns and rows for the group's Wasserstein margins at radius rho.
 
-    def scenario_rows(self, group: JccGroup, j: int, mask, extra_cols,
-                      rhs_shift=0.0):
-        """Rows  xi_i'(A_j x + a0_j) + c_j'x + d_j + extra <= rhs_shift  for
-        the masked scenarios; ``extra_cols`` maps column index -> coeff."""
-        con = group.constraints[j]
+        Returns one ``{column: rho}`` dict per constraint, the margin terms
+        of its scenario rows.  For the l1 uncertainty norm (dual linf) one
+        bound column per constraint covers all components; for linf (dual
+        l1) each component gets its own, and the margin is rho times their
+        sum.  Each bound column b of component r gets the two rows
+        +-(A[r] x + a0[r]) <= b; identically zero components are skipped,
+        since they add nothing to either norm.
+        """
+        if rho == 0.0:
+            return [{} for _ in group.constraints]
+        if group.norm == "l2":
+            raise ModelError(
+                f"group {group.label!r}: l2 uncertainty norm has a second-order "
+                "worst case and cannot be embedded in an LP; use l1 or linf")
+        As = [con.A for con in group.constraints]
+        nz = [np.flatnonzero((con.a0 != 0.0) | np.any(A != 0.0, axis=1))
+              for con, A in zip(group.constraints, As)]
+        if group.norm == "l1":
+            blk = self.add_block(len(nz))
+            bound_cols = [np.full(r.size, blk.start + j) for j, r in enumerate(nz)]
+            terms = [{blk.start + j: rho} for j in range(len(nz))]
+        else:
+            blk = self.add_block(sum(r.size for r in nz))
+            ends = np.cumsum([r.size for r in nz])[:-1]
+            bound_cols = np.split(np.arange(blk.start, blk.stop), ends)
+            terms = [{int(col): rho for col in cols} for cols in bound_cols]
+        for con, A, r, cols in zip(group.constraints, As, nz, bound_cols):
+            comp = np.repeat(r, 2)  # the + row, then the - row
+            sign = np.tile([1.0, -1.0], r.size)
+            block = np.zeros((comp.size, self.cols))
+            block[:, :self.n] = sign[:, None] * A[comp]
+            block[np.arange(comp.size), np.repeat(cols, 2)] = -1.0
+            self.append_rows(block, -sign * con.a0[comp])
+        return terms
+
+    def scenario_rows(self, group: JccGroup, mask, terms: list[dict],
+                      diag: int | None = None) -> None:
+        """Rows  xi_i'(A_j x + a0_j) + c_j'x + d_j + extra <= 0  for the
+        masked scenarios, one constraint after another.  ``terms[j]`` maps
+        column -> coefficient of constraint j's extra terms; with ``diag``,
+        the row of the i-th masked scenario also gets -1 in column
+        diag + i (a per-scenario shortfall or excess)."""
         data = group.samples.data[mask]
         cnt = data.shape[0]
         if cnt == 0:
             return
-        block = np.zeros((cnt, self.cols))
-        block[:, :self.n] = data @ con.A + con.c
-        for col, coeff in extra_cols.items():
-            block[:, col] = coeff
-        rhs = rhs_shift - (data @ con.a0 + con.d)
-        self.append_rows(block, rhs)
+        for con, extra in zip(group.constraints, terms):
+            block = np.zeros((cnt, self.cols))
+            block[:, :self.n] = data @ con.A + con.c
+            for col, coeff in extra.items():
+                block[:, col] = coeff
+            if diag is not None:
+                block[np.arange(cnt), diag + np.arange(cnt)] = -1.0
+            self.append_rows(block, 0.0 - (data @ con.a0 + con.d))
 
     def finish(self, objective: np.ndarray) -> LpProblem:
         poly = self.problem.polytope
@@ -255,26 +258,6 @@ class _ScenarioLpBuilder:
         return out
 
 
-def _register_margins(builder: _ScenarioLpBuilder, group: JccGroup, gi: int,
-                      rho: float):
-    """Adds margin bound columns+rows; returns (per-constraint extra-cols
-    factory) mapping constraint j to {col: coeff} terms for scenario rows."""
-    plans = _margin_columns(group, rho)
-    if plans is None:
-        return lambda j: {}
-    if group.norm == "l1":
-        blk = builder.add_block(f"margin{gi}", len(group.constraints))
-        builder.margin_rows(group, plans, lambda j, r: blk.start + j)
-        return lambda j: {blk.start + j: rho}
-    # linf uncertainty norm: dual l1, one bound column per component
-    offsets = []
-    for j, nz in enumerate(plans):
-        blk = builder.add_block(f"margin{gi}c{j}", len(nz))
-        offsets.append({r: blk.start + kk for kk, r in enumerate(nz)})
-    builder.margin_rows(group, plans, lambda j, r: offsets[j][r])
-    return lambda j: {col: rho for col in offsets[j].values()}
-
-
 class SStepAssembler:
     """Reusable skeleton of the shortfall-step LP.
 
@@ -286,24 +269,15 @@ class SStepAssembler:
     def __init__(self, problem: CcpProblem):
         self.problem = problem
         builder = _ScenarioLpBuilder(problem)
-        self.s_blocks = []
-        margin_factories = []
-        for gi, g in enumerate(problem.groups):
-            self.s_blocks.append(builder.add_block(f"s{gi}", g.n))
-        for gi, g in enumerate(problem.groups):
-            margin_factories.append(_register_margins(builder, g, gi, g.rho))
+        self.s_blocks = [builder.add_block(g.n) for g in problem.groups]
+        margins = [builder.add_margins(g, g.rho) for g in problem.groups]
         # level row c'x <= f (rhs patched per level)
         level = np.zeros(builder.cols)
         level[:problem.n_vars] = problem.objective
         builder.append_rows(level[None, :], np.array([0.0]))
         self.level_row_local = sum(m.shape[0] for m in builder.rows[:-1])
-        for gi, g in enumerate(problem.groups):
-            mask = np.ones(g.n, dtype=bool)
-            srow = self.s_blocks[gi]
-            for j in range(len(g.constraints)):
-                builder.scenario_rows(g, j, mask, dict(margin_factories[gi](j)))
-                block = builder.rows[-1]
-                block[np.arange(g.n), srow.start + np.arange(g.n)] = -1.0
+        for g, terms, blk in zip(problem.groups, margins, self.s_blocks):
+            builder.scenario_rows(g, np.ones(g.n, dtype=bool), terms, blk.start)
         self.lp_template = builder.finish(np.zeros(builder.cols))
         self.cols = builder.cols
         n_poly = problem.polytope.n_ineq
@@ -340,27 +314,19 @@ class SStepAssembler:
 
 def shortfalls(problem: CcpProblem, x: np.ndarray) -> list[np.ndarray]:
     """Canonical per-scenario shortfalls max(0, worst robustified value)."""
-    out = []
-    for g in problem.groups:
-        worst = np.full(g.n, -np.inf)
-        for rob in g.robustified():
-            worst = np.maximum(worst, rob.evaluate_many(x, g.samples.data))
-        out.append(np.maximum(worst, 0.0))
-    return out
+    return [np.maximum(g.values(x).max(axis=1), 0.0) for g in problem.groups]
 
 
-def s_step(problem: CcpProblem, z, f: float):
-    """Weighted-shortfall LP at level f.
+def s_step(problem: CcpProblem, z: list[np.ndarray], f: float):
+    """Weighted-shortfall LP at level f with per-group weights ``z``.
 
-    ``z`` is a RelaxationState or a list of per-group weight vectors.
     Returns (x, shortfall list, lp status); (None, None, 'infeasible') when
     the polytope cannot reach the level.  Shortfalls are recomputed from x
     (zero-weight scenarios have free LP slots, the canonical value is what
     the activation step should rank).
     """
-    weights = z.z if isinstance(z, RelaxationState) else z
     asm = SStepAssembler(problem)
-    sol = lp.solve_lp(asm.lp_at(f, weights))
+    sol = lp.solve_lp(asm.lp_at(f, z))
     if sol.status == UNBOUNDED:
         raise NumericError(
             "shortfall LP unbounded: the polytope is unbounded along a "
@@ -425,12 +391,12 @@ def _inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
     """Alternate shortfall and activation steps at a fixed level f."""
     problem = asm.problem
     session = asm.session_at(f)
-    state = RelaxationState.full_activation(problem)
+    z = [np.ones(g.n) for g in problem.groups]
     gamma_prev = None
     delta = None
     gammas: list[float] = []
     for k in range(MAX_INNER):
-        sol = session.solve(asm.objective_for(state.z))
+        sol = session.solve(asm.objective_for(z))
         if sol.status == UNBOUNDED:
             raise NumericError("shortfall LP unbounded (pathological polytope)")
         if sol.status != OPTIMAL:
@@ -445,7 +411,6 @@ def _inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
                 "alternation lost monotonicity")
         gammas.append(gamma)
         delta = None if gamma_prev is None else abs(gamma - gamma_prev)
-        state = RelaxationState(z=z, s=s)
         if gamma <= GAMMA_TOL:
             return InnerResult(x, s, z, gamma, delta, k + 1, "gamma", gammas)
         if delta is not None and delta < DELTA2:
@@ -468,12 +433,11 @@ def scenario_hard_lp(problem: CcpProblem, masks: list[np.ndarray],
     builder = _ScenarioLpBuilder(problem)
     for gi, g in enumerate(problem.groups):
         rho = g.rho if rho_by_group is None else rho_by_group[gi]
-        factory = _register_margins(builder, g, gi, rho)
+        terms = builder.add_margins(g, rho)
         mask = np.asarray(masks[gi], dtype=bool)
         if mask.shape != (g.n,):
             raise ModelError(f"mask for group {gi} must have length {g.n}")
-        for j in range(len(g.constraints)):
-            builder.scenario_rows(g, j, mask, dict(factory(j)))
+        builder.scenario_rows(g, mask, terms)
     obj = np.zeros(builder.cols)
     obj[:problem.n_vars] = problem.objective
     return builder.finish(obj)
@@ -672,24 +636,16 @@ def solve_cvar(problem: CcpProblem) -> SolveReport:
     zero risk.
     """
     builder = _ScenarioLpBuilder(problem)
-    tails = []
-    for gi, g in enumerate(problem.groups):
-        factory = _register_margins(builder, g, gi, g.rho)
+    for g in problem.groups:
+        terms = builder.add_margins(g, g.rho)
+        mask = np.ones(g.n, dtype=bool)
         if g.epsilon == 0.0:
-            for j in range(len(g.constraints)):
-                builder.scenario_rows(g, j, np.ones(g.n, dtype=bool),
-                                      dict(factory(j)))
-            tails.append(None)
+            builder.scenario_rows(g, mask, terms)
             continue
-        t_blk = builder.add_block(f"tail{gi}", 1, lo=-np.inf)
-        w_blk = builder.add_block(f"excess{gi}", g.n, lo=0.0)
-        tails.append((t_blk, w_blk))
-        for j in range(len(g.constraints)):
-            extra = dict(factory(j))
-            extra[t_blk.start] = -1.0
-            builder.scenario_rows(g, j, np.ones(g.n, dtype=bool), extra)
-            block = builder.rows[-1]
-            block[np.arange(g.n), w_blk.start + np.arange(g.n)] = -1.0
+        t_blk = builder.add_block(1, lo=-np.inf)
+        w_blk = builder.add_block(g.n, lo=0.0)
+        builder.scenario_rows(g, mask, [{**m, t_blk.start: -1.0} for m in terms],
+                              w_blk.start)
         # tail budget: t + mean excess / epsilon <= 0
         row = np.zeros((1, builder.cols))
         row[0, t_blk.start] = 1.0

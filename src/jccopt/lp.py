@@ -98,6 +98,8 @@ class LpProblem:
             raise ModelError("bounds must match the variable count")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise ModelError("bounds may be infinite but not NaN")
+        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+            raise ModelError("a lower bound may not be +inf, nor an upper bound -inf")
         if self.var_names is not None and len(self.var_names) != n:
             raise ModelError("var_names must match the variable count")
 

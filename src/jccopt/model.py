@@ -10,6 +10,8 @@ which keeps the scenario rows linear in x and admits a closed-form
 worst-case over a Wasserstein ball of radius rho around the empirical
 scenarios:  gbar(x, xi) = rho * ||A x + a0||_dual + g(x, xi),
 where the dual norm pairs with the chosen uncertainty norm.
+``JccGroup.values`` computes gbar for every constraint of a group on every
+scenario; group evaluation and the alternation's shortfalls both read it.
 """
 
 from __future__ import annotations
@@ -151,62 +153,6 @@ class BiAffineConstraint:
     def x_dim(self) -> int:
         return self.A_shape[1]
 
-    def a(self, x: np.ndarray) -> np.ndarray:
-        """Uncertainty-facing coefficient vector at decision x."""
-        return self.A @ x + self.a0
-
-    def b(self, x: np.ndarray) -> float:
-        return float(self.c @ x + self.d)
-
-    def evaluate(self, x: np.ndarray, xi: np.ndarray) -> float:
-        return float(np.asarray(xi, dtype=float) @ self.a(x)) + self.b(x)
-
-    def evaluate_many(self, x: np.ndarray, scenarios: np.ndarray) -> np.ndarray:
-        """Constraint values across scenario rows (n,)."""
-        return np.asarray(scenarios, dtype=float) @ self.a(x) + self.b(x)
-
-
-@dataclass
-class RobustifiedConstraint:
-    """Worst case of a bi-affine constraint over a Wasserstein ball.
-
-    gbar(x, xi) = rho * ||a(x)||_dual + g(x, xi).  rho = 0 reduces exactly
-    to the plain constraint.
-    """
-
-    base: BiAffineConstraint
-    rho: float
-    norm: str = "l1"
-
-    def __post_init__(self):
-        self.rho = float(self.rho)
-        if self.rho < 0:
-            raise ModelError("rho must be nonnegative")
-        dual_norm(self.norm)  # validates the name
-
-    def margin(self, x: np.ndarray) -> float:
-        if self.rho == 0.0:
-            return 0.0
-        return self.rho * norm_value(self.base.a(x), dual_norm(self.norm))
-
-    def evaluate(self, x: np.ndarray, xi: np.ndarray) -> float:
-        return self.margin(x) + self.base.evaluate(x, xi)
-
-    def evaluate_many(self, x: np.ndarray, scenarios: np.ndarray) -> np.ndarray:
-        return self.margin(x) + self.base.evaluate_many(x, scenarios)
-
-
-def robustified_constraint(g: BiAffineConstraint, rho: float,
-                           norm: str = "l1") -> RobustifiedConstraint:
-    """Wrap a bi-affine constraint with its Wasserstein worst-case margin.
-
-    Point evaluation works for any of {l1, l2, linf}.  Embedding into an LP
-    is only possible for l1 (dual linf: one bound variable per constraint)
-    and linf (dual l1: one bound variable per uncertainty component); the
-    LP assemblers reject l2 groups with a ModelError.
-    """
-    return RobustifiedConstraint(g, rho, norm)
-
 
 @dataclass
 class Polytope:
@@ -288,9 +234,33 @@ class JccGroup:
     def x_dim(self) -> int:
         return self.constraints[0].x_dim
 
-    def robustified(self, rho: float | None = None) -> list[RobustifiedConstraint]:
-        r = self.rho if rho is None else rho
-        return [robustified_constraint(g, r, self.norm) for g in self.constraints]
+    def values(self, x: np.ndarray, scenarios: np.ndarray | None = None,
+               rho: float | None = None) -> np.ndarray:
+        """Worst-case values gbar_j(x, xi_i) = rho*||A_j x + a0_j||_dual +
+        g_j(x, xi_i): one row per scenario, one column per constraint.
+
+        Uses the group's own samples unless ``scenarios`` (rows of xi) is
+        given, and the group's radius unless ``rho`` is; rho = 0 gives the
+        plain constraint values.  Point evaluation works for any of {l1, l2,
+        linf}; the LP assemblers reject l2 margins.
+        """
+        data = (self.samples.data if scenarios is None
+                else np.asarray(scenarios, dtype=float))
+        if data.shape[1] != self.samples.dim:
+            raise ModelError(
+                f"group {self.label!r}: test scenarios have dim {data.shape[1]}, "
+                f"expected {self.samples.dim}")
+        rho = self.rho if rho is None else float(rho)
+        if rho < 0.0:
+            raise ModelError(f"group {self.label!r}: rho must be nonnegative")
+        x = np.asarray(x, dtype=float)
+        out = np.empty((data.shape[0], len(self.constraints)))
+        for j, con in enumerate(self.constraints):
+            a = con.A @ x + con.a0
+            margin = 0.0 if rho == 0.0 else rho * norm_value(a, dual_norm(self.norm))
+            # one product per constraint: a stacked product rounds differently
+            out[:, j] = margin + (data @ a + float(con.c @ x + con.d))
+        return out
 
 
 @dataclass
@@ -324,20 +294,6 @@ class CcpProblem:
     @property
     def n_groups(self) -> int:
         return len(self.groups)
-
-
-@dataclass
-class RelaxationState:
-    """Per-group relaxation variables of the alternation: shortfalls s and
-    activation weights z.  s is None before the first shortfall solve
-    (the infinite-sentinel start, which skips the first delta test)."""
-
-    z: list[np.ndarray]
-    s: list[np.ndarray] | None = None
-
-    @classmethod
-    def full_activation(cls, problem: CcpProblem) -> "RelaxationState":
-        return cls(z=[np.ones(g.n) for g in problem.groups], s=None)
 
 
 @dataclass
@@ -378,17 +334,10 @@ def evaluate_group(group: JccGroup, x: np.ndarray,
     held-out test set).  ``rho_override`` replaces the group's radius:
     pass 0.0 to measure raw (non-robustified) satisfaction.
     """
-    data = (group.samples if scenarios is None else scenarios).data
-    if data.shape[1] != group.samples.dim:
-        raise ModelError(
-            f"group {group.label!r}: test scenarios have dim {data.shape[1]}, "
-            f"expected {group.samples.dim}")
-    x = np.asarray(x, dtype=float)
-    worst = np.full(data.shape[0], -np.inf)
-    for rob in group.robustified(rho_override):
-        worst = np.maximum(worst, rob.evaluate_many(x, data))
+    data = None if scenarios is None else scenarios.data
+    worst = group.values(x, data, rho_override).max(axis=1)
     n_sat = int(np.count_nonzero(worst <= tol))
-    return ViolationReport(group.label, group.epsilon, n_sat, data.shape[0],
+    return ViolationReport(group.label, group.epsilon, n_sat, worst.size,
                            worst, tol)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from jccopt import algorithms, lp
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
 from jccopt.lp import _Tableau, residuals
+from jccopt.model import problem_from_dict, problem_to_dict
+from jccopt.toys import interval_toy
 
 
 def test_box_only_minimum():
@@ -58,6 +62,22 @@ def test_dimension_mismatch_raises_model_error():
         LpProblem(c=[1.0], lower=[0.0, 0.0])
     with pytest.raises(ModelError):
         LpProblem(c=[np.nan])
+
+
+def test_bounds_infinite_on_the_wrong_side_raise_model_error():
+    inf = np.inf
+    with pytest.raises(ModelError, match="lower bound"):
+        LpProblem([1.0, 1.0], G=[[1.0, 1.0]], h=[5.0],
+                  lower=[inf, 0.0], upper=[inf, 1.0])
+    with pytest.raises(ModelError, match="upper bound"):
+        LpProblem([1.0], upper=[-inf])
+    # json reads the Infinity literal, so a problem file reaches the LP too
+    d = problem_to_dict(interval_toy(0.4))
+    d["polytope"]["bounds"] = [{"lower": "INF"}]
+    p = problem_from_dict(json.loads(json.dumps(d).replace('"INF"', "Infinity")))
+    assert p.polytope.lower[0] == inf
+    with pytest.raises(ModelError, match="lower bound"):
+        algorithms.solve(p, "cvar")
 
 
 def test_iteration_cap_raises_numeric_error(monkeypatch):

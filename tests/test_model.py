@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, ModelError,
                     Polytope, SampleSet, evaluate_group, problem_from_dict,
-                    problem_to_dict, robustified_constraint, validate_problem)
+                    problem_to_dict, validate_problem)
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
 from jccopt.model import dual_norm, norm_value
 from jccopt.toys import interval_toy, two_group_toy
+
+from helpers import random_instance
 
 
 def test_dual_norm_pairs():
@@ -46,24 +48,75 @@ def test_dual_norm_is_support_function():
         assert norm_value(a, dual_norm("l1")) * rho == pytest.approx(support, abs=1e-9)
 
 
+def _reference_values(group, x, data, rho):
+    """Per-constraint worst-case values, written out one constraint at a
+    time: the formula ``JccGroup.values`` must reproduce bit for bit."""
+    cols = []
+    for con in group.constraints:
+        a = con.A @ x + con.a0
+        b = float(con.c @ x + con.d)
+        margin = 0.0 if rho == 0.0 else rho * norm_value(a, dual_norm(group.norm))
+        cols.append(margin + (data @ a + b))
+    return np.column_stack(cols)
+
+
+def _assert_values_match_reference(group, x, data=None, rho=None):
+    got = group.values(x, data, rho)
+    ref = _reference_values(group, np.asarray(x, dtype=float),
+                            group.samples.data if data is None else data,
+                            group.rho if rho is None else rho)
+    assert got.shape == (ref.shape[0], len(group.constraints))
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_group_values_equal_the_per_constraint_formula():
+    rng = np.random.default_rng(23)
+    for rho in (0.0, 0.01):
+        p = build_ccp(three_bus_case(), rho_override=rho).problem
+        for _ in range(3):
+            x = rng.uniform(-1.0, 3.0, size=p.n_vars)
+            for g in p.groups:
+                _assert_values_match_reference(g, x)
+                _assert_values_match_reference(g, x, rho=0.0)
+    for seed in range(20):  # l1 and linf groups, with -0.0 entries
+        for g in random_instance(seed).groups:
+            cons = []
+            for con in g.constraints:
+                A = con.A
+                A[rng.random(A.shape) < 0.3] = -0.0
+                cons.append(BiAffineConstraint(
+                    A, np.where(con.a0 == 0.0, -0.0, con.a0), con.c, -0.0))
+            g = JccGroup(cons, g.samples, g.epsilon, norm=g.norm)
+            for rho in (0.0, 0.02):
+                for x in (rng.uniform(0.0, 10.0, size=g.x_dim),
+                          np.zeros(g.x_dim), np.full(g.x_dim, -0.0)):
+                    _assert_values_match_reference(g, x, rho=rho)
+                    held_out = rng.uniform(0.2, 1.0, size=(3, g.samples.dim))
+                    _assert_values_match_reference(g, x, held_out, rho)
+    g = JccGroup([BiAffineConstraint(A=np.eye(2), a0=[0.5, -0.0], c=[1.0, 0.0])],
+                 SampleSet([[0.3, -0.2]]), epsilon=0.0, rho=0.5, norm="l2")
+    _assert_values_match_reference(g, [3.0, 4.0])
+
+
 def test_robustification_monotone_in_rho():
     rng = np.random.default_rng(5)
     g = BiAffineConstraint(A=rng.normal(size=(3, 2)), a0=rng.normal(size=3),
                            c=rng.normal(size=2), d=0.3)
     x = rng.normal(size=2)
     xi = rng.normal(size=3)
-    vals = [robustified_constraint(g, rho, "l1").evaluate(x, xi)
-            for rho in (0.0, 0.01, 0.1, 0.5, 2.0)]
+    group = JccGroup([g], SampleSet(xi[None, :]), epsilon=0.0, norm="l1")
+    vals = [group.values(x, rho=rho)[0, 0] for rho in (0.0, 0.01, 0.1, 0.5, 2.0)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # rho=0 is bit-equal to the raw constraint
-    assert vals[0] == g.evaluate(x, xi)
+    assert vals[0] == (xi[None, :] @ (g.A @ x + g.a0) + float(g.c @ x + g.d))[0]
 
 
 def test_robustified_l2_point_eval_works():
     g = BiAffineConstraint(A=np.eye(2), a0=[0.0, 0.0], c=[0.0, 0.0], d=0.0)
-    r = robustified_constraint(g, 0.5, "l2")
+    group = JccGroup([g], SampleSet([[0.0, 0.0]]), epsilon=0.0, rho=0.5, norm="l2")
     # a(x) = x, margin = 0.5*||x||_2
-    assert r.evaluate([3.0, 4.0], [0.0, 0.0]) == pytest.approx(2.5)
+    assert group.values([3.0, 4.0])[0, 0] == pytest.approx(2.5)
 
 
 def test_evaluate_group_interval_toy():
