@@ -7,10 +7,10 @@ ships a reserve-dispatch front end and CLI on top.
 """
 
 from .algorithms import (METHODS, BisectionConfig, GroupStats, InnerResult,
-                         OuterRecord, SolveReport, gamma_value, init_bounds,
-                         inner_alternation, out_of_sample_reliability, s_step,
-                         shortfalls, solve, solve_also_x_multi,
-                         solve_also_x_single, solve_cvar,
+                         OuterRecord, SolveReport, SStepAssembler, gamma_value,
+                         init_bounds, inner_alternation,
+                         out_of_sample_reliability, shortfalls, solve,
+                         solve_also_x_multi, solve_also_x_single, solve_cvar,
                          solve_intuitive_extension, solve_oracle, z_step)
 from .dispatch import (Adn, Bus, DispatchCase, DispatchModel, Generator, Line,
                        Network, Segment, WindFarm, WindScenarioSet,
@@ -19,23 +19,23 @@ from .dispatch import (Adn, Bus, DispatchCase, DispatchModel, Generator, Line,
                        deterministic_dispatch, load_case, rho_sweep)
 from .errors import CapacityError, ModelError, NumericError
 from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution,
-                 SimplexBackend, dump_lp, solve_lp)
+                 SimplexBackend, solve_lp)
 from .scenarios import ScenarioGenSpec, generate_scenarios, spec_from_dict
 from .model import (TOL_ZERO, BiAffineConstraint, CcpProblem, JccGroup,
                     Polytope, SampleSet, ViolationReport, evaluate_group,
-                    problem_from_dict, problem_to_dict, validate_problem)
+                    problem_from_dict, problem_to_dict)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "ModelError", "NumericError",
-    "LpProblem", "LpSolution", "SimplexBackend", "solve_lp", "dump_lp",
+    "LpProblem", "LpSolution", "SimplexBackend", "solve_lp",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED",
     "TOL_ZERO", "SampleSet", "BiAffineConstraint", "Polytope", "JccGroup",
     "CcpProblem", "ViolationReport", "evaluate_group",
-    "validate_problem", "problem_to_dict", "problem_from_dict",
+    "problem_to_dict", "problem_from_dict",
     "BisectionConfig", "SolveReport", "GroupStats", "OuterRecord",
-    "InnerResult", "s_step", "z_step", "shortfalls", "gamma_value",
+    "InnerResult", "SStepAssembler", "z_step", "shortfalls", "gamma_value",
     "inner_alternation", "init_bounds", "out_of_sample_reliability",
     "METHODS", "solve", "solve_also_x_multi", "solve_also_x_single",
     "solve_intuitive_extension", "solve_cvar", "solve_oracle",

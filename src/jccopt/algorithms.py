@@ -167,8 +167,8 @@ class _ScenarioLpBuilder:
         self.rows.append(mat)
         self.rhs.append(np.atleast_1d(rhs))
 
-    def add_margins(self, group: JccGroup, rho: float) -> list[dict]:
-        """Columns and rows for the group's Wasserstein margins at radius rho.
+    def add_margins(self, group: JccGroup) -> list[dict]:
+        """Columns and rows for the Wasserstein margins at the group's rho.
 
         Returns one ``{column: rho}`` dict per constraint, the margin terms
         of its scenario rows.  For the l1 uncertainty norm (dual linf) one
@@ -178,6 +178,7 @@ class _ScenarioLpBuilder:
         +-(A[r] x + a0[r]) <= b; identically zero components are skipped,
         since they add nothing to either norm.
         """
+        rho = group.rho
         if rho == 0.0:
             return [{} for _ in group.constraints]
         if group.norm == "l2":
@@ -270,7 +271,7 @@ class SStepAssembler:
         self.problem = problem
         builder = _ScenarioLpBuilder(problem)
         self.s_blocks = [builder.add_block(g.n) for g in problem.groups]
-        margins = [builder.add_margins(g, g.rho) for g in problem.groups]
+        margins = [builder.add_margins(g) for g in problem.groups]
         # level row c'x <= f (rhs patched per level)
         level = np.zeros(builder.cols)
         level[:problem.n_vars] = problem.objective
@@ -315,26 +316,6 @@ class SStepAssembler:
 def shortfalls(problem: CcpProblem, x: np.ndarray) -> list[np.ndarray]:
     """Canonical per-scenario shortfalls max(0, worst robustified value)."""
     return [np.maximum(g.values(x).max(axis=1), 0.0) for g in problem.groups]
-
-
-def s_step(problem: CcpProblem, z: list[np.ndarray], f: float):
-    """Weighted-shortfall LP at level f with per-group weights ``z``.
-
-    Returns (x, shortfall list, lp status); (None, None, 'infeasible') when
-    the polytope cannot reach the level.  Shortfalls are recomputed from x
-    (zero-weight scenarios have free LP slots, the canonical value is what
-    the activation step should rank).
-    """
-    asm = SStepAssembler(problem)
-    sol = lp.solve_lp(asm.lp_at(f, z))
-    if sol.status == UNBOUNDED:
-        raise NumericError(
-            "shortfall LP unbounded: the polytope is unbounded along a "
-            "direction that the level row does not cap")
-    if sol.status != OPTIMAL:
-        return None, None, sol.status
-    x, _ = asm.split(sol.x)
-    return x, shortfalls(problem, x), sol.status
 
 
 def z_step(s: np.ndarray, epsilon: float) -> np.ndarray:
@@ -387,8 +368,9 @@ class InnerResult:
         return self.reason != "lp-infeasible"
 
 
-def _inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
-    """Alternate shortfall and activation steps at a fixed level f."""
+def inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
+    """Alternate shortfall and activation steps at a fixed level f on the
+    shortfall-LP skeleton ``asm``."""
     problem = asm.problem
     session = asm.session_at(f)
     z = [np.ones(g.n) for g in problem.groups]
@@ -419,21 +401,14 @@ def _inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
     return InnerResult(x, s, z, gamma, delta, MAX_INNER, "max_inner", gammas)
 
 
-def inner_alternation(problem: CcpProblem, f: float) -> InnerResult:
-    """Public single-level alternation (fresh LP skeleton per call)."""
-    return _inner_alternation(SStepAssembler(problem), f)
-
-
 # -- hard-constrained LPs ----------------------------------------------------
 
-def scenario_hard_lp(problem: CcpProblem, masks: list[np.ndarray],
-                     rho_by_group: list[float] | None = None) -> LpProblem:
+def scenario_hard_lp(problem: CcpProblem, masks: list[np.ndarray]) -> LpProblem:
     """min objective'x over the polytope with the masked scenarios' rows
-    imposed hard (robustified at each group's radius unless overridden)."""
+    imposed hard, robustified at each group's radius."""
     builder = _ScenarioLpBuilder(problem)
     for gi, g in enumerate(problem.groups):
-        rho = g.rho if rho_by_group is None else rho_by_group[gi]
-        terms = builder.add_margins(g, rho)
+        terms = builder.add_margins(g)
         mask = np.asarray(masks[gi], dtype=bool)
         if mask.shape != (g.n,):
             raise ModelError(f"mask for group {gi} must have length {g.n}")
@@ -573,7 +548,7 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
 def _alternation_level(asm: SStepAssembler, f: float):
     """Accept f exactly when the alternation reaches Gamma <= GAMMA_TOL;
     the polish keeps the scenarios with positive final weight."""
-    inner = _inner_alternation(asm, f)
+    inner = inner_alternation(asm, f)
     ok = inner.gamma is not None and inner.gamma <= GAMMA_TOL
     record = _level_record(asm.problem, f, inner.x, inner.gamma, inner.delta,
                            inner.iterations, ok)
@@ -637,7 +612,7 @@ def solve_cvar(problem: CcpProblem) -> SolveReport:
     """
     builder = _ScenarioLpBuilder(problem)
     for g in problem.groups:
-        terms = builder.add_margins(g, g.rho)
+        terms = builder.add_margins(g)
         mask = np.ones(g.n, dtype=bool)
         if g.epsilon == 0.0:
             builder.scenario_rows(g, mask, terms)

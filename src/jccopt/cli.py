@@ -145,6 +145,9 @@ def cmd_solve(args) -> int:
     if (args.f_lower is None) != (args.f_upper is None):
         raise ModelError("--f-lower and --f-upper must be given together")
     if args.f_lower is not None:
+        if not -np.inf < args.f_lower <= args.f_upper < np.inf:
+            raise ModelError(f"--f-lower {args.f_lower:g} and --f-upper "
+                             f"{args.f_upper:g} must be finite and ordered")
         cfg = alg.BisectionConfig(args.f_lower, args.f_upper)
     results = {}
     for method in _applicable_methods(problem, args.method):

@@ -77,8 +77,9 @@ class Generator:
                 "(down-rate stored as a negative number)")
         if not 0.0 <= self.epsilon < 1.0:
             raise ModelError(f"generator {self.name!r}: epsilon outside [0, 1)")
-        if self.rho < 0.0:
-            raise ModelError(f"generator {self.name!r}: negative rho")
+        if not 0.0 <= self.rho < math.inf:
+            raise ModelError(
+                f"generator {self.name!r}: rho must be finite and nonnegative")
 
 
 @dataclass
@@ -116,8 +117,8 @@ class Adn:
             raise ModelError(f"adn {self.name!r}: e_lower > e_upper in a scenario")
         if not 0.0 <= self.epsilon < 1.0:
             raise ModelError(f"adn {self.name!r}: epsilon outside [0, 1)")
-        if self.rho < 0.0:
-            raise ModelError(f"adn {self.name!r}: negative rho")
+        if not 0.0 <= self.rho < math.inf:
+            raise ModelError(f"adn {self.name!r}: rho must be finite and nonnegative")
 
     @property
     def n(self) -> int:
@@ -226,8 +227,8 @@ class Line:
             raise ModelError(f"line {self.name!r}: capacity must be positive")
         if not 0.0 <= self.epsilon < 1.0:
             raise ModelError(f"line {self.name!r}: epsilon outside [0, 1)")
-        if self.rho < 0.0:
-            raise ModelError(f"line {self.name!r}: negative rho")
+        if not 0.0 <= self.rho < math.inf:
+            raise ModelError(f"line {self.name!r}: rho must be finite and nonnegative")
 
 
 @dataclass
@@ -440,36 +441,31 @@ class DispatchModel:
         case = self.case
         if case.test_wind_rows is None and case.test_boundary_rows is None:
             return None
-        W = len(case.wind.farms) if case.wind is not None else 0
         T = case.horizon
         if case.test_wind_rows is not None:
-            flat = np.atleast_2d(np.asarray(case.test_wind_rows, dtype=float))
-            errors = flat.reshape(flat.shape[0], W, T) if W else \
-                np.zeros((flat.shape[0], 0, T))
+            farms = case.wind.farms if case.wind is not None else []
+            wind = WindScenarioSet.from_rows(farms, case.test_wind_rows, T)
         else:
             n_test = np.atleast_2d(case.test_boundary_rows[0]).shape[0]
-            errors = np.zeros((n_test, 0, T))
-        boundaries = None
+            wind = WindScenarioSet([], np.zeros((n_test, 0, T)))
+        boundaries = []
         if case.adns:
             if case.test_boundary_rows is None:
                 raise ModelError("case embeds wind test data but no adn "
                                  "boundary test data")
             boundaries = [Adn.from_rows(d.bus, rows, T, name=d.name + "-test")
                           for d, rows in zip(case.adns, case.test_boundary_rows)]
-        stacks = _group_scenario_stacks(case, errors, boundaries)
+        stacks = _group_scenario_stacks(case, wind, boundaries)
         return [SampleSet(s) for s in stacks]
 
 
-def _group_scenario_stacks(case: DispatchCase, errors: np.ndarray,
-                           adns: list[Adn] | None) -> list[np.ndarray]:
+def _group_scenario_stacks(case: DispatchCase, wind: WindScenarioSet,
+                           adns: list[Adn]) -> list[np.ndarray]:
     """Per-group stacked scenario matrices, in group order (generators,
-    ADNs, lines).  ``errors`` is an (n, W, T) tensor; ``adns`` supplies the
-    boundary realizations (defaults to the case's own)."""
-    adns = case.adns if adns is None else adns
-    n = errors.shape[0]
-    total = errors.sum(axis=1)
-    omega_p = np.maximum(total, 0.0)
-    omega_m = np.minimum(total, 0.0)
+    ADNs, lines), from the wind forecast errors and the ADN boundary
+    realizations ``adns``."""
+    n = wind.n
+    omega_p, omega_m = aggregate_errors(wind)
     gen_stack = np.hstack([omega_p, omega_m])
     stacks = [gen_stack for _ in case.generators]
     for d in adns:
@@ -478,8 +474,7 @@ def _group_scenario_stacks(case: DispatchCase, errors: np.ndarray,
                              f"{n} wind scenarios")
         stacks.append(np.hstack([omega_p, d.p_lower, d.p_upper,
                                  d.e_lower, d.e_upper]))
-    flat_errors = errors.reshape(n, -1)
-    line_stack = np.hstack([flat_errors, omega_p, omega_m])
+    line_stack = np.hstack([wind.to_rows(), omega_p, omega_m])
     stacks.extend(line_stack for _ in case.network.lines)
     return stacks
 
@@ -500,7 +495,6 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
     idx = VarIndex(case)
     nv = idx.n_vars
     gens, adns, lines = case.generators, case.adns, case.network.lines
-    printed_low = bool(case.options.get("printed_low_reserve_bound", False))
 
     c = np.zeros(nv)
     for gi, g in enumerate(gens):
@@ -589,18 +583,12 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
             row[idx.col("r_up", gi, t)] = 1.0
             ineq_rows.append(row)
             ineq_rhs.append(g.p_max)
-            # headroom below: p - r_dn >= p_min.  The printed form
-            # p - r_dn <= p_min is available as an option.
+            # headroom below: p - r_dn >= p_min
             row = np.zeros(nv)
-            if printed_low:
-                row[idx.col("p", gi, t)] = 1.0
-                row[idx.col("r_dn", gi, t)] = -1.0
-                ineq_rhs.append(g.p_min)
-            else:
-                row[idx.col("p", gi, t)] = -1.0
-                row[idx.col("r_dn", gi, t)] = 1.0
-                ineq_rhs.append(-g.p_min)
+            row[idx.col("p", gi, t)] = -1.0
+            row[idx.col("r_dn", gi, t)] = 1.0
             ineq_rows.append(row)
+            ineq_rhs.append(-g.p_min)
         for t in range(T - 1):
             # ramp_dn*dt <= p[t+1] - p[t] <= ramp_up*dt
             row = np.zeros(nv)
@@ -617,11 +605,9 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
         lower=lower, upper=upper)
 
     # -- chance groups --
-    if case.wind is not None:
-        errors = case.wind.errors
-    else:
-        errors = np.zeros((case.n_scenarios, 0, T))
-    stacks = _group_scenario_stacks(case, errors, None)
+    wind = (case.wind if case.wind is not None
+            else WindScenarioSet([], np.zeros((case.n_scenarios, 0, T))))
+    stacks = _group_scenario_stacks(case, wind, adns)
     groups = []
     gi_stack = 0
 
@@ -695,7 +681,7 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
 
     if lines:
         psi = case.network.resolved_ptdf()
-        W = errors.shape[1]
+        W = len(wind.farms)
         k = (W + 2) * T
         for li, ln in enumerate(lines):
             cons = []
@@ -798,8 +784,9 @@ def audit_dispatch(model: DispatchModel, x: np.ndarray) -> dict[str, float]:
 
 def deterministic_dispatch(case: DispatchCase):
     """Dispatch with every uncertain quantity at its scenario mean and all
-    group constraints imposed hard (no relaxation, no margin).  Supplies
-    the lower level bound."""
+    group constraints imposed hard (no relaxation, no margin): the
+    mean-value LP that ``init_bounds`` also solves for the lower level
+    bound, here compiled from a case and reported like a solve."""
     from . import algorithms
     from . import lp as lp_mod
     model = build_ccp(case)
@@ -826,8 +813,8 @@ def rho_sweep(case: DispatchCase, rho_grid,
     from . import algorithms
     rows = []
     for rho in rho_grid:
-        if rho < 0:
-            raise ModelError("rho grid entries must be nonnegative")
+        if not 0.0 <= rho < math.inf:
+            raise ModelError("rho grid entries must be finite and nonnegative")
         model = build_ccp(case, rho_override=float(rho))
         test_sets = model.test_sample_sets()
         for method in methods:

@@ -67,7 +67,6 @@ class LpProblem:
     b_eq: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    var_names: list[str] | None = None
 
     def __post_init__(self):
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -100,8 +99,6 @@ class LpProblem:
             raise ModelError("bounds may be infinite but not NaN")
         if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
             raise ModelError("a lower bound may not be +inf, nor an upper bound -inf")
-        if self.var_names is not None and len(self.var_names) != n:
-            raise ModelError("var_names must match the variable count")
 
     @property
     def n_vars(self) -> int:
@@ -139,27 +136,6 @@ def residuals(problem: LpProblem, x: np.ndarray) -> dict:
     hi = np.max(x - problem.upper, initial=0.0)
     out["bounds"] = float(max(0.0, lo, hi))
     return out
-
-
-def dump_lp(problem: LpProblem) -> str:
-    """Plain-text listing of an LpProblem, for eyeballing small models."""
-    names = problem.var_names or [f"x{j}" for j in range(problem.n_vars)]
-
-    def row(coefs):
-        parts = [f"{c:+g} {names[j]}" for j, c in enumerate(coefs) if c != 0.0]
-        return " ".join(parts) if parts else "0"
-
-    lines = ["minimize", "  " + row(problem.c), "subject to"]
-    if problem.G is not None:
-        for i in range(problem.n_ineq):
-            lines.append(f"  r{i}: {row(problem.G[i])} <= {problem.h[i]:g}")
-    if problem.A_eq is not None:
-        for i in range(problem.n_eq):
-            lines.append(f"  e{i}: {row(problem.A_eq[i])} = {problem.b_eq[i]:g}")
-    lines.append("bounds")
-    for j, nm in enumerate(names):
-        lines.append(f"  {problem.lower[j]:g} <= {nm} <= {problem.upper[j]:g}")
-    return "\n".join(lines)
 
 
 class _Tableau:

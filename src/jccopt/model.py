@@ -17,7 +17,7 @@ scenario; group evaluation and the alternation's shortfalls both read it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,13 +97,10 @@ class SampleSet:
             raise ModelError(f"{path}: ragged rows (widths {sorted(widths)})")
         return cls(np.asarray(rows))
 
-    def to_csv(self, path, header: list[str] | None = None) -> None:
-        names = header or [f"xi{j}" for j in range(self.dim)]
-        if len(names) != self.dim:
-            raise ModelError("header length must match sample dimension")
+    def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(names)
+            writer.writerow([f"xi{j}" for j in range(self.dim)])
             for row in self.data:
                 writer.writerow([repr(float(v)) for v in row])
 
@@ -216,8 +213,9 @@ class JccGroup:
         self.rho = float(self.rho)
         if not 0.0 <= self.epsilon < 1.0:
             raise ModelError(f"group {self.label!r}: epsilon must be in [0, 1)")
-        if self.rho < 0.0:
-            raise ModelError(f"group {self.label!r}: rho must be nonnegative")
+        if not 0.0 <= self.rho < np.inf:
+            raise ModelError(
+                f"group {self.label!r}: rho must be finite and nonnegative")
         dual_norm(self.norm)
         k = self.samples.dim
         for j, g in enumerate(self.constraints):
@@ -251,8 +249,9 @@ class JccGroup:
                 f"group {self.label!r}: test scenarios have dim {data.shape[1]}, "
                 f"expected {self.samples.dim}")
         rho = self.rho if rho is None else float(rho)
-        if rho < 0.0:
-            raise ModelError(f"group {self.label!r}: rho must be nonnegative")
+        if not 0.0 <= rho < np.inf:
+            raise ModelError(
+                f"group {self.label!r}: rho must be finite and nonnegative")
         x = np.asarray(x, dtype=float)
         out = np.empty((data.shape[0], len(self.constraints)))
         for j, con in enumerate(self.constraints):
@@ -308,7 +307,6 @@ class ViolationReport:
     n_satisfied: int
     n: int
     worst: np.ndarray            # per-scenario max constraint value
-    tol: float = TOL_ZERO
 
     @property
     def rate(self) -> float:
@@ -326,8 +324,7 @@ class ViolationReport:
 
 def evaluate_group(group: JccGroup, x: np.ndarray,
                    scenarios: SampleSet | None = None,
-                   rho_override: float | None = None,
-                   tol: float = TOL_ZERO) -> ViolationReport:
+                   rho_override: float | None = None) -> ViolationReport:
     """Fraction of scenarios on which every group constraint holds at x.
 
     Uses the group's own samples unless ``scenarios`` is given (e.g. a
@@ -336,47 +333,8 @@ def evaluate_group(group: JccGroup, x: np.ndarray,
     """
     data = None if scenarios is None else scenarios.data
     worst = group.values(x, data, rho_override).max(axis=1)
-    n_sat = int(np.count_nonzero(worst <= tol))
-    return ViolationReport(group.label, group.epsilon, n_sat, worst.size,
-                           worst, tol)
-
-
-def validate_problem(problem: CcpProblem) -> list[str]:
-    """Non-throwing consistency scan; returns human-readable diagnostics."""
-    notes = []
-    n = problem.n_vars
-    if not np.all(np.isfinite(problem.objective)):
-        notes.append("objective has non-finite entries")
-    if np.any(problem.polytope.lower > problem.polytope.upper):
-        notes.append("polytope box is empty (lower > upper somewhere)")
-    if not problem.groups:
-        notes.append("problem has no chance groups (plain LP)")
-    labels = [g.label for g in problem.groups]
-    if len(set(labels)) != len(labels):
-        notes.append("group labels are not unique")
-    for g in problem.groups:
-        where = f"group {g.label!r}"
-        if g.samples.n == 0:
-            notes.append(f"{where}: empty scenario set")
-        if not np.all(np.isfinite(g.samples.data)):
-            notes.append(f"{where}: NaN/inf in samples")
-        if not 0.0 <= g.epsilon < 1.0:
-            notes.append(f"{where}: epsilon {g.epsilon} outside [0, 1)")
-        if g.rho < 0:
-            notes.append(f"{where}: negative rho {g.rho}")
-        if g.norm not in NORMS:
-            notes.append(f"{where}: unknown norm {g.norm!r}")
-        if g.epsilon * g.samples.n < 1.0 and g.epsilon > 0.0:
-            notes.append(
-                f"{where}: epsilon*n = {g.epsilon * g.samples.n:.3g} < 1, "
-                "no whole scenario can be dropped")
-        for j, con in enumerate(g.constraints):
-            if con.x_dim != n:
-                notes.append(f"{where}: constraint {j} x-dim {con.x_dim} != {n}")
-            if con.xi_dim != g.samples.dim:
-                notes.append(f"{where}: constraint {j} xi-dim {con.xi_dim} "
-                             f"!= sample dim {g.samples.dim}")
-    return notes
+    n_sat = int(np.count_nonzero(worst <= TOL_ZERO))
+    return ViolationReport(group.label, group.epsilon, n_sat, worst.size, worst)
 
 
 # -- serialization -----------------------------------------------------------

@@ -2,8 +2,31 @@
 
 import numpy as np
 
-from jccopt import (OPTIMAL, BiAffineConstraint, CcpProblem, JccGroup,
-                    LpProblem, NumericError, Polytope, SampleSet, solve_lp)
+from jccopt import (OPTIMAL, UNBOUNDED, BiAffineConstraint, CcpProblem,
+                    JccGroup, LpProblem, NumericError, Polytope, SampleSet,
+                    SStepAssembler, shortfalls, solve_lp)
+
+
+def s_step(problem: CcpProblem, z: list[np.ndarray], f: float):
+    """Weighted-shortfall LP at level f with per-group weights ``z``, solved
+    cold on a fresh skeleton: the single step that ``inner_alternation``
+    repeats on a warm session.
+
+    Returns (x, shortfall list, lp status); (None, None, 'infeasible') when
+    the polytope cannot reach the level.  Shortfalls are recomputed from x
+    (zero-weight scenarios have free LP slots, the canonical value is what
+    the activation step should rank).
+    """
+    asm = SStepAssembler(problem)
+    sol = solve_lp(asm.lp_at(f, z))
+    if sol.status == UNBOUNDED:
+        raise NumericError(
+            "shortfall LP unbounded: the polytope is unbounded along a "
+            "direction that the level row does not cap")
+    if sol.status != OPTIMAL:
+        return None, None, sol.status
+    x, _ = asm.split(sol.x)
+    return x, shortfalls(problem, x), sol.status
 
 
 def z_step_lp(s: np.ndarray, epsilon: float) -> np.ndarray:

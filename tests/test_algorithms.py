@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from jccopt import (METHODS, BiAffineConstraint, BisectionConfig,
                     CapacityError, CcpProblem, JccGroup, ModelError, Polytope,
-                    SampleSet, init_bounds, inner_alternation,
-                    out_of_sample_reliability, s_step, shortfalls, solve,
-                    solve_also_x_multi, solve_also_x_single, solve_cvar,
-                    solve_intuitive_extension, solve_oracle, z_step)
+                    SampleSet, SStepAssembler, init_bounds, inner_alternation,
+                    out_of_sample_reliability, solve, solve_also_x_multi,
+                    solve_also_x_single, solve_cvar, solve_intuitive_extension,
+                    solve_oracle, z_step)
 from jccopt.algorithms import gamma_value, mean_value_lp
 from jccopt.cases import overlap_case
 from jccopt.dispatch import rho_sweep
@@ -16,7 +16,7 @@ from jccopt import lp
 from jccopt.toys import (INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy,
                          two_group_toy)
 
-from helpers import random_instance, z_step_lp
+from helpers import random_instance, s_step, z_step_lp
 
 
 def interval_cfg():
@@ -126,14 +126,14 @@ def test_s_step_rejects_l2_groups():
 # -- inner alternation ---------------------------------------------------------
 
 def test_inner_alternation_one_shot_at_loose_level():
-    res = inner_alternation(interval_toy(0.4), 8.0)
+    res = inner_alternation(SStepAssembler(interval_toy(0.4)), 8.0)
     assert res.reason == "gamma"
     assert res.iterations == 1
     assert res.gamma == 0.0
 
 
 def test_inner_alternation_tight_level_stays_positive():
-    res = inner_alternation(interval_toy(0.4), 0.5)
+    res = inner_alternation(SStepAssembler(interval_toy(0.4)), 0.5)
     assert res.lp_feasible  # x=0.5 is inside the polytope
     assert res.reason in ("delta", "max_inner")
     assert res.gamma > 0.0
@@ -141,9 +141,9 @@ def test_inner_alternation_tight_level_stays_positive():
 
 def test_gamma_sequences_nonincreasing():
     for seed in range(5):
-        p = two_group_toy(seed)
+        asm = SStepAssembler(two_group_toy(seed))
         for f in (2.0, 3.0, 4.0, 6.0):
-            res = inner_alternation(p, f)
+            res = inner_alternation(asm, f)
             for a, b in zip(res.gammas, res.gammas[1:]):
                 assert b <= a + 1e-12
 

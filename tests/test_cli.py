@@ -79,6 +79,17 @@ def test_solve_requires_both_bounds(capsys, tmp_path):
     assert "together" in err
 
 
+def test_solve_rejects_inverted_or_non_finite_bracket(capsys, tmp_path):
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(problem_to_dict(interval_toy(0.4))))
+    for lo, hi in (("8", "0"), ("nan", "8"), ("0", "inf")):
+        code, out, err = run(capsys, "solve", str(problem_file), "--method",
+                             "also-x", "--f-lower", lo, "--f-upper", hi)
+        assert code == 1
+        assert out == ""
+        assert "must be finite and ordered" in err
+
+
 def test_dispatch_report_audits_and_determinism(tmp_path, capsys):
     out_dir = tmp_path / "d"
     args = ("dispatch", OVERLAP, "--rho", "0.0", "--method", "all",
@@ -134,6 +145,15 @@ def test_dispatch_rejects_rho_and_grid_together(capsys):
                        "--rho-grid", "0,1")
     assert code == 1
     assert "not both" in err
+
+
+def test_dispatch_rejects_non_finite_rho(tmp_path, capsys):
+    for flag, value in (("--rho", "nan"), ("--rho", "inf"),
+                        ("--rho-grid", "nan")):
+        code, _, err = run(capsys, "dispatch", OVERLAP, flag, value,
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert "rho" in err and "finite and nonnegative" in err
 
 
 def test_evaluate_from_solve_report(tmp_path, capsys):

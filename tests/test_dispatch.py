@@ -109,6 +109,18 @@ def test_adn_rejects_crossed_boundaries():
             e_lower=np.array([[0.0]]), e_upper=np.array([[1.0]]))
 
 
+def test_dispatch_radii_must_be_finite_and_nonnegative():
+    for rho in (-0.1, np.nan, np.inf):
+        with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
+            Generator(bus=0, p_min=0.0, p_max=4.0, ramp_dn=-1.0, ramp_up=1.0,
+                      segments=[Segment(4.0, 10.0)], rho=rho)
+        with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
+            Adn(bus=0, p_lower=np.zeros((1, 1)), p_upper=np.ones((1, 1)),
+                e_lower=np.zeros((1, 1)), e_upper=np.ones((1, 1)), rho=rho)
+        with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
+            Line(0, 1, capacity=1.0, rho=rho)
+
+
 def test_case_requires_paired_scenario_counts():
     case = three_bus_case(n_train=10)
     case.adns[0] = Adn(bus=2, p_lower=np.zeros((7, 4)),
@@ -164,9 +176,8 @@ def test_energy_rows_encode_prefix_sums_exactly(three_bus_model):
         assert np.all(hi_c[p_cols[t + 1:]] == 0.0)
 
 
-def test_low_reserve_bound_direction_and_printed_override():
+def test_low_reserve_bound_direction():
     case = three_bus_case()
-    G = build_ccp(case).problem.polytope.G
 
     def has_row(G, h_val, p_coef, r_coef, model):
         col_p = model.index.col("p", 0, 0)
@@ -181,11 +192,6 @@ def test_low_reserve_bound_direction_and_printed_override():
     model = build_ccp(case)
     assert has_row(model.problem.polytope.G, -case.generators[0].p_min,
                    -1.0, 1.0, model)
-    case.options["printed_low_reserve_bound"] = True
-    printed = build_ccp(case)
-    assert has_row(printed.problem.polytope.G, case.generators[0].p_min,
-                   1.0, -1.0, printed)
-    case.options.pop("printed_low_reserve_bound")
 
 
 def test_no_wind_case_degenerates_to_deterministic():
@@ -335,8 +341,9 @@ def test_overlap_sweep_separates_methods():
 
 
 def test_rho_sweep_rejects_negative_radius():
-    with pytest.raises(ModelError, match="nonnegative"):
-        rho_sweep(overlap_case(), [-0.1])
+    for rho in (-0.1, np.nan, np.inf):
+        with pytest.raises(ModelError, match="finite and nonnegative"):
+            rho_sweep(overlap_case(), [rho])
 
 
 # -- case files -------------------------------------------------------------------

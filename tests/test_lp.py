@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from jccopt import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, ModelError,
-                    NumericError, SimplexBackend, dump_lp, solve_lp)
+                    NumericError, SimplexBackend, solve_lp)
 from jccopt import algorithms, lp
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
@@ -296,12 +296,3 @@ def test_three_bus_cvar_lp_is_pinned(monkeypatch, rho, iterations, objective):
     assert ref.status == 0
     assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
-
-def test_dump_lp_lists_everything():
-    p = LpProblem(c=[1.0, 0.0], G=[[1.0, 2.0]], h=[3.0],
-                  A_eq=[[1.0, -1.0]], b_eq=[0.0],
-                  lower=[0.0, -np.inf], upper=[np.inf, 5.0],
-                  var_names=["alpha", "beta"])
-    text = dump_lp(p)
-    assert "minimize" in text and "alpha" in text and "beta" in text
-    assert "<= 3" in text and "= 0" in text

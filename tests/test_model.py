@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, ModelError,
                     Polytope, SampleSet, evaluate_group, problem_from_dict,
-                    problem_to_dict, validate_problem)
+                    problem_to_dict)
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
 from jccopt.model import dual_norm, norm_value
@@ -148,7 +148,7 @@ def test_sample_set_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     s = SampleSet(rng.normal(size=(7, 3)))
     path = tmp_path / "s.csv"
-    s.to_csv(path, header=["a", "b", "c"])
+    s.to_csv(path)
     back = SampleSet.from_csv(path)
     assert np.array_equal(back.data, s.data)  # bitwise via repr() floats
 
@@ -180,31 +180,17 @@ def test_group_constructor_guards():
         JccGroup(constraints=[], samples=samples, epsilon=0.1)
     with pytest.raises(ModelError, match=r"\[0, 1\)"):
         JccGroup(constraints=[con], samples=samples, epsilon=1.0)
-    with pytest.raises(ModelError, match="nonnegative"):
-        JccGroup(constraints=[con], samples=samples, epsilon=0.1, rho=-1.0)
+    group = JccGroup(constraints=[con], samples=samples, epsilon=0.1)
+    for rho in (-1.0, np.nan, np.inf):
+        with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
+            JccGroup(constraints=[con], samples=samples, epsilon=0.1, rho=rho)
+        with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
+            group.values([0.0], rho=rho)
+    with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
+        interval_toy(0.4, rho=np.nan)
     with pytest.raises(ModelError, match="dim"):
         JccGroup(constraints=[con],
                  samples=SampleSet(np.zeros((3, 2))), epsilon=0.1)
-
-
-def test_validate_problem_clean_toy():
-    assert validate_problem(interval_toy(0.4)) == []
-    assert validate_problem(two_group_toy(0)) == []
-
-
-def test_validate_problem_diagnostics():
-    p = interval_toy(0.4)
-    p.groups[0].epsilon = 1.0  # mutate past the constructor guard
-    notes = validate_problem(p)
-    assert any("outside [0, 1)" in n for n in notes)
-
-    q = interval_toy(0.1)
-    notes = validate_problem(q)
-    assert any("< 1" in n for n in notes)  # eps*n = 0.5, nothing droppable
-
-    r = two_group_toy(1)
-    r.groups[1].label = r.groups[0].label
-    assert any("not unique" in n for n in validate_problem(r))
 
 
 def test_problem_json_roundtrip_bitwise():
@@ -314,3 +300,8 @@ def test_polytope_validate_shapes():
         Polytope(G=[[1.0]], h=[1.0]).validate(2)
     with pytest.raises(ModelError, match="together"):
         Polytope(G=[[1.0]]).validate(1)
+
+
+def test_every_export_resolves():
+    import jccopt
+    assert [name for name in jccopt.__all__ if not hasattr(jccopt, name)] == []
