@@ -265,6 +265,8 @@ class SStepAssembler:
     The constraint matrix is identical across bisection levels and inner
     iterations; only the level row's rhs and the shortfall weights in the
     objective change.  Build once per solve, stamp cheap copies after.
+    ``session`` is the latest level's solver; the next level restarts
+    from its basis.
     """
 
     def __init__(self, problem: CcpProblem):
@@ -283,6 +285,7 @@ class SStepAssembler:
         self.cols = builder.cols
         n_poly = problem.polytope.n_ineq
         self.level_row = n_poly + self.level_row_local
+        self.session: lp.SimplexSession | None = None
 
     def lp_at(self, f: float, z: list[np.ndarray]) -> LpProblem:
         t = self.lp_template
@@ -308,9 +311,12 @@ class SStepAssembler:
 
     def session_at(self, f: float) -> lp.SimplexSession:
         """Warm-restartable solver of the full-activation LP at level f;
-        later objectives reuse its basis."""
+        it starts from the previous level's basis, and later objectives
+        reuse its own."""
         ones = [np.ones(g.n) for g in self.problem.groups]
-        return lp.SimplexBackend().start_session(self.lp_at(f, ones))
+        self.session = lp.SimplexBackend().start_session(self.lp_at(f, ones),
+                                                         warm=self.session)
+        return self.session
 
 
 def shortfalls(problem: CcpProblem, x: np.ndarray) -> list[np.ndarray]:
@@ -538,6 +544,7 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
                            objective=None, per_group=[], trace=trace,
                            f_lower=f_lo, f_upper=f_hi)
     x_raw, masks = best
+    asm.session = None  # free the level tableau before the polish LP
     x = _polish(problem, masks, x_raw)
     return SolveReport(method=method, status=FEASIBLE, x=x,
                        objective=_objective(problem, x),

@@ -446,6 +446,9 @@ class DispatchModel:
             farms = case.wind.farms if case.wind is not None else []
             wind = WindScenarioSet.from_rows(farms, case.test_wind_rows, T)
         else:
+            if case.wind is not None and case.wind.farms:
+                raise ModelError("case embeds adn boundary test data but no "
+                                 "wind test data")
             n_test = np.atleast_2d(case.test_boundary_rows[0]).shape[0]
             wind = WindScenarioSet([], np.zeros((n_test, 0, T)))
         boundaries = []

@@ -5,7 +5,7 @@ with a bounded-variable two-phase primal simplex on a dense tableau.
 Bounds are handled natively (nonbasic variables rest at either bound),
 so boxes never inflate the row count.  Pricing is largest-reduced-cost
 with a deterministic lowest-index tie-break; after a degenerate stall
-the solver switches permanently to Bland's rule, which guarantees
+a run switches to Bland's rule until it ends, which guarantees
 termination.  Everything is plain numpy and fully deterministic.
 
 A pivot updates only the block it changes: the rows where the pivot
@@ -16,6 +16,14 @@ to the sign of some zeros) at a fraction of the cost on scenario LPs,
 whose pivot rows and columns are mostly zero.  A cold ``solve`` drops its
 tableau's ``T`` before recomputing the basic values, since it never
 pivots again; sessions keep theirs for warm re-solves.
+
+A session can also restart from another session's tableau when only the
+inequality rhs differs (the bisection levels of ``algorithms``).  The old
+basis stays dual feasible under the cost it was last optimal for, so the
+new basic values are patched in through the slack columns of ``T`` and a
+bounded dual simplex restores primal feasibility; the primal simplex then
+takes over under the requested objective.  The tableau moves from one
+session to the next, it is never copied.
 """
 
 from __future__ import annotations
@@ -170,6 +178,9 @@ class _Tableau:
         self.max_iter = ITER_FACTOR * (m + cols)
         self.bland = False
         self._stall = 0
+        # True while xb is exactly what refresh_basics last computed: no
+        # pivot, bound flip or rhs change since.
+        self._fresh = False
         self._crash()
 
     def _crash(self):
@@ -336,6 +347,11 @@ class _Tableau:
             dq = d[q]
             d -= dq * self.T[r]
             d[q] = 0.0
+        self._moved(gain)
+        return "moved"
+
+    def _moved(self, gain):
+        self._fresh = False
         self.iterations += 1
         if gain > 1e-12:
             self._stall = 0
@@ -343,17 +359,21 @@ class _Tableau:
             self._stall += 1
             if self._stall > 2 * (self.m + 10):
                 self.bland = True  # anti-cycling from here on
-        return "moved"
+
+    def _check_cap(self):
+        if self.iterations > self.max_iter:
+            raise NumericError(
+                f"simplex iteration cap {self.max_iter} exceeded "
+                f"({self.m} rows, {self.A.shape[1]} cols)")
 
     def run(self, c):
         """Pivot until optimal/unbounded under cost vector c."""
+        self._stall = 0
+        self.bland = False
         d = self.reduced_costs(c)
         confirmed = False
         while True:
-            if self.iterations > self.max_iter:
-                raise NumericError(
-                    f"simplex iteration cap {self.max_iter} exceeded "
-                    f"({self.m} rows, {self.A.shape[1]} cols)")
+            self._check_cap()
             outcome = self.step(d)
             if outcome == "moved":
                 confirmed = False
@@ -367,6 +387,91 @@ class _Tableau:
             d = self.reduced_costs(c)
             confirmed = True
 
+    def set_rhs(self, h):
+        """Move the inequality rhs to ``h``.  Row i's slack column of T is
+        B^-1 e_i, so the basic values follow without a solve; they may
+        leave their bounds, which ``dual`` repairs."""
+        n = self.n_struct
+        for i in np.flatnonzero(self.b[:self.n_ineq] != h):
+            self.xb += self.T[:, n + i] * (h[i] - self.b[i])
+            self.b[i] = h[i]
+            self._fresh = False
+
+    def dual_step(self, d):
+        """One bounded dual simplex iteration on reduced costs d, which
+        must be dual feasible.  Returns 'optimal' once every basic value
+        is within its bounds, 'infeasible' when the leaving row proves
+        that no point is, else 'moved'."""
+        basic = self.basis
+        lo, hi = self.lo[basic], self.hi[basic]
+        below = lo - self.xb
+        viol = np.maximum(below, self.xb - hi)
+        # Leaving row: the largest bound violation (the lowest basic index
+        # under Bland's rule).  A basic artificial has bounds [0, 0].
+        if self.bland:
+            cand = (viol > FEAS_TOL).nonzero()[0]
+            if not cand.size:
+                return "optimal"
+            r = int(cand[np.argmin(basic[cand])])
+        else:
+            r = int(viol.argmax())
+            if not viol[r] > FEAS_TOL:
+                return "optimal"
+        rise = below[r] > 0.0
+        target = lo[r] if rise else hi[r]
+        # The leaving variable moves by -alpha_j dx_j when x_j moves by dx_j;
+        # a column at its lower bound can only rise, one at its upper bound
+        # only fall, a free one either way.
+        alpha = self.T[r]
+        st = self.vstat
+        toward = -alpha if rise else alpha  # > 0: raising x_j helps
+        cols = (((st == _NB_LO) & (toward > PIVOT_TOL))
+                | ((st == _NB_UP) & (toward < -PIVOT_TOL))
+                | ((st == _NB_FREE) & (np.abs(alpha) > PIVOT_TOL))).nonzero()[0]
+        if not cols.size:
+            return "infeasible"
+        # Dual ratio test: how far each candidate's reduced cost is from
+        # changing sign, per unit of the leaving row's dual step.
+        dj, sj = d[cols], st[cols]
+        slack = np.maximum(np.where(sj == _NB_LO, dj,
+                                    np.where(sj == _NB_UP, -dj, np.abs(dj))), 0.0)
+        a = np.abs(alpha[cols])
+        ratio = slack / a
+        if self.bland:
+            k = int((ratio <= ratio.min() + 1e-12).nonzero()[0][0])
+        else:
+            # Harris's two passes: among the ratios within the tolerance
+            # of the smallest bound, take the largest pivot.
+            ok = (ratio <= ((slack + FEAS_TOL) / a).min()).nonzero()[0]
+            k = int(ok[np.argmax(a[ok])])
+        q = int(cols[k])
+        dx = (self.xb[r] - target) / alpha[q]
+        self.xb -= dx * self.T[:, q]
+        leave = self._pivot(r, q, self.nb_val[q] + dx)
+        self.vstat[q] = _BASIC
+        # The leaving variable rests at the bound it violated.
+        self.nb_val[leave] = target
+        self.vstat[leave] = _FIXED if leave >= self.first_art else (
+            _NB_LO if rise else _NB_UP)
+        dq = d[q]
+        d -= dq * self.T[r]
+        d[q] = 0.0
+        self._moved(ratio[k] * viol[r])
+        return "moved"
+
+    def dual(self, c):
+        """Dual simplex under cost c, for which the basis must be dual
+        feasible: 'optimal' once the basic values are within bounds, or
+        'infeasible'."""
+        self._stall = 0
+        self.bland = False
+        d = self.reduced_costs(c)
+        while True:
+            self._check_cap()
+            outcome = self.dual_step(d)
+            if outcome != "moved":
+                return outcome
+
     def full_values(self):
         v = self.nb_val.copy()
         v[self.basis] = self.xb
@@ -374,7 +479,10 @@ class _Tableau:
 
     def refresh_basics(self):
         """Recompute basic values exactly from the original system, clearing
-        any drift the rank-one tableau updates accumulated."""
+        any drift the rank-one tableau updates accumulated.  Nothing to do
+        when nothing moved since the last refresh."""
+        if self._fresh:
+            return
         B = self.A[:, self.basis]
         v = self.nb_val.copy()
         v[self.basis] = 0.0
@@ -383,6 +491,7 @@ class _Tableau:
             self.xb = np.linalg.solve(B, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"basis matrix became singular: {exc}") from None
+        self._fresh = True
 
 
 class SimplexBackend:
@@ -395,10 +504,14 @@ class SimplexBackend:
         tab.T = None  # no more pivots; free it before refresh_basics
         return self._extract(problem, tab, status)
 
-    def start_session(self, problem: LpProblem) -> "SimplexSession":
+    def start_session(self, problem: LpProblem,
+                      warm: "SimplexSession | None" = None) -> "SimplexSession":
         """Resumable re-solves of one constraint system under changing
-        objectives (phase 1 runs at most once)."""
-        return SimplexSession(self, problem)
+        objectives (phase 1 runs at most once).  With ``warm``, a session
+        of a system that differs from ``problem`` at most in the inequality
+        rhs, the new session takes over its tableau and restarts from its
+        basis instead of solving cold; ``warm`` keeps no tableau after."""
+        return SimplexSession(self, problem, warm)
 
     def _solve_tableau(self, problem):
         if np.any(problem.lower > problem.upper):
@@ -421,8 +534,6 @@ class SimplexBackend:
             nonbasic_art = tab.vstat[tab.first_art:] != _BASIC
             tab.vstat[tab.first_art:][nonbasic_art] = _FIXED
             tab.nb_val[tab.first_art:] = 0.0
-            tab._stall = 0
-            tab.bland = False
         outcome = tab.run(tab.cost)
         if outcome == "unbounded":
             return tab, UNBOUNDED, None
@@ -460,23 +571,45 @@ class SimplexBackend:
         return LpSolution(OPTIMAL, x=x, objective=float(c @ x), iterations=0)
 
 
+def _same_array(a, b) -> bool:
+    return a is b or (a is not None and b is not None and a.shape == b.shape
+                      and np.array_equal(a, b))
+
+
 class SimplexSession:
     """Warm re-solve helper: constraints fixed, objective varies."""
 
-    def __init__(self, backend: SimplexBackend, problem: LpProblem):
+    def __init__(self, backend: SimplexBackend, problem: LpProblem,
+                 warm: "SimplexSession | None" = None):
         self._backend = backend
         self._problem = problem
         self._tab = None
+        # The cost under which the tableau's basis is dual feasible, and
+        # whether the basic values may violate their bounds (after an rhs
+        # change) so that the next solve must first run the dual simplex.
+        self._cost = None
+        self._restart = False
         self._infeasible = False
         self._retired = 0  # pivots of tableaux dropped by a cold retry
+        if warm is not None and warm._cost is not None and all(
+                _same_array(getattr(warm._problem, k), getattr(problem, k))
+                for k in ("G", "A_eq", "b_eq", "lower", "upper")):
+            tab, self._cost = warm._tab, warm._cost
+            warm._tab = warm._cost = None
+            if problem.n_ineq:
+                tab.set_rhs(problem.h)
+            tab.iterations = 0
+            self._tab = tab
+            self._restart = True
 
     def solve(self, c: np.ndarray | None = None) -> LpSolution:
         """Re-solve under objective ``c`` (default: the session LP's own).
 
         A warm re-solve that fails numerically is retried once cold, from
         a fresh tableau: the rank-one updates accumulated over earlier
-        re-solves can drift past the feasibility audit.  ``iterations``
-        counts the session's pivots so far, across such retries.
+        re-solves (or the tableau's earlier sessions) can drift past the
+        feasibility audit.  ``iterations`` counts the session's pivots so
+        far, across such retries.
         """
         if self._infeasible:
             return LpSolution(INFEASIBLE)
@@ -492,7 +625,7 @@ class SimplexSession:
                 sol = self._warm(prob)
             except NumericError:
                 self._retired += self._tab.iterations
-                self._tab = None
+                self._tab = self._cost = None
             else:
                 sol.iterations += self._retired
                 return sol
@@ -504,19 +637,26 @@ class SimplexSession:
         if status == INFEASIBLE:
             self._infeasible = True
         elif status == OPTIMAL:
-            self._tab = tab
+            self._tab, self._cost = tab, tab.cost
         sol = self._backend._extract(prob, tab, status)
         sol.iterations += self._retired
         return sol
 
     def _warm(self, prob: LpProblem) -> LpSolution:
         tab = self._tab
+        if self._restart:
+            if tab.dual(self._cost) == "infeasible":
+                # The basis stays dual feasible, so a later session can
+                # still restart from it.
+                self._infeasible = True
+                return LpSolution(INFEASIBLE, iterations=tab.iterations)
+            self._restart = False
         cost = np.concatenate([prob.c, np.zeros(tab.A.shape[1] - prob.c.size)])
-        tab._stall = 0
-        tab.bland = False
         outcome = tab.run(cost)
         if outcome == "unbounded":
+            self._cost = None
             return LpSolution(UNBOUNDED, iterations=tab.iterations)
+        self._cost = cost
         return self._backend._extract(prob, tab, OPTIMAL)
 
 

@@ -145,6 +145,21 @@ def test_three_bus_radius_monotonicity():
                 assert gs.violation_rate <= gs.epsilon + 1e-12
 
 
+def test_three_bus_n20_ordering():
+    with verdict("three-bus n_train=20: also-x < intuitive < cvar at rho 0 "
+                 "and 0.01, under 60 s"):
+        t0 = time.perf_counter()
+        for rho in (0.0, 0.01):
+            model = dp.build_ccp(three_bus_case(n_train=20), rho_override=rho)
+            cost = {}
+            for method in ("also-x", "intuitive", "cvar"):
+                report = alg.solve(model.problem, method)
+                assert report.is_feasible
+                cost[method] = report.objective
+            assert cost["also-x"] < cost["intuitive"] < cost["cvar"]
+        assert time.perf_counter() - t0 < 60.0
+
+
 def test_overlap_asymmetry_and_smoke_runtime():
     with verdict("tail-averaging stays infeasible on the overlap fixture "
                  "while demotion recovers; three-bus end-to-end under 30 s"):

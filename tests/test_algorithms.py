@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,34 @@ def test_trace_records_bisection_path():
     fs = [t.f for t in r.trace]
     assert all(INTERVAL_BOUNDS[0] < f < INTERVAL_BOUNDS[1] for f in fs)
     assert r.f_upper - r.f_lower <= 1e-4 + 1e-15
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+def test_levels_restart_from_the_previous_basis(monkeypatch, method):
+    """Each level after the first adopts the previous level's tableau, and
+    no session is alive while the polish LP solves."""
+    made, warm_ids, alive_at_polish = [], [], []
+    real_start = lp.SimplexBackend.start_session
+    real_solve = lp.solve_lp
+
+    def start(backend, problem, warm=None):
+        warm_ids.append(None if warm is None else id(warm))
+        session = real_start(backend, problem, warm=warm)
+        made.append((id(session), weakref.ref(session)))
+        return session
+
+    def solve_lp(problem):
+        alive_at_polish.append(sum(ref() is not None for _, ref in made))
+        return real_solve(problem)
+
+    monkeypatch.setattr(lp.SimplexBackend, "start_session", start)
+    monkeypatch.setattr(lp, "solve_lp", solve_lp)
+    # An explicit bracket: the only cold LP left is the polish.
+    report = solve(two_group_toy(0), method, BisectionConfig(*TWO_GROUP_BOUNDS))
+    assert report.is_feasible
+    assert len(made) == len(report.trace) > 1
+    assert warm_ids == [None] + [sid for sid, _ in made[:-1]]
+    assert alive_at_polish == [0]
 
 
 def test_cvar_eps_zero_is_worst_case():

@@ -340,6 +340,23 @@ def test_overlap_sweep_separates_methods():
     assert by[(1e-2, "also-x")]["cost"] >= by[(0.0, "also-x")]["cost"] - 1e-9
 
 
+def test_held_out_sets_need_wind_rows_when_the_case_has_wind():
+    # Boundary test rows without wind test rows would score the held-out
+    # scenarios with zero wind error and drop the farm columns.
+    case = three_bus_case()
+    case.test_wind_rows = None
+    with pytest.raises(ModelError, match="no wind test data"):
+        build_ccp(case).test_sample_sets()
+    with pytest.raises(ModelError, match="no wind test data"):
+        rho_sweep(case, [0.0], methods=("cvar",))
+    # Without wind, boundary test rows alone are complete.
+    case.wind = None
+    model = build_ccp(case)
+    sets = model.test_sample_sets()
+    assert [ts.dim for ts in sets] == [g.samples.dim for g in model.problem.groups]
+    assert all(ts.n == 100 for ts in sets)
+
+
 def test_rho_sweep_rejects_negative_radius():
     for rho in (-0.1, np.nan, np.inf):
         with pytest.raises(ModelError, match="finite and nonnegative"):

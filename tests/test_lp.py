@@ -296,3 +296,173 @@ def test_three_bus_cvar_lp_is_pinned(monkeypatch, rho, iterations, objective):
     assert ref.status == 0
     assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
+
+
+# -- level restarts: a new session adopts the previous one's tableau ------------
+
+def _restart_problem(rng):
+    """Equality rows (one of them redundant, so phase 1 leaves its
+    artificial basic at 0), boxed, one-sided and free columns, and box rows
+    that keep the free columns bounded.  Row 0 is the row whose rhs moves."""
+    n = 7
+    lo = np.array([0.0, -2.0, -np.inf, 0.0, -1.0, -np.inf, 0.0])
+    hi = np.array([3.0, 2.0, np.inf, np.inf, 1.0, np.inf, 4.0])
+    free = np.flatnonzero(~np.isfinite(lo) & ~np.isfinite(hi))
+    G = np.vstack([rng.uniform(0.5, 1.5, size=n),
+                   rng.normal(size=(5, n)),
+                   np.eye(n)[free], -np.eye(n)[free]])
+    h = np.concatenate([[4.0], rng.uniform(1.0, 3.0, 5), np.full(2 * free.size, 5.0)])
+    E = rng.normal(size=(2, n))
+    x0 = np.clip(rng.normal(size=n) * 0.2, lo, hi)  # keeps the rows consistent
+    A_eq = np.vstack([E, E[0] + E[1]])
+    return LpProblem(rng.normal(size=n), G, h, A_eq, A_eq @ x0, lo, hi)
+
+
+def _highs(p, c=None):
+    ref = _scipy_solve(LpProblem(p.c if c is None else c, p.G, p.h, p.A_eq,
+                                 p.b_eq, p.lower, p.upper))
+    return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status], ref.fun
+
+
+def _agree(sol, status, objective):
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_level_restart_matches_cold_and_highs(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    base = _restart_problem(rng)
+    assert _scipy_solve(base).status == 0
+    # The smallest row-0 value the other rows allow: below it the LP is
+    # infeasible.
+    rest = LpProblem(base.G[0], base.G[1:], base.h[1:], base.A_eq, base.b_eq,
+                     base.lower, base.upper)
+    floor = _scipy_solve(rest).fun
+    c2 = rng.normal(size=base.n_vars)
+    backend = SimplexBackend()
+    cold_starts = []
+    real = backend._solve_tableau
+    monkeypatch.setattr(backend, "_solve_tableau",
+                        lambda q: cold_starts.append(q) or real(q))
+    sess = backend.start_session(base)
+    first = sess.solve()
+    assert first.status == OPTIMAL
+    assert sess._tab.has_artificials_in_basis()  # a basic artificial at 0
+    levels = [floor + 1.0, floor + 0.2, floor - 0.5, floor + 0.1, floor + 3.0]
+    for f in levels:
+        h = base.h.copy()
+        h[0] = f
+        p = LpProblem(base.c, base.G, h, base.A_eq, base.b_eq,
+                      base.lower, base.upper)
+        tab = sess._tab
+        sess = backend.start_session(p, warm=sess)
+        assert sess._tab is tab and tab is not None  # adopted, not copied
+        for c in (None, c2):
+            warm = sess.solve(c)
+            cold = solve_lp(LpProblem(p.c if c is None else c, p.G, p.h,
+                                      p.A_eq, p.b_eq, p.lower, p.upper))
+            status, objective = _highs(p, c)
+            assert status == (INFEASIBLE if f < floor else OPTIMAL)
+            _agree(warm, status, objective)
+            _agree(cold, status, objective)
+            if status == OPTIMAL:
+                assert max(residuals(p, warm.x).values()) <= 1e-9
+    # Only the first level started cold; the dual simplex found the
+    # infeasible level and came back from it.
+    assert len(cold_starts) == 1
+
+
+def test_restart_needs_the_same_system():
+    rng = np.random.default_rng(0)
+    p = _restart_problem(rng)
+    backend = SimplexBackend()
+    changed = [
+        LpProblem(p.c, p.G * 2.0, p.h, p.A_eq, p.b_eq, p.lower, p.upper),
+        LpProblem(p.c, p.G, p.h, p.A_eq, p.b_eq + 1.0, p.lower, p.upper),
+        LpProblem(p.c, p.G, p.h, p.A_eq, p.b_eq, p.lower - 1.0, p.upper),
+    ]
+    for q in changed:
+        sess = backend.start_session(p)
+        assert sess.solve().status == OPTIMAL
+        tab = sess._tab
+        nxt = backend.start_session(q, warm=sess)
+        assert nxt._tab is None and sess._tab is tab
+    # A session with no optimal basis has nothing to hand over.
+    bad = LpProblem(c=[1.0], G=[[1.0], [-1.0]], h=[1.0, -2.0])
+    sess = backend.start_session(bad)
+    assert sess.solve().status == INFEASIBLE
+    assert backend.start_session(bad, warm=sess)._tab is None
+
+
+def test_failed_dual_restart_solves_the_level_cold_once(monkeypatch):
+    rng = np.random.default_rng(1)
+    base = _restart_problem(rng)
+    backend = SimplexBackend()
+    sess = backend.start_session(base)
+    assert sess.solve().status == OPTIMAL
+    h = base.h.copy()
+    h[0] -= 0.5
+    p = LpProblem(base.c, base.G, h, base.A_eq, base.b_eq, base.lower, base.upper)
+    sess = backend.start_session(p, warm=sess)
+    tab = sess._tab
+
+    def fail(cost):
+        tab.iterations += 3  # pivots made before the failure
+        raise NumericError("forced dual failure")
+
+    monkeypatch.setattr(tab, "dual", fail)
+    cold_calls = []
+    real = backend._solve_tableau
+
+    def counted(problem):
+        cold_calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(backend, "_solve_tableau", counted)
+    sol = sess.solve()
+    cold = solve_lp(p)
+    assert len(cold_calls) == 1
+    assert sol.status == cold.status == OPTIMAL
+    assert sol.objective == cold.objective
+    assert np.array_equal(sol.x, cold.x)
+    # The pivots of the failed restart stay in the session's count.
+    assert sol.iterations == 3 + cold.iterations
+    # The level's own tableau now serves the later re-solves warm.
+    assert sess._tab is not tab
+    assert sess.solve(rng.normal(size=p.n_vars)).status == OPTIMAL
+    assert len(cold_calls) == 1
+
+
+def test_skipped_refresh_equals_the_dense_solve(monkeypatch):
+    rng = np.random.default_rng(4)
+    p = _restart_problem(rng)
+    sess = SimplexBackend().start_session(p)
+    first = sess.solve()
+    tab = sess._tab
+    solves = []
+    real = np.linalg.solve
+
+    def counted(B, rhs):
+        solves.append(1)
+        return real(B, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    # A re-solve that makes no pivot skips the dense solve ...
+    again = sess.solve()
+    assert again.iterations == first.iterations
+    assert solves == []
+    assert np.array_equal(again.x, first.x)
+    skipped = tab.xb.copy()
+    # ... and a forced one gives the same bits.
+    tab._fresh = False
+    tab.refresh_basics()
+    assert solves == [1]
+    assert tab.xb.tobytes() == skipped.tobytes()
+    # Any pivot, bound flip or rhs change makes the next refresh solve.
+    h = p.h.copy()
+    h[0] += 0.25
+    tab.set_rhs(h)
+    tab.refresh_basics()
+    assert solves == [1, 1]
