@@ -76,7 +76,7 @@ def three_bus_case(n_train: int = 10, n_test: int = 100) -> DispatchCase:
         errors=wind_errors(101, n_train))
     case = DispatchCase(
         horizon=T, step=dt, network=network, generators=gens, adns=[adn],
-        wind=wind, options={"variant": "intraday"},
+        wind=wind,
         test_wind_rows=wind_errors(1101, n_test).reshape(n_test, -1),
         test_boundary_rows=[boundaries(1202, n_test)])
     case.validate()
@@ -114,7 +114,7 @@ def overlap_case() -> DispatchCase:
               e_upper=np.vstack([e_hi, rogue_e_hi]),
               reserve_cost_up=1.0, epsilon=0.1, name="adn0")
     case = DispatchCase(horizon=T, step=dt, network=network, generators=gens,
-                        adns=[adn], wind=None, options={})
+                        adns=[adn], wind=None)
     case.validate()
     return case
 

@@ -174,8 +174,8 @@ def _write_trajectories(out: Path, model: dp.DispatchModel,
     dt = case.step
     written = []
     for di, adn in enumerate(case.adns):
-        p = idx.series(x, "adn_p", di)
-        r = idx.series(x, "adn_r_up", di)
+        p = x[idx.adn_p[di]]
+        r = x[idx.adn_r_up[di]]
         energy = dt * np.cumsum(p)
         with_reserve = dt * np.cumsum(p + r)
         for side, samples in (("lower", adn.e_lower), ("upper", adn.e_upper)):
@@ -244,8 +244,7 @@ def cmd_dispatch(args) -> int:
     if trajectory_x is not None and case.adns:
         for path in _write_trajectories(out, model, trajectory_x):
             print(f"wrote {path}")
-    payload = {"case": str(args.case), "rho": args.rho,
-               "cost_offset": model.cost_offset,
+    payload = {"rho": args.rho, "cost_offset": model.cost_offset,
                "problem": problem_to_dict(model.problem),
                "results": results, "audits": audits}
     path = out / "dispatch_report.json"

@@ -324,7 +324,6 @@ class DispatchCase:
     generators: list[Generator]
     adns: list[Adn] = field(default_factory=list)
     wind: WindScenarioSet | None = None
-    options: dict = field(default_factory=dict)
     test_wind_rows: np.ndarray | None = None        # (n_test, W*T)
     test_boundary_rows: list[np.ndarray] | None = None  # per adn (n_test, 4T)
 
@@ -376,49 +375,46 @@ ADN_KINDS = ("adn_p", "adn_r_up", "adn_a_up")
 
 
 class VarIndex:
-    """Flat column layout of the dispatch decision vector.
+    """Flat column layout of the dispatch decision vector: one integer
+    array of column numbers per variable kind.
 
-    Order: per generator all segment powers (s-major then t), then the
-    five per-(g,t) series, then per ADN the three per-(d,t) series.
+    ``seg[g]`` is (segments, T); ``p``, ``r_up``, ``r_dn``, ``a_up`` and
+    ``a_dn`` are (G, T); ``adn_p``, ``adn_r_up`` and ``adn_a_up`` are
+    (D, T).  Columns run per generator through its segment powers
+    (s-major, then t) and its five series, then per ADN through its three
+    series; ``names`` labels them in that order.
     """
 
     def __init__(self, case: DispatchCase):
-        self.case = case
         T = case.horizon
-        self._col: dict[tuple, int] = {}
         self.names: list[str] = []
 
-        def add(key: tuple, name: str):
-            self._col[key] = len(self.names)
-            self.names.append(name)
+        def block(heads: list[str]) -> np.ndarray:
+            # T columns per head, named "<head>,<t>]"
+            start = len(self.names)
+            self.names.extend(f"{h},{t}]" for h in heads for t in range(T))
+            return start + np.arange(len(heads) * T).reshape(len(heads), T)
 
+        self.seg: list[np.ndarray] = []
+        series = {kind: [] for kind in GEN_KINDS + ADN_KINDS}
         for gi, g in enumerate(case.generators):
             tag = g.name or f"g{gi}"
-            for s in range(len(g.segments)):
-                for t in range(T):
-                    add(("seg", gi, s, t), f"seg[{tag},{s},{t}]")
+            self.seg.append(block([f"seg[{tag},{s}"
+                                   for s in range(len(g.segments))]))
             for kind in GEN_KINDS:
-                for t in range(T):
-                    add((kind, gi, t), f"{kind}[{tag},{t}]")
+                series[kind].append(block([f"{kind}[{tag}"])[0])
         for di, d in enumerate(case.adns):
             tag = d.name or f"d{di}"
             for kind in ADN_KINDS:
-                for t in range(T):
-                    add((kind, di, t), f"{kind}[{tag},{t}]")
-
-    def col(self, kind: str, *ids: int) -> int:
-        return self._col[(kind, *ids)]
+                series[kind].append(block([f"{kind}[{tag}"])[0])
+        (self.p, self.r_up, self.r_dn, self.a_up, self.a_dn,
+         self.adn_p, self.adn_r_up, self.adn_a_up) = (
+            np.array(series[kind], dtype=int).reshape(-1, T)
+            for kind in GEN_KINDS + ADN_KINDS)
 
     @property
     def n_vars(self) -> int:
         return len(self.names)
-
-    def value(self, x: np.ndarray, kind: str, *ids: int) -> float:
-        return float(x[self.col(kind, *ids)])
-
-    def series(self, x: np.ndarray, kind: str, *ids: int) -> np.ndarray:
-        T = self.case.horizon
-        return np.array([x[self.col(kind, *ids, t)] for t in range(T)])
 
 
 # -- model assembly --------------------------------------------------------------
@@ -431,9 +427,6 @@ class DispatchModel:
     index: VarIndex
     cost_offset: float      # fixed generator cost, not part of the LP vector
     case: DispatchCase
-
-    def group_labels(self) -> list[str]:
-        return [g.label for g in self.problem.groups]
 
     def test_sample_sets(self) -> list[SampleSet] | None:
         """Held-out per-group scenario sets from the case's embedded test
@@ -482,6 +475,34 @@ def _group_scenario_stacks(case: DispatchCase, wind: WindScenarioSet,
     return stacks
 
 
+def _net_load(case: DispatchCase) -> tuple[np.ndarray, np.ndarray]:
+    """System fixed load and total wind forecast, per step."""
+    load = np.zeros(case.horizon)
+    for b in case.network.buses:
+        load = load + b.fixed_load
+    forecast = np.zeros(case.horizon)
+    for f in (case.wind.farms if case.wind is not None else []):
+        forecast = forecast + f.forecast
+    return load, forecast
+
+
+def _dense(shape, entries=()) -> np.ndarray:
+    """Zeros of ``shape`` with ``out[index] = value`` for each (index,
+    value) entry, in order."""
+    out = np.zeros(shape)
+    for index, value in entries:
+        out[index] = value
+    return out
+
+
+def _constraint(k: int, nv: int, A=(), a0=(), c=(),
+                d: float = 0.0) -> BiAffineConstraint:
+    """xi'(A x + a0) + c'x + d <= 0 over xi of length k and x of length
+    nv, from the (index, value) entries of A, a0 and c."""
+    return BiAffineConstraint(A=_dense((k, nv), A), a0=_dense(k, a0),
+                              c=_dense(nv, c), d=d)
+
+
 def build_ccp(case: DispatchCase, rho_override: float | None = None) -> DispatchModel:
     """Compile the dispatch case into min-cost LP + one JCC per generator,
     ADN, and line.
@@ -500,228 +521,126 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
     gens, adns, lines = case.generators, case.adns, case.network.lines
 
     c = np.zeros(nv)
-    for gi, g in enumerate(gens):
-        for s, seg in enumerate(g.segments):
-            for t in range(T):
-                c[idx.col("seg", gi, s, t)] = seg.cost * dt
-        for t in range(T):
-            c[idx.col("r_up", gi, t)] = g.reserve_cost_up * dt
-            c[idx.col("r_dn", gi, t)] = g.reserve_cost_dn * dt
-    for di, d in enumerate(adns):
-        for t in range(T):
-            c[idx.col("adn_r_up", di, t)] = d.reserve_cost_up * dt
-    cost_offset = dt * T * sum(g.fixed_cost for g in gens)
-
     lower = np.full(nv, -np.inf)
     upper = np.full(nv, np.inf)
-    for gi, g in enumerate(gens):
-        for s, seg in enumerate(g.segments):
-            for t in range(T):
-                col = idx.col("seg", gi, s, t)
-                lower[col] = 0.0
-                upper[col] = seg.width
-        for kind in ("r_up", "r_dn"):
-            for t in range(T):
-                lower[idx.col(kind, gi, t)] = 0.0
-        for kind in ("a_up", "a_dn"):
-            for t in range(T):
-                col = idx.col(kind, gi, t)
-                lower[col] = 0.0
-                upper[col] = 1.0
-    for di in range(len(adns)):
-        for t in range(T):
-            lower[idx.col("adn_r_up", di, t)] = 0.0
-            col = idx.col("adn_a_up", di, t)
-            lower[col] = 0.0
-            upper[col] = 1.0
+    for g, seg, r_up, r_dn in zip(gens, idx.seg, idx.r_up, idx.r_dn):
+        for s, cols in zip(g.segments, seg):
+            c[cols] = s.cost * dt
+            lower[cols] = 0.0
+            upper[cols] = s.width
+        c[r_up] = g.reserve_cost_up * dt
+        c[r_dn] = g.reserve_cost_dn * dt
+    for d, r_up in zip(adns, idx.adn_r_up):
+        c[r_up] = d.reserve_cost_up * dt
+    for cols in (idx.r_up, idx.r_dn, idx.a_up, idx.a_dn, idx.adn_r_up,
+                 idx.adn_a_up):
+        lower[cols] = 0.0
+    for cols in (idx.a_up, idx.a_dn, idx.adn_a_up):
+        upper[cols] = 1.0
+    cost_offset = dt * T * sum(g.fixed_cost for g in gens)
 
-    eq_rows, eq_rhs = [], []
     # segment anchoring: p[g,t] - sum_s seg[g,s,t] = p_min
-    for gi, g in enumerate(gens):
-        for t in range(T):
-            row = np.zeros(nv)
-            row[idx.col("p", gi, t)] = 1.0
-            for s in range(len(g.segments)):
-                row[idx.col("seg", gi, s, t)] = -1.0
-            eq_rows.append(row)
-            eq_rhs.append(g.p_min)
+    eq = [(_dense(nv, [(idx.p[gi, t], 1.0), (idx.seg[gi][:, t], -1.0)]),
+           g.p_min) for gi, g in enumerate(gens) for t in range(T)]
     # balance: sum_g p + sum_w forecast = sum_d adn_p + fixed load
-    wind_fc = np.zeros(T)
-    if case.wind is not None:
-        for f in case.wind.farms:
-            wind_fc = wind_fc + f.forecast
-    load = np.zeros(T)
-    for b in case.network.buses:
-        load = load + b.fixed_load
-    for t in range(T):
-        row = np.zeros(nv)
-        for gi in range(len(gens)):
-            row[idx.col("p", gi, t)] = 1.0
-        for di in range(len(adns)):
-            row[idx.col("adn_p", di, t)] = -1.0
-        eq_rows.append(row)
-        eq_rhs.append(load[t] - wind_fc[t])
+    load, forecast = _net_load(case)
+    eq += [(_dense(nv, [(idx.p[:, t], 1.0), (idx.adn_p[:, t], -1.0)]),
+            load[t] - forecast[t]) for t in range(T)]
     # participation partitions
-    for t in range(T):
-        row = np.zeros(nv)
-        for gi in range(len(gens)):
-            row[idx.col("a_up", gi, t)] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0)
-    for t in range(T):
-        row = np.zeros(nv)
-        for gi in range(len(gens)):
-            row[idx.col("a_dn", gi, t)] = 1.0
-        for di in range(len(adns)):
-            row[idx.col("adn_a_up", di, t)] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0)
+    eq += [(_dense(nv, [(idx.a_up[:, t], 1.0)]), 1.0) for t in range(T)]
+    eq += [(_dense(nv, [(idx.a_dn[:, t], 1.0), (idx.adn_a_up[:, t], 1.0)]),
+            1.0) for t in range(T)]
 
-    ineq_rows, ineq_rhs = [], []
+    ineq = []
     for gi, g in enumerate(gens):
+        p = idx.p[gi]
         for t in range(T):
-            # p + r_up <= p_max
-            row = np.zeros(nv)
-            row[idx.col("p", gi, t)] = 1.0
-            row[idx.col("r_up", gi, t)] = 1.0
-            ineq_rows.append(row)
-            ineq_rhs.append(g.p_max)
-            # headroom below: p - r_dn >= p_min
-            row = np.zeros(nv)
-            row[idx.col("p", gi, t)] = -1.0
-            row[idx.col("r_dn", gi, t)] = 1.0
-            ineq_rows.append(row)
-            ineq_rhs.append(-g.p_min)
+            # p + r_up <= p_max; headroom below: p - r_dn >= p_min
+            ineq.append((_dense(nv, [(p[t], 1.0), (idx.r_up[gi, t], 1.0)]),
+                         g.p_max))
+            ineq.append((_dense(nv, [(p[t], -1.0), (idx.r_dn[gi, t], 1.0)]),
+                         -g.p_min))
         for t in range(T - 1):
             # ramp_dn*dt <= p[t+1] - p[t] <= ramp_up*dt
-            row = np.zeros(nv)
-            row[idx.col("p", gi, t + 1)] = 1.0
-            row[idx.col("p", gi, t)] = -1.0
-            ineq_rows.append(row)
-            ineq_rhs.append(g.ramp_up * dt)
-            ineq_rows.append(-row)
-            ineq_rhs.append(-g.ramp_dn * dt)
+            row = _dense(nv, [(p[t + 1], 1.0), (p[t], -1.0)])
+            ineq += [(row, g.ramp_up * dt), (-row, -g.ramp_dn * dt)]
 
-    polytope = Polytope(
-        G=np.array(ineq_rows), h=np.array(ineq_rhs),
-        A_eq=np.array(eq_rows), b_eq=np.array(eq_rhs),
-        lower=lower, upper=upper)
+    G, h = (np.array(v) for v in zip(*ineq))
+    A_eq, b_eq = (np.array(v) for v in zip(*eq))
+    polytope = Polytope(G=G, h=h, A_eq=A_eq, b_eq=b_eq,
+                        lower=lower, upper=upper)
 
-    # -- chance groups --
-    wind = (case.wind if case.wind is not None
-            else WindScenarioSet([], np.zeros((case.n_scenarios, 0, T))))
-    stacks = _group_scenario_stacks(case, wind, adns)
-    groups = []
-    gi_stack = 0
-
-    def rho_of(base: float) -> float:
-        return base if rho_override is None else float(rho_override)
-
+    # -- chance groups: (label, unit, constraints) in group order --
+    units = []
     for gi, g in enumerate(gens):
-        # xi = [omega_plus (T), omega_minus (T)]
-        cons = []
-        for t in range(T):
-            A = np.zeros((2 * T, nv))
-            A[t, idx.col("a_dn", gi, t)] = 1.0      # a_dn * omega_plus
-            cv = np.zeros(nv)
-            cv[idx.col("r_dn", gi, t)] = -1.0
-            cons.append(BiAffineConstraint(A=A, a0=np.zeros(2 * T), c=cv))
-        for t in range(T):
-            A = np.zeros((2 * T, nv))
-            A[T + t, idx.col("a_up", gi, t)] = -1.0  # -a_up * omega_minus
-            cv = np.zeros(nv)
-            cv[idx.col("r_up", gi, t)] = -1.0
-            cons.append(BiAffineConstraint(A=A, a0=np.zeros(2 * T), c=cv))
-        groups.append(JccGroup(
-            constraints=cons, samples=SampleSet(stacks[gi_stack]),
-            epsilon=g.epsilon, rho=rho_of(g.rho),
-            label=g.name or f"gen{gi}"))
-        gi_stack += 1
+        # xi = [omega_plus (T), omega_minus (T)];
+        # a_dn * omega_plus - r_dn <= 0, then -a_up * omega_minus - r_up <= 0
+        k = 2 * T
+        cons = ([_constraint(k, nv, A=[((t, idx.a_dn[gi, t]), 1.0)],
+                             c=[(idx.r_dn[gi, t], -1.0)]) for t in range(T)]
+                + [_constraint(k, nv, A=[((T + t, idx.a_up[gi, t]), -1.0)],
+                               c=[(idx.r_up[gi, t], -1.0)]) for t in range(T)])
+        units.append((g.name or f"gen{gi}", g, cons))
 
     for di, d in enumerate(adns):
         # xi = [omega_plus (T), p_lo (T), p_hi (T), e_lo (T), e_hi (T)]
+        p, r, a = idx.adn_p[di], idx.adn_r_up[di], idx.adn_a_up[di]
         k = 5 * T
-        cons = []
-        for t in range(T):      # p_lo_t - adn_p_t <= 0
-            a0 = np.zeros(k)
-            a0[T + t] = 1.0
-            cv = np.zeros(nv)
-            cv[idx.col("adn_p", di, t)] = -1.0
-            cons.append(BiAffineConstraint(A=np.zeros((k, nv)), a0=a0, c=cv))
-        for t in range(T):      # adn_p_t + r_t - p_hi_t <= 0
-            a0 = np.zeros(k)
-            a0[2 * T + t] = -1.0
-            cv = np.zeros(nv)
-            cv[idx.col("adn_p", di, t)] = 1.0
-            cv[idx.col("adn_r_up", di, t)] = 1.0
-            cons.append(BiAffineConstraint(A=np.zeros((k, nv)), a0=a0, c=cv))
-        for t in range(T):      # e_lo_t - dt*sum_{tau<=t} adn_p_tau <= 0
-            a0 = np.zeros(k)
-            a0[3 * T + t] = 1.0
-            cv = np.zeros(nv)
-            for tau in range(t + 1):
-                cv[idx.col("adn_p", di, tau)] = -dt
-            cons.append(BiAffineConstraint(A=np.zeros((k, nv)), a0=a0, c=cv))
-        for t in range(T):      # dt*sum_{tau<=t} (adn_p + r) - e_hi_t <= 0
-            a0 = np.zeros(k)
-            a0[4 * T + t] = -1.0
-            cv = np.zeros(nv)
-            for tau in range(t + 1):
-                cv[idx.col("adn_p", di, tau)] = dt
-                cv[idx.col("adn_r_up", di, tau)] = dt
-            cons.append(BiAffineConstraint(A=np.zeros((k, nv)), a0=a0, c=cv))
-        for t in range(T):      # a_up * omega_plus - r <= 0
-            A = np.zeros((k, nv))
-            A[t, idx.col("adn_a_up", di, t)] = 1.0
-            cv = np.zeros(nv)
-            cv[idx.col("adn_r_up", di, t)] = -1.0
-            cons.append(BiAffineConstraint(A=A, a0=np.zeros(k), c=cv))
-        groups.append(JccGroup(
-            constraints=cons, samples=SampleSet(stacks[gi_stack]),
-            epsilon=d.epsilon, rho=rho_of(d.rho),
-            label=d.name or f"adn{di}"))
-        gi_stack += 1
+        cons = (
+            # p_lo_t - adn_p_t <= 0
+            [_constraint(k, nv, a0=[(T + t, 1.0)], c=[(p[t], -1.0)])
+             for t in range(T)]
+            # adn_p_t + r_t - p_hi_t <= 0
+            + [_constraint(k, nv, a0=[(2 * T + t, -1.0)],
+                           c=[(p[t], 1.0), (r[t], 1.0)]) for t in range(T)]
+            # e_lo_t - dt*sum_{tau<=t} adn_p_tau <= 0
+            + [_constraint(k, nv, a0=[(3 * T + t, 1.0)], c=[(p[:t + 1], -dt)])
+               for t in range(T)]
+            # dt*sum_{tau<=t} (adn_p + r) - e_hi_t <= 0
+            + [_constraint(k, nv, a0=[(4 * T + t, -1.0)],
+                           c=[(p[:t + 1], dt), (r[:t + 1], dt)])
+               for t in range(T)]
+            # a_up * omega_plus - r <= 0
+            + [_constraint(k, nv, A=[((t, a[t]), 1.0)], c=[(r[t], -1.0)])
+               for t in range(T)])
+        units.append((d.name or f"adn{di}", d, cons))
 
-    if lines:
-        psi = case.network.resolved_ptdf()
-        W = len(wind.farms)
+    wind = (case.wind if case.wind is not None
+            else WindScenarioSet([], np.zeros((case.n_scenarios, 0, T))))
+    W = len(wind.farms)
+    psi = case.network.resolved_ptdf()
+    gen_bus = [case.network.bus_pos(g.bus) for g in gens]
+    adn_bus = [case.network.bus_pos(d.bus) for d in adns]
+    farm_bus = [case.network.bus_pos(f.bus) for f in wind.farms]
+    loads = np.array([b.fixed_load for b in case.network.buses])
+    forecasts = np.array([f.forecast for f in wind.farms]).reshape(W, T)
+    for li, ln in enumerate(lines):
+        # xi = [farm errors (W*T, farm-major), omega_plus (T), omega_minus (T)]
+        psi_g, psi_d = psi[li, gen_bus], psi[li, adn_bus]
+        psi_w = psi[li, farm_bus]
         k = (W + 2) * T
-        for li, ln in enumerate(lines):
-            cons = []
-            psi_g = [psi[li, case.network.bus_pos(g.bus)] for g in gens]
-            psi_d = [psi[li, case.network.bus_pos(d.bus)] for d in adns]
-            psi_w = ([psi[li, case.network.bus_pos(f.bus)]
-                      for f in case.wind.farms] if case.wind is not None else [])
-            psi_b = [psi[li, case.network.bus_pos(b.id)]
-                     for b in case.network.buses]
-            for t in range(T):
-                const = 0.0
-                if case.wind is not None:
-                    const += sum(pw * f.forecast[t]
-                                 for pw, f in zip(psi_w, case.wind.farms))
-                const -= sum(pb * b.fixed_load[t]
-                             for pb, b in zip(psi_b, case.network.buses))
-                for sign in (1.0, -1.0):
-                    A = np.zeros((k, nv))
-                    a0 = np.zeros(k)
-                    cv = np.zeros(nv)
-                    for gpos, pg in enumerate(psi_g):
-                        cv[idx.col("p", gpos, t)] = sign * pg
-                        A[W * T + t, idx.col("a_dn", gpos, t)] = -sign * pg
-                        A[W * T + T + t, idx.col("a_up", gpos, t)] = -sign * pg
-                    for dpos, pd in enumerate(psi_d):
-                        cv[idx.col("adn_p", dpos, t)] = -sign * pd
-                        A[W * T + t, idx.col("adn_a_up", dpos, t)] = -sign * pd
-                    for w in range(W):
-                        a0[w * T + t] = sign * psi_w[w]
-                    cons.append(BiAffineConstraint(
-                        A=A, a0=a0, c=cv, d=sign * const - ln.capacity))
-            groups.append(JccGroup(
-                constraints=cons, samples=SampleSet(stacks[gi_stack]),
-                epsilon=ln.epsilon, rho=rho_of(ln.rho),
-                label=ln.name or f"line{li}"))
-            gi_stack += 1
+        cons = []
+        for t in range(T):
+            # flow of the forecasts and fixed loads, summed term by term
+            const = sum(psi_w * forecasts[:, t]) - sum(psi[li] * loads[:, t])
+            for sign in (1.0, -1.0):
+                cons.append(_constraint(
+                    k, nv,
+                    A=[((W * T + t, idx.a_dn[:, t]), -sign * psi_g),
+                       ((W * T + T + t, idx.a_up[:, t]), -sign * psi_g),
+                       ((W * T + t, idx.adn_a_up[:, t]), -sign * psi_d)],
+                    a0=[(np.arange(W) * T + t, sign * psi_w)],
+                    c=[(idx.p[:, t], sign * psi_g),
+                       (idx.adn_p[:, t], -sign * psi_d)],
+                    d=sign * const - ln.capacity))
+        units.append((ln.name or f"line{li}", ln, cons))
 
+    stacks = _group_scenario_stacks(case, wind, adns)
+    radius = None if rho_override is None else float(rho_override)
+    groups = [JccGroup(constraints=cons, samples=SampleSet(stack),
+                       epsilon=unit.epsilon,
+                       rho=unit.rho if radius is None else radius, label=label)
+              for (label, unit, cons), stack in zip(units, stacks)]
     problem = CcpProblem(objective=c, polytope=polytope, groups=groups,
                          var_names=idx.names)
     return DispatchModel(problem=problem, index=idx, cost_offset=cost_offset,
@@ -739,45 +658,33 @@ def audit_dispatch(model: DispatchModel, x: np.ndarray) -> dict[str, float]:
     by which a segment is used while a cheaper one below it has slack).
     """
     case, idx = model.case, model.index
-    T = case.horizon
     x = np.asarray(x, dtype=float)
-    wind_fc = np.zeros(T)
-    if case.wind is not None:
-        for f in case.wind.farms:
-            wind_fc = wind_fc + f.forecast
-    load = np.zeros(T)
-    for b in case.network.buses:
-        load = load + b.fixed_load
+    load, forecast = _net_load(case)
 
-    balance = 0.0
-    part_up = 0.0
-    part_dn = 0.0
+    def total(cols) -> float:
+        # the builtin sum over Python floats, left to right
+        return sum(x[cols].tolist())
+
+    balance = part_up = part_dn = seg_sum = seg_order = 0.0
     min_factor = np.inf
-    seg_sum = 0.0
-    seg_order = 0.0
-    for t in range(T):
-        gen_p = sum(idx.value(x, "p", gi, t) for gi in range(len(case.generators)))
-        adn_p = sum(idx.value(x, "adn_p", di, t) for di in range(len(case.adns)))
-        balance = max(balance, abs(gen_p + wind_fc[t] - adn_p - load[t]))
-        su = sum(idx.value(x, "a_up", gi, t) for gi in range(len(case.generators)))
-        sd = sum(idx.value(x, "a_dn", gi, t) for gi in range(len(case.generators)))
-        sd += sum(idx.value(x, "adn_a_up", di, t) for di in range(len(case.adns)))
-        part_up = max(part_up, abs(su - 1.0))
-        part_dn = max(part_dn, abs(sd - 1.0))
-        for gi in range(len(case.generators)):
-            for kind in ("a_up", "a_dn"):
-                min_factor = min(min_factor, idx.value(x, kind, gi, t))
-        for di in range(len(case.adns)):
-            min_factor = min(min_factor, idx.value(x, "adn_a_up", di, t))
-    for gi, g in enumerate(case.generators):
-        for t in range(T):
-            segs = [idx.value(x, "seg", gi, s, t)
-                    for s in range(len(g.segments))]
-            seg_sum = max(seg_sum, abs(
-                idx.value(x, "p", gi, t) - g.p_min - sum(segs)))
+    for t in range(case.horizon):
+        balance = max(balance, abs(total(idx.p[:, t]) + forecast[t]
+                                   - total(idx.adn_p[:, t]) - load[t]))
+        part_up = max(part_up, abs(total(idx.a_up[:, t]) - 1.0))
+        part_dn = max(part_dn, abs(total(idx.a_dn[:, t])
+                                   + total(idx.adn_a_up[:, t]) - 1.0))
+        # per generator a_up then a_dn, then the ADNs: min keeps the
+        # first of equal values, so this order fixes the sign of a zero
+        gen_factors = np.column_stack([idx.a_up[:, t], idx.a_dn[:, t]])
+        min_factor = min([min_factor, *x[gen_factors.ravel()].tolist(),
+                          *x[idx.adn_a_up[:, t]].tolist()])
+    for g, seg, p in zip(case.generators, idx.seg, idx.p):
+        for t in range(case.horizon):
+            segs = x[seg[:, t]].tolist()
+            seg_sum = max(seg_sum, abs(float(x[p[t]]) - g.p_min - sum(segs)))
             for s in range(len(segs) - 1):
-                slack = g.segments[s].width - segs[s]
-                seg_order = max(seg_order, min(slack, segs[s + 1]))
+                seg_order = max(seg_order, min(g.segments[s].width - segs[s],
+                                               segs[s + 1]))
     return {"balance": balance, "partition_up": part_up,
             "partition_down": part_dn, "min_factor": float(min_factor),
             "segment_sum": seg_sum, "segment_order": seg_order}
@@ -836,7 +743,7 @@ def rho_sweep(case: DispatchCase, rho_grid,
                 "cost": (None if report.objective is None
                          else report.objective + model.cost_offset),
                 "reliability": rel,
-                "labels": model.group_labels(),
+                "labels": [g.label for g in model.problem.groups],
                 "report": report,
             })
     return rows
@@ -861,8 +768,7 @@ def _rows_or_csv(value, where: str, base_dir: Path | None):
 
 
 def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
-    options = dict(data.get("options", {}))
-    variant = options.get("variant")
+    variant = data.get("options", {}).get("variant")
     if variant is not None and variant not in VARIANTS:
         raise ModelError(f"/options/variant: unknown variant {variant!r}")
     horizon = data.get("horizon", VARIANTS[variant][0] if variant else None)
@@ -950,7 +856,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
                          "every adn or none")
     case = DispatchCase(
         horizon=horizon, step=float(step), network=network,
-        generators=generators, adns=adns, wind=wind, options=options,
+        generators=generators, adns=adns, wind=wind,
         test_wind_rows=test_wind_rows,
         test_boundary_rows=test_boundary_rows or None)
     case.validate()
@@ -961,7 +867,6 @@ def case_to_dict(case: DispatchCase) -> dict:
     data = {
         "horizon": case.horizon,
         "step": case.step,
-        "options": dict(case.options),
         "network": {
             "slack_bus": case.network.slack_bus,
             "buses": [{"id": b.id, "fixed_load": b.fixed_load.tolist()}

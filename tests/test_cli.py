@@ -112,6 +112,20 @@ def test_dispatch_report_audits_and_determinism(tmp_path, capsys):
         assert p.read_bytes() == snap[p.name]
 
 
+def test_dispatch_report_does_not_depend_on_the_case_path(tmp_path, capsys):
+    reports = []
+    for where in ("a", "a_much_longer_directory_name"):
+        case = tmp_path / where / "overlap.json"
+        case.parent.mkdir()
+        case.write_bytes(Path(OVERLAP).read_bytes())
+        out_dir = tmp_path / ("out_" + where)
+        code, _, _ = run(capsys, "dispatch", str(case), "--rho", "0.0",
+                         "--method", "also-x", "--out", str(out_dir))
+        assert code == 0
+        reports.append((out_dir / "dispatch_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_dispatch_trajectories_center_on_family_mean(tmp_path, capsys):
     out_dir = tmp_path / "d"
     run(capsys, "dispatch", OVERLAP, "--method", "also-x",

@@ -132,9 +132,56 @@ def test_case_requires_paired_scenario_counts():
 
 # -- compiled model structure --------------------------------------------------
 
+def day_ahead_case() -> DispatchCase:
+    """T=24 case read through the day-ahead variant: two wind farms on
+    different buses (farm columns w > 0 in the line rows), a
+    three-segment generator and 23 ramp pairs per generator."""
+    T = 24
+    rng = np.random.default_rng(24)
+    shape = 1.0 + 0.3 * np.sin(2.0 * np.pi * (np.arange(T) - 8) / T)
+    network = Network(
+        buses=[Bus(0, np.zeros(T)), Bus(1, 4.0 * shape), Bus(2, 7.0 * shape)],
+        lines=[Line(0, 1, capacity=12.0, reactance=1.0, name="l01"),
+               Line(1, 2, capacity=12.0, reactance=0.5, name="l12")],
+        slack_bus=0)
+    gens = [
+        Generator(bus=0, p_min=1.0, p_max=13.0, ramp_dn=-3.0, ramp_up=3.0,
+                  segments=[Segment(4.0, 10.0), Segment(4.0, 20.0),
+                            Segment(4.0, 30.0)],
+                  fixed_cost=2.0, reserve_cost_up=3.0, reserve_cost_dn=2.0,
+                  name="g3"),
+        Generator(bus=2, p_min=0.5, p_max=6.5, ramp_dn=-2.0, ramp_up=2.0,
+                  segments=[Segment(6.0, 35.0)], reserve_cost_up=4.0,
+                  reserve_cost_dn=3.0, name="g1"),
+    ]
+    farms = [WindFarm(bus=1, forecast=1.5 + 0.5 * np.cos(np.arange(T) / 4.0)),
+             WindFarm(bus=2, forecast=np.full(T, 1.0))]
+    wind = WindScenarioSet(farms=farms, errors=np.clip(
+        rng.normal(0.0, 0.3, size=(2, 2, T)), -0.8, 0.8))
+    data = case_to_dict(DispatchCase(horizon=T, step=1.0, network=network,
+                                     generators=gens, wind=wind))
+    del data["horizon"], data["step"]
+    data["options"] = {"variant": "day-ahead"}
+    return case_from_dict(data)
+
+
 @pytest.fixture(scope="module")
 def three_bus_model():
     return build_ccp(three_bus_case())
+
+
+@pytest.fixture(scope="module")
+def day_ahead_model():
+    return build_ccp(day_ahead_case())
+
+
+def test_day_ahead_case_reaches_every_segment(day_ahead_model):
+    case = day_ahead_model.case
+    assert (case.horizon, case.step) == (24, 1.0)
+    # per generator 24 capacity/headroom pairs and 23 ramp pairs
+    assert day_ahead_model.problem.polytope.n_ineq == 2 * (2 * 24 + 2 * 23)
+    _, det = deterministic_dispatch(case)
+    assert np.all(det.x[day_ahead_model.index.seg[0]].max(axis=1) > 1.0)
 
 
 def test_three_bus_shapes(three_bus_model):
@@ -162,8 +209,8 @@ def test_energy_rows_encode_prefix_sums_exactly(three_bus_model):
     T = model.case.horizon
     dt = model.case.step
     adn_group = model.problem.groups[2]
-    p_cols = [model.index.col("adn_p", 0, t) for t in range(T)]
-    r_cols = [model.index.col("adn_r_up", 0, t) for t in range(T)]
+    p_cols = model.index.adn_p[0]
+    r_cols = model.index.adn_r_up[0]
     lower = adn_group.constraints[2 * T:3 * T]
     upper = adn_group.constraints[3 * T:4 * T]
     for t in range(T):
@@ -180,8 +227,8 @@ def test_low_reserve_bound_direction():
     case = three_bus_case()
 
     def has_row(G, h_val, p_coef, r_coef, model):
-        col_p = model.index.col("p", 0, 0)
-        col_r = model.index.col("r_dn", 0, 0)
+        col_p = model.index.p[0, 0]
+        col_r = model.index.r_dn[0, 0]
         h = model.problem.polytope.h
         for i in range(G.shape[0]):
             if G[i, col_p] == p_coef and G[i, col_r] == r_coef \
@@ -206,7 +253,7 @@ def test_no_wind_case_degenerates_to_deterministic():
     assert g.n == 1 and not np.any(g.samples.data)
     report = solve_also_x_multi(model.problem)
     assert report.is_feasible
-    assert model.index.value(report.x, "p", 0, 0) == pytest.approx(4.0)
+    assert report.x[model.index.p[0, 0]] == pytest.approx(4.0)
     assert report.objective == pytest.approx(4.0 * 12.0)
 
 
@@ -225,19 +272,15 @@ def direct_constraint_values(model, label, x, xi):
     vals = []
     if kind == "gen":
         op, om = xi[:T], xi[T:2 * T]
-        for t in range(T):
-            vals.append(idx.value(x, "a_dn", pos, t) * op[t]
-                        - idx.value(x, "r_dn", pos, t))
-        for t in range(T):
-            vals.append(-idx.value(x, "a_up", pos, t) * om[t]
-                        - idx.value(x, "r_up", pos, t))
+        vals = list(np.concatenate([x[idx.a_dn[pos]] * op - x[idx.r_dn[pos]],
+                                    -x[idx.a_up[pos]] * om - x[idx.r_up[pos]]]))
     elif kind == "adn":
         op = xi[:T]
         pl, pu = xi[T:2 * T], xi[2 * T:3 * T]
         el, eu = xi[3 * T:4 * T], xi[4 * T:5 * T]
-        p = idx.series(x, "adn_p", pos)
-        r = idx.series(x, "adn_r_up", pos)
-        a = idx.series(x, "adn_a_up", pos)
+        p = x[idx.adn_p[pos]]
+        r = x[idx.adn_r_up[pos]]
+        a = x[idx.adn_a_up[pos]]
         vals = list(np.concatenate([pl - p, p + r - pu,
                                     el - dt * np.cumsum(p),
                                     dt * np.cumsum(p + r) - eu,
@@ -252,17 +295,15 @@ def direct_constraint_values(model, label, x, xi):
             flow = 0.0
             for gi, g in enumerate(case.generators):
                 flow += psi[case.network.bus_pos(g.bus)] * (
-                    idx.value(x, "p", gi, t)
-                    - idx.value(x, "a_dn", gi, t) * op[t]
-                    - idx.value(x, "a_up", gi, t) * om[t])
+                    x[idx.p[gi, t]] - x[idx.a_dn[gi, t]] * op[t]
+                    - x[idx.a_up[gi, t]] * om[t])
             for w in range(W):
                 f = case.wind.farms[w]
                 flow += psi[case.network.bus_pos(f.bus)] * (
                     f.forecast[t] + xi[w * T + t])
             for di, d in enumerate(case.adns):
                 flow -= psi[case.network.bus_pos(d.bus)] * (
-                    idx.value(x, "adn_p", di, t)
-                    + idx.value(x, "adn_a_up", di, t) * op[t])
+                    x[idx.adn_p[di, t]] + x[idx.adn_a_up[di, t]] * op[t])
             for b in case.network.buses:
                 flow -= psi[case.network.bus_pos(b.id)] * b.fixed_load[t]
             vals.append(flow - cap)
@@ -270,8 +311,9 @@ def direct_constraint_values(model, label, x, xi):
     return np.array(vals, dtype=float)
 
 
-def test_bi_affine_encoding_matches_direct_formulas(three_bus_model):
-    model = three_bus_model
+@pytest.mark.parametrize("compiled", ["three_bus_model", "day_ahead_model"])
+def test_bi_affine_encoding_matches_direct_formulas(compiled, request):
+    model = request.getfixturevalue(compiled)
     rng = np.random.default_rng(99)
     n_pairs = 0
     while n_pairs < 100:
@@ -286,10 +328,12 @@ def test_bi_affine_encoding_matches_direct_formulas(three_bus_model):
 
 # -- audits ---------------------------------------------------------------------
 
-def test_audit_clean_on_solved_three_bus(three_bus_model):
-    report = solve_also_x_multi(three_bus_model.problem)
+@pytest.mark.parametrize("compiled", ["three_bus_model", "day_ahead_model"])
+def test_audit_clean_on_solved_three_bus(compiled, request):
+    model = request.getfixturevalue(compiled)
+    report = solve_also_x_multi(model.problem)
     assert report.is_feasible
-    audit = audit_dispatch(three_bus_model, report.x)
+    audit = audit_dispatch(model, report.x)
     assert audit["balance"] <= 1e-6
     assert audit["partition_up"] <= 1e-9
     assert audit["partition_down"] <= 1e-9
@@ -302,7 +346,7 @@ def test_audit_flags_wrong_fill_order(three_bus_model):
     model = three_bus_model
     x = np.zeros(model.problem.n_vars)
     # cheap segment left empty while the dear one carries 1 MW
-    x[model.index.col("seg", 0, 1, 0)] = 1.0
+    x[model.index.seg[0][1, 0]] = 1.0
     audit = audit_dispatch(model, x)
     assert audit["segment_order"] >= 1.0 - 1e-12
 
