@@ -2,17 +2,14 @@
 
 Subcommands: example1, example2, solve, dispatch, evaluate, generate.
 Exit codes: 0 on success (an Infeasible verdict is a successful answer),
-1 on usage or input errors, 2 on numeric failures.  Log verbosity comes
-from the JCCOPT_LOG_LEVEL environment variable (stderr only); all stdout
-and file output is deterministic for fixed inputs and seeds.
+1 on usage or input errors, 2 on numeric failures.  All stdout and file
+output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +22,6 @@ from .model import (SampleSet, evaluate_group, problem_from_dict,
                     problem_to_dict)
 from .scenarios import generate_scenarios, spec_from_dict
 from .toys import INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy, two_group_toy
-
-log = logging.getLogger("jccopt")
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
 METHOD_CHOICES = alg.METHODS + ("all",)
@@ -352,10 +347,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("JCCOPT_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelError
-from .model import (BiAffineConstraint, CcpProblem, JccGroup, Polytope,
-                    SampleSet)
+from .model import (REQUIRED, BiAffineConstraint, CcpProblem, JccGroup,
+                    Polytope, SampleSet, floats, read_field)
 
 VARIANTS = {"day-ahead": (24, 1.0), "intraday": (4, 0.25)}
 
@@ -751,52 +751,51 @@ def rho_sweep(case: DispatchCase, rho_grid,
 
 # -- case (de)serialization --------------------------------------------------------
 
-def _need(data: dict, key: str, where: str):
-    if key not in data:
-        raise ModelError(f"{where}: missing field {key!r}")
-    return data[key]
-
-
-def _rows_or_csv(value, where: str, base_dir: Path | None):
-    """Scenario payloads are either inline rows or {"csv": path}."""
-    if isinstance(value, dict):
-        path = Path(_need(value, "csv", where))
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return SampleSet.from_csv(path).data
-    return np.atleast_2d(np.asarray(value, dtype=float))
+def _scenario_rows(data: dict, key: str, where: str, base_dir: Path | None,
+                   default=REQUIRED):
+    """Scenario payload of a field: inline rows or {"csv": path}."""
+    def rows(value):
+        if isinstance(value, dict):
+            path = Path(read_field(value, "csv", f"{where}/{key}", str))
+            if base_dir is not None and not path.is_absolute():
+                path = base_dir / path
+            return SampleSet.from_csv(path).data
+        return np.atleast_2d(np.asarray(value, dtype=float))
+    return read_field(data, key, where, rows, default)
 
 
 def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
-    variant = data.get("options", {}).get("variant")
+    options = read_field(data, "options", "/", dict, {})
+    variant = read_field(options, "variant", "/options", str, None)
     if variant is not None and variant not in VARIANTS:
         raise ModelError(f"/options/variant: unknown variant {variant!r}")
-    horizon = data.get("horizon", VARIANTS[variant][0] if variant else None)
-    step = data.get("step", VARIANTS[variant][1] if variant else None)
+    horizon = read_field(data, "horizon", "/", int,
+                         VARIANTS[variant][0] if variant else None)
+    step = read_field(data, "step", "/", float,
+                      VARIANTS[variant][1] if variant else None)
     if horizon is None or step is None:
         raise ModelError("/horizon,/step: give both, or set options.variant")
-    horizon = int(horizon)
 
-    net_data = _need(data, "network", "/")
+    net_data = read_field(data, "network", "/", dict)
     buses = []
-    for bi, bd in enumerate(net_data.get("buses", [])):
+    for bi, bd in enumerate(read_field(net_data, "buses", "/network", list, [])):
         where = f"/network/buses/{bi}"
-        buses.append(Bus(id=int(_need(bd, "id", where)),
-                         fixed_load=_need(bd, "fixed_load", where)))
+        buses.append(Bus(id=read_field(bd, "id", where, int),
+                         fixed_load=read_field(bd, "fixed_load", where, floats)))
     lines = []
-    for li, ld in enumerate(net_data.get("lines", [])):
+    for li, ld in enumerate(read_field(net_data, "lines", "/network", list, [])):
         where = f"/network/lines/{li}"
         lines.append(Line(
-            from_bus=int(_need(ld, "from_bus", where)),
-            to_bus=int(_need(ld, "to_bus", where)),
-            capacity=float(_need(ld, "capacity", where)),
-            reactance=ld.get("reactance"),
-            epsilon=float(ld.get("epsilon", 0.1)),
-            rho=float(ld.get("rho", 0.0)),
-            name=ld.get("name", f"line{li}")))
+            from_bus=read_field(ld, "from_bus", where, int),
+            to_bus=read_field(ld, "to_bus", where, int),
+            capacity=read_field(ld, "capacity", where, float),
+            reactance=read_field(ld, "reactance", where, float, None),
+            epsilon=read_field(ld, "epsilon", where, float, 0.1),
+            rho=read_field(ld, "rho", where, float, 0.0),
+            name=read_field(ld, "name", where, str, f"line{li}")))
     network = Network(buses=buses, lines=lines,
-                      slack_bus=int(net_data.get("slack_bus", 0)),
-                      ptdf=net_data.get("ptdf"))
+                      slack_bus=read_field(net_data, "slack_bus", "/network", int, 0),
+                      ptdf=read_field(net_data, "ptdf", "/network", floats, None))
     if lines and network.ptdf is None:
         missing = [ln.name for ln in lines if ln.reactance is None]
         if missing:
@@ -805,57 +804,57 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
                 "'reactance'; provide one of the two")
 
     generators = []
-    for gi, gd in enumerate(data.get("generators", [])):
+    for gi, gd in enumerate(read_field(data, "generators", "/", list, [])):
         where = f"/generators/{gi}"
-        segs = [Segment(width=_need(sd, "width", f"{where}/segments/{si}"),
-                        cost=_need(sd, "cost", f"{where}/segments/{si}"))
-                for si, sd in enumerate(_need(gd, "segments", where))]
+        segs = [Segment(width=read_field(sd, "width", f"{where}/segments/{si}", float),
+                        cost=read_field(sd, "cost", f"{where}/segments/{si}", float))
+                for si, sd in enumerate(read_field(gd, "segments", where, list))]
         generators.append(Generator(
-            bus=int(_need(gd, "bus", where)),
-            p_min=float(_need(gd, "p_min", where)),
-            p_max=float(_need(gd, "p_max", where)),
-            ramp_dn=float(_need(gd, "ramp_dn", where)),
-            ramp_up=float(_need(gd, "ramp_up", where)),
+            bus=read_field(gd, "bus", where, int),
+            p_min=read_field(gd, "p_min", where, float),
+            p_max=read_field(gd, "p_max", where, float),
+            ramp_dn=read_field(gd, "ramp_dn", where, float),
+            ramp_up=read_field(gd, "ramp_up", where, float),
             segments=segs,
-            fixed_cost=float(gd.get("fixed_cost", 0.0)),
-            reserve_cost_up=float(gd.get("reserve_cost_up", 0.0)),
-            reserve_cost_dn=float(gd.get("reserve_cost_dn", 0.0)),
-            epsilon=float(gd.get("epsilon", 0.05)),
-            rho=float(gd.get("rho", 0.0)),
-            name=gd.get("name", f"g{gi}")))
+            fixed_cost=read_field(gd, "fixed_cost", where, float, 0.0),
+            reserve_cost_up=read_field(gd, "reserve_cost_up", where, float, 0.0),
+            reserve_cost_dn=read_field(gd, "reserve_cost_dn", where, float, 0.0),
+            epsilon=read_field(gd, "epsilon", where, float, 0.05),
+            rho=read_field(gd, "rho", where, float, 0.0),
+            name=read_field(gd, "name", where, str, f"g{gi}")))
 
     adns = []
     test_boundary_rows = []
-    for di, dd in enumerate(data.get("adns", [])):
+    for di, dd in enumerate(read_field(data, "adns", "/", list, [])):
         where = f"/adns/{di}"
-        rows = _rows_or_csv(_need(dd, "boundary_samples", where), where, base_dir)
         adns.append(Adn.from_rows(
-            bus=int(_need(dd, "bus", where)), rows=rows, horizon=horizon,
-            reserve_cost_up=float(dd.get("reserve_cost_up", 0.0)),
-            epsilon=float(dd.get("epsilon", 0.05)),
-            rho=float(dd.get("rho", 0.0)),
-            name=dd.get("name", f"d{di}")))
-        if "test_boundary_samples" in dd:
-            test_boundary_rows.append(
-                _rows_or_csv(dd["test_boundary_samples"], where, base_dir))
+            bus=read_field(dd, "bus", where, int),
+            rows=_scenario_rows(dd, "boundary_samples", where, base_dir),
+            horizon=horizon,
+            reserve_cost_up=read_field(dd, "reserve_cost_up", where, float, 0.0),
+            epsilon=read_field(dd, "epsilon", where, float, 0.05),
+            rho=read_field(dd, "rho", where, float, 0.0),
+            name=read_field(dd, "name", where, str, f"d{di}")))
+        test_rows = _scenario_rows(dd, "test_boundary_samples", where, base_dir, None)
+        if test_rows is not None:
+            test_boundary_rows.append(test_rows)
 
     wind = None
     test_wind_rows = None
-    if "wind" in data and data["wind"] is not None:
-        wd = data["wind"]
-        farms = [WindFarm(bus=int(_need(fd, "bus", f"/wind/farms/{fi}")),
-                          forecast=_need(fd, "forecast", f"/wind/farms/{fi}"))
-                 for fi, fd in enumerate(_need(wd, "farms", "/wind"))]
-        rows = _rows_or_csv(_need(wd, "errors", "/wind"), "/wind", base_dir)
+    wd = read_field(data, "wind", "/", dict, None)
+    if wd is not None:
+        farms = [WindFarm(bus=read_field(fd, "bus", f"/wind/farms/{fi}", int),
+                          forecast=read_field(fd, "forecast", f"/wind/farms/{fi}", floats))
+                 for fi, fd in enumerate(read_field(wd, "farms", "/wind", list))]
+        rows = _scenario_rows(wd, "errors", "/wind", base_dir)
         wind = WindScenarioSet.from_rows(farms, rows, horizon)
-        if "test_errors" in wd:
-            test_wind_rows = _rows_or_csv(wd["test_errors"], "/wind", base_dir)
+        test_wind_rows = _scenario_rows(wd, "test_errors", "/wind", base_dir, None)
 
     if test_boundary_rows and len(test_boundary_rows) != len(adns):
         raise ModelError("/adns: test_boundary_samples must be given for "
                          "every adn or none")
     case = DispatchCase(
-        horizon=horizon, step=float(step), network=network,
+        horizon=horizon, step=step, network=network,
         generators=generators, adns=adns, wind=wind,
         test_wind_rows=test_wind_rows,
         test_boundary_rows=test_boundary_rows or None)

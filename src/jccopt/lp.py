@@ -13,9 +13,13 @@ column is nonzero, crossed with the columns where the normalised pivot
 row is nonzero.  Every other entry of the rank-one update would subtract
 a zero, so the block update gives the same tableau as the dense one (up
 to the sign of some zeros) at a fraction of the cost on scenario LPs,
-whose pivot rows and columns are mostly zero.  A cold ``solve`` drops its
-tableau's ``T`` before recomputing the basic values, since it never
-pivots again; sessions keep theirs for warm re-solves.
+whose pivot rows and columns are mostly zero.
+
+Every solve is a ``SimplexSession`` driving five tableau calls:
+``_Tableau(problem)``, ``two_phase(c)`` (cold), ``resolve(dual_cost, c)``
+(warm), ``set_rhs(h)`` and ``refresh_basics()``/``full_values()``.
+``solve_lp`` is a one-shot session: it drops ``T`` before recomputing
+the basic values, since it never pivots again.
 
 A session can also restart from another session's tableau when only the
 inequality rhs differs (the bisection levels of ``algorithms``).  The old
@@ -128,10 +132,6 @@ class LpSolution:
     objective: float | None = None
     iterations: int = 0
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
-
 
 def residuals(problem: LpProblem, x: np.ndarray) -> dict:
     """Worst-case constraint violations of a candidate point (audit helper)."""
@@ -173,7 +173,6 @@ class _Tableau:
         self.n_struct = n
         self.n_ineq = mi
         self.m = m
-        self.cost = np.concatenate([problem.c, np.zeros(mi)])
         self.iterations = 0
         self.max_iter = ITER_FACTOR * (m + cols)
         self.bland = False
@@ -181,12 +180,15 @@ class _Tableau:
         # True while xb is exactly what refresh_basics last computed: no
         # pivot, bound flip or rhs change since.
         self._fresh = False
+        # True after an rhs change: the basic values may violate their
+        # bounds, so the next resolve runs the dual simplex first.
+        self._rhs_moved = False
         self._crash()
 
     def _crash(self):
         """Initial basis: nonbasics at a finite bound, slacks absorbing what
         they can, artificials covering the rest."""
-        m = self.m
+        m, n = self.m, self.n_struct
         cols = self.A.shape[1]
         vstat = np.full(cols, _NB_LO, dtype=np.int8)
         val = np.where(np.isfinite(self.lo), self.lo, 0.0)
@@ -201,45 +203,38 @@ class _Tableau:
         vstat[np.isfinite(self.lo) & (self.hi == self.lo)] = _FIXED
 
         resid = self.b - self.A @ val
-        basis = np.full(m, -1, dtype=int)
-        art_rows = []
-        for i in range(m):
-            if i < self.n_ineq and resid[i] >= 0.0:
-                sc = self.n_struct + i
-                basis[i] = sc
-                vstat[sc] = _BASIC
-            else:
-                art_rows.append(i)
-        n_art = len(art_rows)
+        slack = np.zeros(m, dtype=bool)
+        slack[:self.n_ineq] = resid[:self.n_ineq] >= 0.0
+        rows, art_rows = np.flatnonzero(slack), np.flatnonzero(~slack)
+        n_art = art_rows.size
+        basis = np.empty(m, dtype=int)
+        basis[rows] = n + rows
+        vstat[n + rows] = _BASIC
+        basis[art_rows] = cols + np.arange(n_art)
+        # Each artificial column is +-e_i, signed so that it starts at
+        # |resid_i|; slack rows have resid >= 0, so they keep sign +1.
+        sign = np.where(resid < 0.0, -1.0, 1.0)
         if n_art:
             art = np.zeros((m, n_art))
-            for k, i in enumerate(art_rows):
-                art[i, k] = 1.0 if resid[i] >= 0.0 else -1.0
+            art[art_rows, np.arange(n_art)] = sign[art_rows]
             self.A = np.hstack([self.A, art])
             self.lo = np.concatenate([self.lo, np.zeros(n_art)])
             self.hi = np.concatenate([self.hi, np.full(n_art, np.inf)])
-            self.cost = np.concatenate([self.cost, np.zeros(n_art)])
             vstat = np.concatenate([vstat, np.full(n_art, _BASIC, dtype=np.int8)])
             val = np.concatenate([val, np.zeros(n_art)])
-            for k, i in enumerate(art_rows):
-                basis[i] = self.A.shape[1] - n_art + k
-        self.first_art = self.A.shape[1] - n_art
+        self.first_art = cols
         self.vstat = vstat
         self.basis = basis
         self.nb_val = val  # meaningful only where nonbasic
-        # T = B^-1 A: the crash basis is +-unit columns, so rows whose
-        # artificial has coefficient -1 are negated, the rest copied.
-        self.T = self.A.copy()
-        for k, i in enumerate(art_rows):
-            if self.A[i, self.first_art + k] < 0:
-                self.T[i] *= -1.0
-        self.xb = np.abs(resid)
-        for i in range(m):
-            if basis[i] < self.first_art:
-                self.xb[i] = resid[i]
+        # T = B^-1 A: the crash basis is +-unit columns, so T is A with the
+        # rows of the -1 artificials negated.  One product builds it, with
+        # no copy of A besides T itself.
+        self.T = self.A * sign[:, None]
+        self.xb = np.where(slack, resid, np.abs(resid))
 
-    def has_artificials_in_basis(self) -> bool:
-        return bool(np.any(self.basis >= self.first_art))
+    def _extend(self, c):
+        """A structural cost vector, zero over slacks and artificials."""
+        return np.concatenate([c, np.zeros(self.A.shape[1] - c.size)])
 
     def reduced_costs(self, c):
         return c - c[self.basis] @ self.T
@@ -317,6 +312,26 @@ class _Tableau:
         self.xb[r] = entering_value
         return leave
 
+    def _swap(self, r, q, step, leave_at_lo, d, gain):
+        """Basis change shared by the primal and dual iterations: column q
+        moves by ``step`` and enters at row r, the leaving column rests at
+        its lower bound if ``leave_at_lo`` else at its upper one (an
+        artificial is fixed at zero), and d is updated in place."""
+        self.xb -= step * self.T[:, q]
+        leave = self._pivot(r, q, self.nb_val[q] + step)
+        self.vstat[q] = _BASIC
+        if leave >= self.first_art:
+            self.lo[leave] = self.hi[leave] = 0.0
+            self.nb_val[leave] = 0.0
+            self.vstat[leave] = _FIXED
+        else:
+            self.nb_val[leave] = self.lo[leave] if leave_at_lo else self.hi[leave]
+            self.vstat[leave] = _NB_LO if leave_at_lo else _NB_UP
+        dq = d[q]
+        d -= dq * self.T[r]
+        d[q] = 0.0
+        self._moved(gain)
+
     def step(self, d):
         """One simplex iteration.  Returns 'optimal', 'unbounded' or 'moved'."""
         q, direction = self._entering(d)
@@ -325,28 +340,14 @@ class _Tableau:
         t, r, is_flip = self._ratio(q, direction)
         if not np.isfinite(t):
             return "unbounded"
-        w = self.T[:, q].copy()
         gain = abs(d[q]) * t
-        self.xb -= direction * t * w
-        if is_flip:
-            self.vstat[q] = _NB_UP if self.vstat[q] == _NB_LO else _NB_LO
-            self.nb_val[q] = self.hi[q] if self.vstat[q] == _NB_UP else self.lo[q]
-        else:
-            enter_val = self.nb_val[q] + direction * t
-            leave = self._pivot(r, q, enter_val)
-            self.vstat[q] = _BASIC
-            # Leaving variable rests at whichever bound blocked it.
-            went_down = -direction * w[r] < 0
-            lv = self.lo[leave] if went_down else self.hi[leave]
-            self.nb_val[leave] = lv
-            self.vstat[leave] = _NB_LO if went_down else _NB_UP
-            if leave >= self.first_art:
-                self.lo[leave] = self.hi[leave] = 0.0
-                self.nb_val[leave] = 0.0
-                self.vstat[leave] = _FIXED
-            dq = d[q]
-            d -= dq * self.T[r]
-            d[q] = 0.0
+        if not is_flip:
+            # The leaving variable rests at whichever bound blocked it.
+            self._swap(r, q, direction * t, -direction * self.T[r, q] < 0, d, gain)
+            return "moved"
+        self.xb -= direction * t * self.T[:, q]
+        self.vstat[q] = _NB_UP if self.vstat[q] == _NB_LO else _NB_LO
+        self.nb_val[q] = self.hi[q] if self.vstat[q] == _NB_UP else self.lo[q]
         self._moved(gain)
         return "moved"
 
@@ -387,15 +388,49 @@ class _Tableau:
             d = self.reduced_costs(c)
             confirmed = True
 
+    def two_phase(self, c):
+        """Cold solve from the crash basis: phase 1 drives the artificials
+        to zero, phase 2 minimises the structural cost c.  Returns
+        OPTIMAL, INFEASIBLE or UNBOUNDED."""
+        if np.any(self.lo > self.hi):
+            return INFEASIBLE
+        if np.any(self.basis >= self.first_art):
+            c1 = np.zeros(self.A.shape[1])
+            c1[self.first_art:] = 1.0
+            outcome = self.run(c1)
+            p1 = float(np.sum(np.abs(self.xb[self.basis >= self.first_art])))
+            infeas_tol = FEAS_TOL * max(1.0, float(np.max(np.abs(self.b), initial=1.0)))
+            if outcome != "optimal" or p1 > infeas_tol:
+                return INFEASIBLE
+            # Freeze artificials at zero for phase 2.
+            self.lo[self.first_art:] = 0.0
+            self.hi[self.first_art:] = 0.0
+            art = self.vstat[self.first_art:]
+            art[art != _BASIC] = _FIXED
+            self.nb_val[self.first_art:] = 0.0
+        return UNBOUNDED if self.run(self._extend(c)) == "unbounded" else OPTIMAL
+
+    def resolve(self, dual_cost, c):
+        """Warm solve from the current basis.  After an rhs change the dual
+        simplex first restores primal feasibility under ``dual_cost``, for
+        which the basis must be dual feasible; the primal simplex then
+        minimises c.  Returns OPTIMAL, INFEASIBLE or UNBOUNDED."""
+        if self._rhs_moved:
+            if self.dual(self._extend(dual_cost)) == "infeasible":
+                return INFEASIBLE
+            self._rhs_moved = False
+        return UNBOUNDED if self.run(self._extend(c)) == "unbounded" else OPTIMAL
+
     def set_rhs(self, h):
         """Move the inequality rhs to ``h``.  Row i's slack column of T is
         B^-1 e_i, so the basic values follow without a solve; they may
-        leave their bounds, which ``dual`` repairs."""
+        leave their bounds, which the next ``resolve`` repairs."""
         n = self.n_struct
         for i in np.flatnonzero(self.b[:self.n_ineq] != h):
             self.xb += self.T[:, n + i] * (h[i] - self.b[i])
             self.b[i] = h[i]
             self._fresh = False
+        self._rhs_moved = True
 
     def dual_step(self, d):
         """One bounded dual simplex iteration on reduced costs d, which
@@ -418,7 +453,6 @@ class _Tableau:
             if not viol[r] > FEAS_TOL:
                 return "optimal"
         rise = below[r] > 0.0
-        target = lo[r] if rise else hi[r]
         # The leaving variable moves by -alpha_j dx_j when x_j moves by dx_j;
         # a column at its lower bound can only rise, one at its upper bound
         # only fall, a free one either way.
@@ -445,18 +479,10 @@ class _Tableau:
             ok = (ratio <= ((slack + FEAS_TOL) / a).min()).nonzero()[0]
             k = int(ok[np.argmax(a[ok])])
         q = int(cols[k])
-        dx = (self.xb[r] - target) / alpha[q]
-        self.xb -= dx * self.T[:, q]
-        leave = self._pivot(r, q, self.nb_val[q] + dx)
-        self.vstat[q] = _BASIC
         # The leaving variable rests at the bound it violated.
-        self.nb_val[leave] = target
-        self.vstat[leave] = _FIXED if leave >= self.first_art else (
-            _NB_LO if rise else _NB_UP)
-        dq = d[q]
-        d -= dq * self.T[r]
-        d[q] = 0.0
-        self._moved(ratio[k] * viol[r])
+        target = lo[r] if rise else hi[r]
+        self._swap(r, q, (self.xb[r] - target) / alpha[q], rise, d,
+                   ratio[k] * viol[r])
         return "moved"
 
     def dual(self, c):
@@ -497,13 +523,6 @@ class _Tableau:
 class SimplexBackend:
     """Bundled dense two-phase simplex.  Stateless; safe to share."""
 
-    def solve(self, problem: LpProblem) -> LpSolution:
-        tab, status, sol = self._solve_tableau(problem)
-        if sol is not None:
-            return sol
-        tab.T = None  # no more pivots; free it before refresh_basics
-        return self._extract(problem, tab, status)
-
     def start_session(self, problem: LpProblem,
                       warm: "SimplexSession | None" = None) -> "SimplexSession":
         """Resumable re-solves of one constraint system under changing
@@ -511,96 +530,33 @@ class SimplexBackend:
         of a system that differs from ``problem`` at most in the inequality
         rhs, the new session takes over its tableau and restarts from its
         basis instead of solving cold; ``warm`` keeps no tableau after."""
-        return SimplexSession(self, problem, warm)
-
-    def _solve_tableau(self, problem):
-        if np.any(problem.lower > problem.upper):
-            return None, INFEASIBLE, LpSolution(INFEASIBLE)
-        if problem.n_ineq + problem.n_eq == 0:
-            return None, OPTIMAL, self._bounds_only(problem)
-        tab = _Tableau(problem)
-        if tab.has_artificials_in_basis():
-            c1 = np.zeros(tab.A.shape[1])
-            c1[tab.first_art:] = 1.0
-            outcome = tab.run(c1)
-            art_basic = tab.basis >= tab.first_art
-            p1 = float(np.sum(np.abs(tab.xb[art_basic]))) if np.any(art_basic) else 0.0
-            infeas_tol = FEAS_TOL * max(1.0, float(np.max(np.abs(tab.b), initial=1.0)))
-            if outcome != "optimal" or p1 > infeas_tol:
-                return tab, INFEASIBLE, None
-            # Freeze artificials at zero for phase 2.
-            tab.lo[tab.first_art:] = 0.0
-            tab.hi[tab.first_art:] = 0.0
-            nonbasic_art = tab.vstat[tab.first_art:] != _BASIC
-            tab.vstat[tab.first_art:][nonbasic_art] = _FIXED
-            tab.nb_val[tab.first_art:] = 0.0
-        outcome = tab.run(tab.cost)
-        if outcome == "unbounded":
-            return tab, UNBOUNDED, None
-        return tab, OPTIMAL, None
-
-    def _extract(self, problem, tab, status):
-        if status != OPTIMAL:
-            return LpSolution(status, iterations=tab.iterations if tab else 0)
-        tab.refresh_basics()
-        v = tab.full_values()
-        x = v[:problem.n_vars]
-        res = residuals(problem, x)
-        if max(res.values()) > REPORT_TOL:
-            raise NumericError(f"solution failed the feasibility audit: {res}")
-        x = np.clip(x, problem.lower, problem.upper)
-        return LpSolution(OPTIMAL, x=x,
-                          objective=float(problem.c @ x),
-                          iterations=tab.iterations)
-
-    @staticmethod
-    def _bounds_only(problem):
-        lo, hi, c = problem.lower, problem.upper, problem.c
-        x = np.zeros_like(c)
-        for j in range(c.size):
-            if c[j] > 0:
-                if not np.isfinite(lo[j]):
-                    return LpSolution(UNBOUNDED)
-                x[j] = lo[j]
-            elif c[j] < 0:
-                if not np.isfinite(hi[j]):
-                    return LpSolution(UNBOUNDED)
-                x[j] = hi[j]
-            else:
-                x[j] = lo[j] if np.isfinite(lo[j]) else (min(hi[j], 0.0) if np.isfinite(hi[j]) else 0.0)
-        return LpSolution(OPTIMAL, x=x, objective=float(c @ x), iterations=0)
+        return SimplexSession(problem, warm)
 
 
 def _same_array(a, b) -> bool:
-    return a is b or (a is not None and b is not None and a.shape == b.shape
-                      and np.array_equal(a, b))
+    return a is b or np.array_equal(a, b)
 
 
 class SimplexSession:
-    """Warm re-solve helper: constraints fixed, objective varies."""
+    """Solves of one constraint system under changing objectives: the
+    first solve is cold (or restarts from a handed-over tableau), later
+    ones re-solve warm from the last basis."""
 
-    def __init__(self, backend: SimplexBackend, problem: LpProblem,
-                 warm: "SimplexSession | None" = None):
-        self._backend = backend
+    def __init__(self, problem: LpProblem, warm: "SimplexSession | None" = None):
         self._problem = problem
         self._tab = None
-        # The cost under which the tableau's basis is dual feasible, and
-        # whether the basic values may violate their bounds (after an rhs
-        # change) so that the next solve must first run the dual simplex.
+        # The objective under which the tableau's basis is dual feasible,
+        # or None when the session has no optimal basis to hand over.
         self._cost = None
-        self._restart = False
         self._infeasible = False
         self._retired = 0  # pivots of tableaux dropped by a cold retry
         if warm is not None and warm._cost is not None and all(
                 _same_array(getattr(warm._problem, k), getattr(problem, k))
                 for k in ("G", "A_eq", "b_eq", "lower", "upper")):
-            tab, self._cost = warm._tab, warm._cost
+            self._tab, self._cost = warm._tab, warm._cost
             warm._tab = warm._cost = None
-            if problem.n_ineq:
-                tab.set_rhs(problem.h)
-            tab.iterations = 0
-            self._tab = tab
-            self._restart = True
+            self._tab.set_rhs(problem.h)
+            self._tab.iterations = 0
 
     def solve(self, c: np.ndarray | None = None) -> LpSolution:
         """Re-solve under objective ``c`` (default: the session LP's own).
@@ -611,58 +567,52 @@ class SimplexSession:
         feasibility audit.  ``iterations`` counts the session's pivots so
         far, across such retries.
         """
+        own = self._problem.c
+        if c is None:
+            c = own
+        else:
+            c = np.array(c, dtype=float)
+            if c.shape != own.shape:
+                raise ModelError("session objective has the wrong length")
+            if not np.all(np.isfinite(c)):
+                raise ModelError("c: entries must be finite")
+        return self._solve(c)
+
+    def _solve(self, c, one_shot=False):
         if self._infeasible:
             return LpSolution(INFEASIBLE)
-        prob = self._problem
-        if c is not None:
-            c = np.asarray(c, dtype=float)
-            if c.shape != prob.c.shape:
-                raise ModelError("session objective has the wrong length")
-            prob = LpProblem(c, prob.G, prob.h, prob.A_eq, prob.b_eq,
-                             prob.lower, prob.upper)
         if self._tab is not None:
             try:
-                sol = self._warm(prob)
+                return self._finish(c, self._tab.resolve(self._cost, c), one_shot)
             except NumericError:
                 self._retired += self._tab.iterations
                 self._tab = self._cost = None
-            else:
-                sol.iterations += self._retired
-                return sol
-        tab, status, sol = self._backend._solve_tableau(prob)
-        if sol is not None:
-            if sol.status == INFEASIBLE:
-                self._infeasible = True
-            return sol
-        if status == INFEASIBLE:
-            self._infeasible = True
-        elif status == OPTIMAL:
-            self._tab, self._cost = tab, tab.cost
-        sol = self._backend._extract(prob, tab, status)
-        sol.iterations += self._retired
-        return sol
+        self._tab = _Tableau(self._problem)
+        return self._finish(c, self._tab.two_phase(c), one_shot)
 
-    def _warm(self, prob: LpProblem) -> LpSolution:
-        tab = self._tab
-        if self._restart:
-            if tab.dual(self._cost) == "infeasible":
-                # The basis stays dual feasible, so a later session can
-                # still restart from it.
-                self._infeasible = True
-                return LpSolution(INFEASIBLE, iterations=tab.iterations)
-            self._restart = False
-        cost = np.concatenate([prob.c, np.zeros(tab.A.shape[1] - prob.c.size)])
-        outcome = tab.run(cost)
-        if outcome == "unbounded":
-            self._cost = None
-            return LpSolution(UNBOUNDED, iterations=tab.iterations)
-        self._cost = cost
-        return self._backend._extract(prob, tab, OPTIMAL)
-
-
-_SIMPLEX = SimplexBackend()
+    def _finish(self, c, status, one_shot):
+        """The solution of a finished run, audited against the LP's rows."""
+        tab, p = self._tab, self._problem
+        iterations = tab.iterations + self._retired
+        if status != OPTIMAL:
+            # After an infeasible restart the basis stays dual feasible,
+            # so a later session can still restart from it.
+            self._infeasible = status == INFEASIBLE
+            if status == UNBOUNDED:
+                self._cost = None
+            return LpSolution(status, iterations=iterations)
+        self._cost = c
+        if one_shot:
+            tab.T = None  # no more pivots; free it before refresh_basics
+        tab.refresh_basics()
+        x = tab.full_values()[:p.n_vars]
+        res = residuals(p, x)
+        if max(res.values()) > REPORT_TOL:
+            raise NumericError(f"solution failed the feasibility audit: {res}")
+        x = np.clip(x, p.lower, p.upper)
+        return LpSolution(OPTIMAL, x=x, objective=float(c @ x), iterations=iterations)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an LP with the bundled simplex."""
-    return _SIMPLEX.solve(problem)
+    """Solve an LP with the bundled simplex, as a one-shot session."""
+    return SimplexSession(problem)._solve(problem.c, one_shot=True)

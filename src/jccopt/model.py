@@ -339,6 +339,41 @@ def evaluate_group(group: JccGroup, x: np.ndarray,
 
 # -- serialization -----------------------------------------------------------
 
+REQUIRED = object()
+
+
+def floats(value) -> np.ndarray:
+    """A JSON number or (nested) array as a float array."""
+    return np.asarray(value, dtype=float)
+
+
+def read_field(data, key: str, where: str, kind=None, default=REQUIRED):
+    """Field ``key`` of the JSON object at path ``where``, passed through
+    ``kind``: a callable, or ``dict``/``list`` to require an object or an
+    array.  A missing field, or a null one whose default is None, reads as
+    ``default``.  A value of the wrong type, or a ``data`` that is no
+    object, raises a ModelError naming its path; a ModelError from
+    ``kind`` passes unchanged."""
+    if not isinstance(data, dict):
+        raise ModelError(f"{where}: expected an object, got {type(data).__name__}")
+    if key not in data or (data[key] is None and default is None):
+        if default is REQUIRED:
+            raise ModelError(f"{where}: missing field {key!r}")
+        return default
+    value, path = data[key], f"{where.rstrip('/')}/{key}"
+    if kind in (dict, list) and not isinstance(value, kind):
+        raise ModelError(f"{path}: expected an {'object' if kind is dict else 'array'}"
+                         f", got {type(value).__name__}")
+    if kind in (None, dict, list):
+        return value
+    try:
+        return kind(value)
+    except ModelError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"{path}: {exc}") from None
+
+
 def _bounds_to_json(lower, upper):
     out = []
     for lo, hi in zip(lower, upper):
@@ -352,13 +387,14 @@ def _bounds_to_json(lower, upper):
 
 
 def _bounds_from_json(entries, n):
+    if len(entries) > n:
+        raise ModelError(f"/polytope/bounds: {len(entries)} entries for {n} variables")
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
     for j, entry in enumerate(entries):
-        if "lower" in entry:
-            lower[j] = float(entry["lower"])
-        if "upper" in entry:
-            upper[j] = float(entry["upper"])
+        where = f"/polytope/bounds/{j}"
+        lower[j] = read_field(entry, "lower", where, float, -np.inf)
+        upper[j] = read_field(entry, "upper", where, float, np.inf)
     return lower, upper
 
 
@@ -397,34 +433,33 @@ def problem_to_dict(problem: CcpProblem) -> dict:
 
 
 def problem_from_dict(data: dict) -> CcpProblem:
-    try:
-        objective = np.asarray(data["objective"], dtype=float)
-    except KeyError:
-        raise ModelError("/objective: missing") from None
+    objective = read_field(data, "objective", "/", floats, None)
+    if objective is None:
+        raise ModelError("/objective: missing")
     n = objective.size
-    poly_data = data.get("polytope", {})
+    poly_data = read_field(data, "polytope", "/", dict, {})
     lower = upper = None
-    if "bounds" in poly_data:
-        lower, upper = _bounds_from_json(poly_data["bounds"], n)
-    poly = Polytope(
-        G=poly_data.get("ineq_lhs"), h=poly_data.get("ineq_rhs"),
-        A_eq=poly_data.get("eq_lhs"), b_eq=poly_data.get("eq_rhs"),
-        lower=lower, upper=upper)
+    bounds = read_field(poly_data, "bounds", "/polytope", list, None)
+    if bounds is not None:
+        lower, upper = _bounds_from_json(bounds, n)
+    poly = Polytope(*(read_field(poly_data, k, "/polytope", floats, None)
+                      for k in ("ineq_lhs", "ineq_rhs", "eq_lhs", "eq_rhs")),
+                    lower=lower, upper=upper)
     groups = []
-    for gi, gd in enumerate(data.get("groups", [])):
+    for gi, gd in enumerate(read_field(data, "groups", "/", list, [])):
         where = f"/groups/{gi}"
-        try:
-            constraints = [BiAffineConstraint(cd["A"], cd["a0"], cd["c"], cd["d"])
-                           for cd in gd["constraints"]]
-            group = JccGroup(
-                constraints=constraints,
-                samples=SampleSet(np.asarray(gd["samples"], dtype=float)),
-                epsilon=gd["epsilon"],
-                rho=gd.get("rho", 0.0),
-                norm=gd.get("norm", "l1"),
-                label=gd.get("label", f"group{gi}"))
-        except KeyError as exc:
-            raise ModelError(f"{where}: missing field {exc.args[0]!r}") from None
-        groups.append(group)
+        constraints = []
+        for ci, cd in enumerate(read_field(gd, "constraints", where, list)):
+            at = f"{where}/constraints/{ci}"
+            constraints.append(BiAffineConstraint(
+                *(read_field(cd, k, at, floats) for k in ("A", "a0", "c")),
+                read_field(cd, "d", at, float)))
+        groups.append(JccGroup(
+            constraints=constraints,
+            samples=SampleSet(read_field(gd, "samples", where, floats)),
+            epsilon=read_field(gd, "epsilon", where, float),
+            rho=read_field(gd, "rho", where, float, 0.0),
+            norm=read_field(gd, "norm", where, str, "l1"),
+            label=read_field(gd, "label", where, str, f"group{gi}")))
     return CcpProblem(objective=objective, polytope=poly, groups=groups,
-                      var_names=data.get("var_names"))
+                      var_names=read_field(data, "var_names", "/", list, None))

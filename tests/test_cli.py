@@ -126,6 +126,37 @@ def test_dispatch_report_does_not_depend_on_the_case_path(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d.update(options=None), "/options"),
+    (lambda d: d["generators"][0].update(p_max="ten"), "/generators/0/p_max"),
+    (lambda d: d.update(network={"buses": 3}), "/network/buses"),
+], ids=["options", "p_max", "buses"])
+def test_dispatch_wrong_typed_field_is_an_input_error(tmp_path, capsys, edit, path):
+    data = json.loads(Path(OVERLAP).read_text())
+    edit(data)
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, "dispatch", str(case), "--method", "also-x",
+                         "--out", str(tmp_path / "d"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d["groups"][0].update(epsilon="x"), "/groups/0/epsilon"),
+    (lambda d: d.update(polytope=None), "/polytope"),
+    (lambda d: d["polytope"].update(bounds=[{}, {}]), "/polytope/bounds"),
+], ids=["epsilon", "polytope", "bounds"])
+def test_solve_wrong_typed_field_is_an_input_error(tmp_path, capsys, edit, path):
+    data = problem_to_dict(interval_toy(0.4))
+    edit(data)
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", str(problem_file))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ")
+
 def test_dispatch_trajectories_center_on_family_mean(tmp_path, capsys):
     out_dir = tmp_path / "d"
     run(capsys, "dispatch", OVERLAP, "--method", "also-x",
@@ -229,13 +260,3 @@ def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dispatch", OVERLAP, "--bogus"])
     assert exc.value.code == 1
-
-
-def test_log_level_env_does_not_change_stdout(monkeypatch, capsys):
-    code, quiet, _ = run(capsys, "example1", "--eps", "0.8",
-                         "--method", "oracle")
-    monkeypatch.setenv("JCCOPT_LOG_LEVEL", "DEBUG")
-    code2, noisy, _ = run(capsys, "example1", "--eps", "0.8",
-                          "--method", "oracle")
-    assert code == code2 == 0
-    assert quiet == noisy

@@ -89,7 +89,7 @@ def test_iteration_cap_raises_numeric_error(monkeypatch):
     p = LpProblem(rng.normal(size=6), G=rng.normal(size=(8, 6)),
                   h=np.full(8, 5.0), lower=np.zeros(6))
     with pytest.raises(NumericError):
-        SimplexBackend().solve(p)
+        solve_lp(p)
 
 
 def test_determinism_bit_identical():
@@ -273,6 +273,57 @@ def test_block_pivot_equals_dense_update(case):
         assert np.array_equal(tab.T, want)  # == treats -0.0 and 0.0 as equal
 
 
+
+def _crash_by_rows(tab):
+    """The crash basis built row by row: the reference for the vectorised
+    ``_Tableau._crash``.  Returns (basis, A, T, xb)."""
+    cols, m = tab.first_art, tab.m
+    A0 = tab.A[:, :cols]
+    resid = tab.b - A0 @ tab.nb_val[:cols]
+    basis = np.full(m, -1)
+    art_rows = []
+    for i in range(m):
+        if i < tab.n_ineq and resid[i] >= 0.0:
+            basis[i] = tab.n_struct + i
+        else:
+            art_rows.append(i)
+    art = np.zeros((m, len(art_rows)))
+    for k, i in enumerate(art_rows):
+        art[i, k] = 1.0 if resid[i] >= 0.0 else -1.0
+        basis[i] = cols + k
+    A = np.hstack([A0, art])
+    T = A.copy()
+    for k, i in enumerate(art_rows):
+        if A[i, cols + k] < 0:
+            T[i] *= -1.0
+    xb = np.abs(resid)
+    for i in range(m):
+        if basis[i] < cols:
+            xb[i] = resid[i]
+    return basis, A, T, xb
+
+
+def test_crash_equals_the_row_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        p = _random_problem(rng)
+        # Residuals of exactly +0.0 and -0.0: every column starts at 0 and
+        # some rhs entries are signed zeros.
+        if rng.random() < 0.5:
+            p.lower[:] = 0.0
+        for rhs in (p.h, p.b_eq):
+            if rhs is not None:
+                pick = rng.random(rhs.size) < 0.4
+                rhs[pick] = rng.choice([0.0, -0.0], size=int(pick.sum()))
+        if p.G is not None:
+            p.G[rng.random(p.G.shape) < 0.3] = -0.0
+        tab = _Tableau(p)
+        basis, A, T, xb = _crash_by_rows(tab)
+        assert np.array_equal(tab.basis, basis)
+        assert tab.A.tobytes() == A.tobytes()
+        assert tab.T.tobytes() == T.tobytes()  # signs of zeros included
+        assert tab.xb.tobytes() == xb.tobytes()
+
 # The CVaR LP of the bundled three-bus case: the pivot count and objective of
 # the dense-update simplex.  The block update must reproduce both.
 @pytest.mark.parametrize("rho, iterations, objective", [
@@ -332,6 +383,26 @@ def _agree(sol, status, objective):
         assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
 
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 2.0), (-1.0, np.inf), (-np.inf, 2.0),
+                                    (-np.inf, np.inf)],
+                         ids=["boxed", "lower_only", "upper_only", "free"])
+def test_rowless_lp_matches_highs(lo, hi):
+    """Without rows the ratio test sees only the column's own span: a
+    bound flip, or unbounded.  One-shot solves and a session's warm
+    re-solves (also after an unbounded one) agree with HiGHS."""
+    p = LpProblem([0.0, -0.5], lower=[lo, 0.0], upper=[hi, 3.0])
+    sess = SimplexBackend().start_session(p)
+    for cj in (1.5, -1.5, 0.0):
+        c = np.array([cj, -0.5])
+        status, objective = _highs(p, c)
+        for sol in (solve_lp(LpProblem(c, lower=p.lower, upper=p.upper)),
+                    sess.solve(c)):
+            _agree(sol, status, objective)
+            if status == OPTIMAL:
+                assert np.all(p.lower <= sol.x) and np.all(sol.x <= p.upper)
+                assert sol.objective == float(c @ sol.x)
+
 @pytest.mark.parametrize("seed", range(8))
 def test_level_restart_matches_cold_and_highs(monkeypatch, seed):
     rng = np.random.default_rng(seed)
@@ -344,15 +415,16 @@ def test_level_restart_matches_cold_and_highs(monkeypatch, seed):
     floor = _scipy_solve(rest).fun
     c2 = rng.normal(size=base.n_vars)
     backend = SimplexBackend()
-    cold_starts = []
-    real = backend._solve_tableau
-    monkeypatch.setattr(backend, "_solve_tableau",
-                        lambda q: cold_starts.append(q) or real(q))
     sess = backend.start_session(base)
+    cold_starts = []
+    real = lp._Tableau
+    monkeypatch.setattr(lp, "_Tableau", lambda q: cold_starts.append(q) or real(q))
     first = sess.solve()
     assert first.status == OPTIMAL
-    assert sess._tab.has_artificials_in_basis()  # a basic artificial at 0
+    tab = sess._tab
+    assert np.any(tab.basis >= tab.first_art)  # a basic artificial at 0
     levels = [floor + 1.0, floor + 0.2, floor - 0.5, floor + 0.1, floor + 3.0]
+    references = 0  # cold one-shot solves, one tableau each
     for f in levels:
         h = base.h.copy()
         h[0] = f
@@ -365,6 +437,7 @@ def test_level_restart_matches_cold_and_highs(monkeypatch, seed):
             warm = sess.solve(c)
             cold = solve_lp(LpProblem(p.c if c is None else c, p.G, p.h,
                                       p.A_eq, p.b_eq, p.lower, p.upper))
+            references += 1
             status, objective = _highs(p, c)
             assert status == (INFEASIBLE if f < floor else OPTIMAL)
             _agree(warm, status, objective)
@@ -373,7 +446,7 @@ def test_level_restart_matches_cold_and_highs(monkeypatch, seed):
                 assert max(residuals(p, warm.x).values()) <= 1e-9
     # Only the first level started cold; the dual simplex found the
     # infeasible level and came back from it.
-    assert len(cold_starts) == 1
+    assert len(cold_starts) == 1 + references and cold_starts[0] is base
 
 
 def test_restart_needs_the_same_system():
@@ -416,16 +489,17 @@ def test_failed_dual_restart_solves_the_level_cold_once(monkeypatch):
 
     monkeypatch.setattr(tab, "dual", fail)
     cold_calls = []
-    real = backend._solve_tableau
+    real = lp._Tableau
 
     def counted(problem):
         cold_calls.append(problem)
         return real(problem)
 
-    monkeypatch.setattr(backend, "_solve_tableau", counted)
+    monkeypatch.setattr(lp, "_Tableau", counted)
     sol = sess.solve()
-    cold = solve_lp(p)
     assert len(cold_calls) == 1
+    monkeypatch.setattr(lp, "_Tableau", real)
+    cold = solve_lp(p)
     assert sol.status == cold.status == OPTIMAL
     assert sol.objective == cold.objective
     assert np.array_equal(sol.x, cold.x)
