@@ -6,11 +6,11 @@ alternating level-bisection scheme plus baseline approximations, and
 ships a reserve-dispatch front end and CLI on top.
 """
 
-from .algorithms import (METHODS, BisectionConfig, GroupStats, InnerResult,
-                         OuterRecord, SolveReport, SStepAssembler, gamma_value,
-                         init_bounds, inner_alternation,
-                         out_of_sample_reliability, shortfalls, solve,
-                         solve_also_x_multi, solve_also_x_single, solve_cvar,
+from .algorithms import (METHODS, BisectionConfig, InnerResult, OuterRecord,
+                         SolveReport, SStepAssembler, gamma_value, init_bounds,
+                         inner_alternation, out_of_sample_reliability,
+                         shortfalls, solve, solve_also_x_multi,
+                         solve_also_x_single, solve_cvar,
                          solve_intuitive_extension, solve_oracle, z_step)
 from .dispatch import (Adn, Bus, DispatchCase, DispatchModel, Generator, Line,
                        Network, Segment, WindFarm, WindScenarioSet,
@@ -34,7 +34,7 @@ __all__ = [
     "TOL_ZERO", "SampleSet", "BiAffineConstraint", "Polytope", "JccGroup",
     "CcpProblem", "ViolationReport", "evaluate_group",
     "problem_to_dict", "problem_from_dict",
-    "BisectionConfig", "SolveReport", "GroupStats", "OuterRecord",
+    "BisectionConfig", "SolveReport", "OuterRecord",
     "InnerResult", "SStepAssembler", "z_step", "shortfalls", "gamma_value",
     "inner_alternation", "init_bounds", "out_of_sample_reliability",
     "METHODS", "solve", "solve_also_x_multi", "solve_also_x_single",

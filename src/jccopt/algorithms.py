@@ -33,7 +33,8 @@ import numpy as np
 from . import lp
 from .errors import CapacityError, ModelError, NumericError
 from .lp import OPTIMAL, UNBOUNDED, LpProblem
-from .model import TOL_ZERO, CcpProblem, JccGroup, SampleSet, evaluate_group
+from .model import (TOL_ZERO, CcpProblem, JccGroup, SampleSet, ViolationReport,
+                    evaluate_group)
 
 FEASIBLE = "feasible"
 INFEASIBLE_STATUS = "infeasible"
@@ -77,19 +78,6 @@ class BisectionConfig:
 
 
 @dataclass
-class GroupStats:
-    label: str
-    epsilon: float
-    rho: float
-    violation_rate: float
-    satisfied: bool
-
-    def to_dict(self):
-        return {"label": self.label, "epsilon": self.epsilon, "rho": self.rho,
-                "violation_rate": self.violation_rate, "satisfied": self.satisfied}
-
-
-@dataclass
 class OuterRecord:
     """One bisection level: tested f, final alternation state, and the
     candidate point's per-group violation rates."""
@@ -115,7 +103,7 @@ class SolveReport:
     status: str
     x: np.ndarray | None
     objective: float | None
-    per_group: list[GroupStats]
+    per_group: list[ViolationReport]
     trace: list[OuterRecord] = field(default_factory=list)
     f_lower: float | None = None
     f_upper: float | None = None
@@ -369,10 +357,6 @@ class InnerResult:
     reason: str  # 'gamma' | 'delta' | 'max_inner' | 'lp-infeasible'
     gammas: list[float] = field(default_factory=list)
 
-    @property
-    def lp_feasible(self) -> bool:
-        return self.reason != "lp-infeasible"
-
 
 def inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
     """Alternate shortfall and activation steps at a fixed level f on the
@@ -471,31 +455,30 @@ def init_bounds(problem: CcpProblem) -> tuple[float, float]:
     return f_lo, f_lo + max(1.0, abs(f_lo))
 
 
-# -- report helpers ----------------------------------------------------------
+# -- reports -----------------------------------------------------------------
 
-def _group_stats(problem: CcpProblem, x: np.ndarray) -> list[GroupStats]:
-    out = []
-    for g in problem.groups:
-        rep = evaluate_group(g, x)
-        out.append(GroupStats(g.label, g.epsilon, g.rho,
-                              rep.violation_rate, rep.satisfied))
-    return out
-
-
-def _violation_rates(problem: CcpProblem, x: np.ndarray) -> list[float]:
-    return [evaluate_group(g, x).violation_rate for g in problem.groups]
+def _report(problem: CcpProblem, method: str, x: np.ndarray | None,
+            **extra) -> SolveReport:
+    """The report of a solve that ended at point x, or Infeasible when x is
+    None; ``extra`` sets the bisection fields (trace and level bracket)."""
+    if x is None:
+        return SolveReport(method, INFEASIBLE_STATUS, None, None, [], **extra)
+    return SolveReport(method, FEASIBLE, x, float(problem.objective @ x),
+                       [evaluate_group(g, x) for g in problem.groups], **extra)
 
 
-def _objective(problem: CcpProblem, x: np.ndarray) -> float:
-    return float(problem.objective @ x)
-
-
-def _level_record(problem, f, x, gamma, delta, inner_iterations, accepted):
+def _level_record(problem, f, x, s, gamma, delta, inner_iterations, accepted):
+    """The level's record from its point x and shortfalls s (None when the
+    level LP was infeasible).  A scenario counts as violated when its
+    shortfall exceeds TOL_ZERO, the count that evaluate_group makes on the
+    same values, since s = max(worst, 0) and TOL_ZERO > 0."""
     return OuterRecord(
         f=f, gamma=gamma, delta=delta, inner_iterations=inner_iterations,
         accepted=accepted,
-        objective=None if x is None else _objective(problem, x),
-        violation_rates=None if x is None else _violation_rates(problem, x))
+        objective=None if x is None else float(problem.objective @ x),
+        violation_rates=None if s is None else [
+            (si.size - int(np.count_nonzero(si <= TOL_ZERO))) / si.size
+            for si in s])
 
 
 # -- main solvers ------------------------------------------------------------
@@ -539,17 +522,12 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
         best = run_level(float(cfg.f_upper))
         if best is not None:
             f_hi = float(cfg.f_upper)
-    if best is None:
-        return SolveReport(method=method, status=INFEASIBLE_STATUS, x=None,
-                           objective=None, per_group=[], trace=trace,
-                           f_lower=f_lo, f_upper=f_hi)
-    x_raw, masks = best
-    asm.session = None  # free the level tableau before the polish LP
-    x = _polish(problem, masks, x_raw)
-    return SolveReport(method=method, status=FEASIBLE, x=x,
-                       objective=_objective(problem, x),
-                       per_group=_group_stats(problem, x), trace=trace,
-                       f_lower=f_lo, f_upper=f_hi)
+    x = None
+    if best is not None:
+        asm.session = None  # free the level tableau before the polish LP
+        x_raw, masks = best
+        x = _polish(problem, masks, x_raw)
+    return _report(problem, method, x, trace=trace, f_lower=f_lo, f_upper=f_hi)
 
 
 def _alternation_level(asm: SStepAssembler, f: float):
@@ -557,8 +535,8 @@ def _alternation_level(asm: SStepAssembler, f: float):
     the polish keeps the scenarios with positive final weight."""
     inner = inner_alternation(asm, f)
     ok = inner.gamma is not None and inner.gamma <= GAMMA_TOL
-    record = _level_record(asm.problem, f, inner.x, inner.gamma, inner.delta,
-                           inner.iterations, ok)
+    record = _level_record(asm.problem, f, inner.x, inner.s, inner.gamma,
+                           inner.delta, inner.iterations, ok)
     return record, ((inner.x, [zi > 0.0 for zi in inner.z]) if ok else None)
 
 
@@ -578,7 +556,7 @@ def _full_activation_level(asm: SStepAssembler, f: float):
         gamma = gamma_value([np.ones(g.n) for g in problem.groups], s)
         ok = all(float(np.mean(si <= TOL_ZERO)) >= 1.0 - g.epsilon - 1e-12
                  for si, g in zip(s, problem.groups))
-    record = _level_record(problem, f, x, gamma, None, 1, ok)
+    record = _level_record(problem, f, x, s, gamma, None, 1, ok)
     return record, ((x, [si <= TOL_ZERO for si in s]) if ok else None)
 
 
@@ -638,13 +616,8 @@ def solve_cvar(problem: CcpProblem) -> SolveReport:
     sol = lp.solve_lp(builder.finish(obj))
     if sol.status == UNBOUNDED:
         raise NumericError("CVaR LP unbounded (pathological polytope)")
-    if sol.status != OPTIMAL:
-        return SolveReport(method=METHOD_CVAR, status=INFEASIBLE_STATUS,
-                           x=None, objective=None, per_group=[])
-    x = sol.x[:problem.n_vars]
-    return SolveReport(method=METHOD_CVAR, status=FEASIBLE, x=x,
-                       objective=_objective(problem, x),
-                       per_group=_group_stats(problem, x))
+    return _report(problem, METHOD_CVAR,
+                   sol.x[:problem.n_vars] if sol.status == OPTIMAL else None)
 
 
 def oracle_enumeration_count(problem: CcpProblem) -> int:
@@ -685,12 +658,7 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
             best_x = sol.x[:problem.n_vars]
         elif sol.status == UNBOUNDED:
             raise NumericError("oracle subproblem unbounded (pathological polytope)")
-    if best_x is None:
-        return SolveReport(method=METHOD_ORACLE, status=INFEASIBLE_STATUS,
-                           x=None, objective=None, per_group=[])
-    return SolveReport(method=METHOD_ORACLE, status=FEASIBLE, x=best_x,
-                       objective=float(best_obj),
-                       per_group=_group_stats(problem, best_x))
+    return _report(problem, METHOD_ORACLE, best_x)
 
 
 def out_of_sample_reliability(x: np.ndarray, groups: list[JccGroup],

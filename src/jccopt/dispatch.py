@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import algorithms, lp
 from .errors import ModelError
 from .model import (REQUIRED, BiAffineConstraint, CcpProblem, JccGroup,
-                    Polytope, SampleSet, floats, read_field)
+                    Polytope, SampleSet, floats, integer, read_field)
 
 VARIANTS = {"day-ahead": (24, 1.0), "intraday": (4, 0.25)}
 
@@ -697,19 +698,10 @@ def deterministic_dispatch(case: DispatchCase):
     group constraints imposed hard (no relaxation, no margin): the
     mean-value LP that ``init_bounds`` also solves for the lower level
     bound, here compiled from a case and reported like a solve."""
-    from . import algorithms
-    from . import lp as lp_mod
     model = build_ccp(case)
-    sol = lp_mod.solve_lp(algorithms.mean_value_lp(model.problem))
-    if sol.status != lp_mod.OPTIMAL:
-        return model, algorithms.SolveReport(
-            method="deterministic", status=algorithms.INFEASIBLE_STATUS,
-            x=None, objective=None, per_group=[])
-    x = sol.x[:model.problem.n_vars]
-    return model, algorithms.SolveReport(
-        method="deterministic", status=algorithms.FEASIBLE, x=x,
-        objective=float(model.problem.objective @ x),
-        per_group=algorithms._group_stats(model.problem, x))
+    sol = lp.solve_lp(algorithms.mean_value_lp(model.problem))
+    x = sol.x[:model.problem.n_vars] if sol.status == lp.OPTIMAL else None
+    return model, algorithms._report(model.problem, "deterministic", x)
 
 
 def rho_sweep(case: DispatchCase, rho_grid,
@@ -720,7 +712,6 @@ def rho_sweep(case: DispatchCase, rho_grid,
     (objective + fixed), per-group out-of-sample reliability when the case
     embeds test data (in-sample satisfaction rates otherwise).
     """
-    from . import algorithms
     rows = []
     for rho in rho_grid:
         if not 0.0 <= rho < math.inf:
@@ -769,7 +760,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     variant = read_field(options, "variant", "/options", str, None)
     if variant is not None and variant not in VARIANTS:
         raise ModelError(f"/options/variant: unknown variant {variant!r}")
-    horizon = read_field(data, "horizon", "/", int,
+    horizon = read_field(data, "horizon", "/", integer,
                          VARIANTS[variant][0] if variant else None)
     step = read_field(data, "step", "/", float,
                       VARIANTS[variant][1] if variant else None)
@@ -780,21 +771,21 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     buses = []
     for bi, bd in enumerate(read_field(net_data, "buses", "/network", list, [])):
         where = f"/network/buses/{bi}"
-        buses.append(Bus(id=read_field(bd, "id", where, int),
+        buses.append(Bus(id=read_field(bd, "id", where, integer),
                          fixed_load=read_field(bd, "fixed_load", where, floats)))
     lines = []
     for li, ld in enumerate(read_field(net_data, "lines", "/network", list, [])):
         where = f"/network/lines/{li}"
         lines.append(Line(
-            from_bus=read_field(ld, "from_bus", where, int),
-            to_bus=read_field(ld, "to_bus", where, int),
+            from_bus=read_field(ld, "from_bus", where, integer),
+            to_bus=read_field(ld, "to_bus", where, integer),
             capacity=read_field(ld, "capacity", where, float),
             reactance=read_field(ld, "reactance", where, float, None),
             epsilon=read_field(ld, "epsilon", where, float, 0.1),
             rho=read_field(ld, "rho", where, float, 0.0),
             name=read_field(ld, "name", where, str, f"line{li}")))
     network = Network(buses=buses, lines=lines,
-                      slack_bus=read_field(net_data, "slack_bus", "/network", int, 0),
+                      slack_bus=read_field(net_data, "slack_bus", "/network", integer, 0),
                       ptdf=read_field(net_data, "ptdf", "/network", floats, None))
     if lines and network.ptdf is None:
         missing = [ln.name for ln in lines if ln.reactance is None]
@@ -810,7 +801,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
                         cost=read_field(sd, "cost", f"{where}/segments/{si}", float))
                 for si, sd in enumerate(read_field(gd, "segments", where, list))]
         generators.append(Generator(
-            bus=read_field(gd, "bus", where, int),
+            bus=read_field(gd, "bus", where, integer),
             p_min=read_field(gd, "p_min", where, float),
             p_max=read_field(gd, "p_max", where, float),
             ramp_dn=read_field(gd, "ramp_dn", where, float),
@@ -828,7 +819,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     for di, dd in enumerate(read_field(data, "adns", "/", list, [])):
         where = f"/adns/{di}"
         adns.append(Adn.from_rows(
-            bus=read_field(dd, "bus", where, int),
+            bus=read_field(dd, "bus", where, integer),
             rows=_scenario_rows(dd, "boundary_samples", where, base_dir),
             horizon=horizon,
             reserve_cost_up=read_field(dd, "reserve_cost_up", where, float, 0.0),
@@ -843,7 +834,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     test_wind_rows = None
     wd = read_field(data, "wind", "/", dict, None)
     if wd is not None:
-        farms = [WindFarm(bus=read_field(fd, "bus", f"/wind/farms/{fi}", int),
+        farms = [WindFarm(bus=read_field(fd, "bus", f"/wind/farms/{fi}", integer),
                           forecast=read_field(fd, "forecast", f"/wind/farms/{fi}", floats))
                  for fi, fd in enumerate(read_field(wd, "farms", "/wind", list))]
         rows = _scenario_rows(wd, "errors", "/wind", base_dir)

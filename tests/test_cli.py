@@ -131,7 +131,9 @@ def test_dispatch_report_does_not_depend_on_the_case_path(tmp_path, capsys):
     (lambda d: d.update(options=None), "/options"),
     (lambda d: d["generators"][0].update(p_max="ten"), "/generators/0/p_max"),
     (lambda d: d.update(network={"buses": 3}), "/network/buses"),
-], ids=["options", "p_max", "buses"])
+    (lambda d: d.update(horizon=2.5), "/horizon"),
+    (lambda d: d["generators"][0].update(bus=False), "/generators/0/bus"),
+], ids=["options", "p_max", "buses", "fractional-horizon", "boolean-bus"])
 def test_dispatch_wrong_typed_field_is_an_input_error(tmp_path, capsys, edit, path):
     data = json.loads(Path(OVERLAP).read_text())
     edit(data)
@@ -248,6 +250,29 @@ def test_generate_deterministic_and_from_file(tmp_path, capsys):
     code, _, _ = run(capsys, "generate", str(copy_file))
     assert code == 0
     assert (tmp_path / "copy.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"n": "ten", "columns": 2, "distribution": {"kind": "uniform"}}, "/n"),
+    ({"n": 2.7, "columns": 2, "distribution": {"kind": "uniform"}}, "/n"),
+    ({"n": 4, "columns": True, "distribution": {"kind": "uniform"}}, "/columns"),
+    ({"n": 4, "columns": 2, "seed": -1, "distribution": {"kind": "uniform"}},
+     "/seed"),
+    ({"n": 4, "columns": 2, "distribution": {"kind": "uniform", "low": "a"}},
+     "/distribution/low"),
+    ({"n": 4, "columns": 2, "distribution": {"low": 0.0}}, "/distribution"),
+    ({"n": 4, "columns": 2, "output": None, "distribution": {"kind": "uniform"}},
+     "/output"),
+    ([{"n": 4}], "/"),
+], ids=["n-string", "n-fraction", "columns-boolean", "seed-negative",
+        "low-string", "no-kind", "output-null", "array"])
+def test_generate_bad_spec_is_an_input_error(tmp_path, capsys, spec, path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "generate", str(spec_file))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "scenarios.csv").exists()
 
 
 def test_missing_input_file_is_usage_error(capsys):
