@@ -23,7 +23,8 @@ import numpy as np
 from . import algorithms, lp
 from .errors import ModelError
 from .model import (REQUIRED, BiAffineConstraint, CcpProblem, JccGroup,
-                    Polytope, SampleSet, floats, integer, read_field)
+                    Polytope, SampleSet, floats, integer, read_field,
+                    text)
 
 VARIANTS = {"day-ahead": (24, 1.0), "intraday": (4, 0.25)}
 
@@ -747,7 +748,7 @@ def _scenario_rows(data: dict, key: str, where: str, base_dir: Path | None,
     """Scenario payload of a field: inline rows or {"csv": path}."""
     def rows(value):
         if isinstance(value, dict):
-            path = Path(read_field(value, "csv", f"{where}/{key}", str))
+            path = Path(read_field(value, "csv", f"{where}/{key}", text))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             return SampleSet.from_csv(path).data
@@ -757,7 +758,7 @@ def _scenario_rows(data: dict, key: str, where: str, base_dir: Path | None,
 
 def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     options = read_field(data, "options", "/", dict, {})
-    variant = read_field(options, "variant", "/options", str, None)
+    variant = read_field(options, "variant", "/options", text, None)
     if variant is not None and variant not in VARIANTS:
         raise ModelError(f"/options/variant: unknown variant {variant!r}")
     horizon = read_field(data, "horizon", "/", integer,
@@ -783,7 +784,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
             reactance=read_field(ld, "reactance", where, float, None),
             epsilon=read_field(ld, "epsilon", where, float, 0.1),
             rho=read_field(ld, "rho", where, float, 0.0),
-            name=read_field(ld, "name", where, str, f"line{li}")))
+            name=read_field(ld, "name", where, text, f"line{li}")))
     network = Network(buses=buses, lines=lines,
                       slack_bus=read_field(net_data, "slack_bus", "/network", integer, 0),
                       ptdf=read_field(net_data, "ptdf", "/network", floats, None))
@@ -812,7 +813,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
             reserve_cost_dn=read_field(gd, "reserve_cost_dn", where, float, 0.0),
             epsilon=read_field(gd, "epsilon", where, float, 0.05),
             rho=read_field(gd, "rho", where, float, 0.0),
-            name=read_field(gd, "name", where, str, f"g{gi}")))
+            name=read_field(gd, "name", where, text, f"g{gi}")))
 
     adns = []
     test_boundary_rows = []
@@ -825,7 +826,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
             reserve_cost_up=read_field(dd, "reserve_cost_up", where, float, 0.0),
             epsilon=read_field(dd, "epsilon", where, float, 0.05),
             rho=read_field(dd, "rho", where, float, 0.0),
-            name=read_field(dd, "name", where, str, f"d{di}")))
+            name=read_field(dd, "name", where, text, f"d{di}")))
         test_rows = _scenario_rows(dd, "test_boundary_samples", where, base_dir, None)
         if test_rows is not None:
             test_boundary_rows.append(test_rows)

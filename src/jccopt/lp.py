@@ -1,7 +1,10 @@
-"""Dense linear programming core.
+"""Linear programming core: a bounded-variable simplex on a dense tableau.
 
 Solves   min c'x  s.t.  G x <= h,  A_eq x = b_eq,  lower <= x <= upper
-with a bounded-variable two-phase primal simplex on a dense tableau.
+with a bounded-variable two-phase primal simplex.  The tableau stores the
+structural and slack columns only; the artificials of phase 1 are unit
+columns known by their row and sign, and the basic values are recomputed
+from the structural block of the basis alone (``_Tableau.refresh_basics``).
 Bounds are handled natively (nonbasic variables rest at either bound),
 so boxes never inflate the row count.  Pricing is largest-reduced-cost
 with a deterministic lowest-index tie-break; after a degenerate stall
@@ -149,9 +152,16 @@ def residuals(problem: LpProblem, x: np.ndarray) -> dict:
 class _Tableau:
     """Bounded-variable simplex state over the standard-form system A y = b.
 
-    Columns: structural vars, then one slack per inequality row, then
-    artificials.  ``vstat`` tracks where each nonbasic column rests;
-    basic values live in ``xb`` (positionally parallel to ``basis``).
+    Columns: structural vars, then one slack per inequality row, then the
+    artificials the crash basis needs.  Every column j >= n_struct is the
+    unit column ``unit_sign[j - n_struct] * e_{unit_rows[j - n_struct]}``.
+    ``A`` and ``T`` store only the ``first_art`` columns before the
+    artificials: an artificial is read only while basic, as its unit
+    column, and once it leaves the basis it is fixed at zero, so it is
+    never priced and never enters a ratio test.  ``lo``, ``hi``, ``vstat``
+    and ``nb_val`` cover every column, artificials included; ``vstat``
+    tracks where each nonbasic column rests, and basic values live in
+    ``xb`` (positionally parallel to ``basis``).
     """
 
     def __init__(self, problem: LpProblem):
@@ -211,21 +221,18 @@ class _Tableau:
         basis[rows] = n + rows
         vstat[n + rows] = _BASIC
         basis[art_rows] = cols + np.arange(n_art)
-        # Each artificial column is +-e_i, signed so that it starts at
-        # |resid_i|; slack rows have resid >= 0, so they keep sign +1.
+        # Each artificial is +-e_i, signed so that it starts at |resid_i|;
+        # slack rows have resid >= 0, so they keep sign +1.
         sign = np.where(resid < 0.0, -1.0, 1.0)
-        if n_art:
-            art = np.zeros((m, n_art))
-            art[art_rows, np.arange(n_art)] = sign[art_rows]
-            self.A = np.hstack([self.A, art])
-            self.lo = np.concatenate([self.lo, np.zeros(n_art)])
-            self.hi = np.concatenate([self.hi, np.full(n_art, np.inf)])
-            vstat = np.concatenate([vstat, np.full(n_art, _BASIC, dtype=np.int8)])
-            val = np.concatenate([val, np.zeros(n_art)])
+        self.unit_rows = np.concatenate([np.arange(self.n_ineq), art_rows])
+        self.unit_sign = np.concatenate([np.ones(self.n_ineq), sign[art_rows]])
+        self.lo = np.concatenate([self.lo, np.zeros(n_art)])
+        self.hi = np.concatenate([self.hi, np.full(n_art, np.inf)])
         self.first_art = cols
-        self.vstat = vstat
+        self.vstat = np.concatenate([vstat, np.full(n_art, _BASIC, dtype=np.int8)])
         self.basis = basis
-        self.nb_val = val  # meaningful only where nonbasic
+        # nb_val is meaningful only where nonbasic.
+        self.nb_val = np.concatenate([val, np.zeros(n_art)])
         # T = B^-1 A: the crash basis is +-unit columns, so T is A with the
         # rows of the -1 artificials negated.  One product builds it, with
         # no copy of A besides T itself.
@@ -234,13 +241,14 @@ class _Tableau:
 
     def _extend(self, c):
         """A structural cost vector, zero over slacks and artificials."""
-        return np.concatenate([c, np.zeros(self.A.shape[1] - c.size)])
+        return np.concatenate([c, np.zeros(self.lo.size - c.size)])
 
     def reduced_costs(self, c):
-        return c - c[self.basis] @ self.T
+        """Reduced costs of the stored columns under a full-length c."""
+        return c[:self.first_art] - c[self.basis] @ self.T
 
     def _entering(self, d):
-        st = self.vstat
+        st = self.vstat[:self.first_art]
         score = d * _PRICE_SIGN[st]
         if self.free_cols.size:
             fr = self.free_cols[st[self.free_cols] == _NB_FREE]
@@ -365,7 +373,7 @@ class _Tableau:
         if self.iterations > self.max_iter:
             raise NumericError(
                 f"simplex iteration cap {self.max_iter} exceeded "
-                f"({self.m} rows, {self.A.shape[1]} cols)")
+                f"({self.m} rows, {self.lo.size} cols)")
 
     def run(self, c):
         """Pivot until optimal/unbounded under cost vector c."""
@@ -395,7 +403,7 @@ class _Tableau:
         if np.any(self.lo > self.hi):
             return INFEASIBLE
         if np.any(self.basis >= self.first_art):
-            c1 = np.zeros(self.A.shape[1])
+            c1 = np.zeros(self.lo.size)
             c1[self.first_art:] = 1.0
             outcome = self.run(c1)
             p1 = float(np.sum(np.abs(self.xb[self.basis >= self.first_art])))
@@ -457,7 +465,7 @@ class _Tableau:
         # a column at its lower bound can only rise, one at its upper bound
         # only fall, a free one either way.
         alpha = self.T[r]
-        st = self.vstat
+        st = self.vstat[:self.first_art]
         toward = -alpha if rise else alpha  # > 0: raising x_j helps
         cols = (((st == _NB_LO) & (toward > PIVOT_TOL))
                 | ((st == _NB_UP) & (toward < -PIVOT_TOL))
@@ -506,17 +514,33 @@ class _Tableau:
     def refresh_basics(self):
         """Recompute basic values exactly from the original system, clearing
         any drift the rank-one tableau updates accumulated.  Nothing to do
-        when nothing moved since the last refresh."""
+        when nothing moved since the last refresh.
+
+        Every basic slack or artificial is a unit column +-e_u, so only the
+        structural block needs a factor: the rows W that no basic unit
+        column covers give the square system A[W, S] x_S = r[W] for the
+        basic structural columns S, and each unit row u then reads off
+        x_u = sign_u (r_u - A[u, S] x_S)."""
         if self._fresh:
             return
-        B = self.A[:, self.basis]
-        v = self.nb_val.copy()
-        v[self.basis] = 0.0
+        n, basis = self.n_struct, self.basis
+        v = self.nb_val[:self.first_art].copy()
+        v[basis[basis < self.first_art]] = 0.0
         rhs = self.b - self.A @ v
+        s = basis < n
+        k = basis[~s] - n
+        u, sign = self.unit_rows[k], self.unit_sign[k]
+        w = np.ones(self.m, dtype=bool)
+        w[u] = False
+        A_s = self.A[:, basis[s]]
         try:
-            self.xb = np.linalg.solve(B, rhs)
+            # A[W, S] is not even square when two unit columns cover a row.
+            x_s = np.linalg.solve(A_s[w], rhs[w])
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"basis matrix became singular: {exc}") from None
+        self.xb = np.empty(self.m)
+        self.xb[s] = x_s
+        self.xb[~s] = sign * (rhs[u] - (A_s @ x_s)[u])
         self._fresh = True
 
 

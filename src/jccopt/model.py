@@ -484,7 +484,7 @@ def problem_from_dict(data: dict) -> CcpProblem:
             samples=SampleSet(read_field(gd, "samples", where, floats)),
             epsilon=read_field(gd, "epsilon", where, float),
             rho=read_field(gd, "rho", where, float, 0.0),
-            norm=read_field(gd, "norm", where, str, "l1"),
-            label=read_field(gd, "label", where, str, f"group{gi}")))
+            norm=read_field(gd, "norm", where, text, "l1"),
+            label=read_field(gd, "label", where, text, f"group{gi}")))
     return CcpProblem(objective=objective, polytope=poly, groups=groups,
                       var_names=read_field(data, "var_names", "/", list, None))

@@ -12,6 +12,7 @@ from jccopt.model import SampleSet, problem_to_dict
 from jccopt.toys import INTERVAL_SCENARIOS, interval_toy
 
 OVERLAP = str(bundled_case_path("overlap"))
+THREE_BUS = str(bundled_case_path("three_bus"))
 
 
 def run(capsys, *argv):
@@ -158,6 +159,49 @@ def test_solve_wrong_typed_field_is_an_input_error(tmp_path, capsys, edit, path)
     code, out, err = run(capsys, "solve", str(problem_file))
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}: ")
+
+# String fields given null or a number.  A null variant reads as absent,
+# like every null field whose default is None.
+@pytest.mark.parametrize("path, edit", [
+    ("/network/lines/0/name", lambda d, v: d["network"]["lines"][0].update(name=v)),
+    ("/generators/0/name", lambda d, v: d["generators"][0].update(name=v)),
+    ("/adns/0/name", lambda d, v: d["adns"][0].update(name=v)),
+    ("/adns/0/boundary_samples/csv",
+     lambda d, v: d["adns"][0].update(boundary_samples={"csv": v})),
+], ids=["line-name", "generator-name", "adn-name", "csv"])
+@pytest.mark.parametrize("value", [None, 7], ids=["null", "number"])
+def test_dispatch_non_string_field_is_an_input_error(tmp_path, capsys, path,
+                                                     edit, value):
+    _dispatch_rejects_non_string(tmp_path, capsys, path, lambda d: edit(d, value))
+
+
+def test_dispatch_non_string_variant_is_an_input_error(tmp_path, capsys):
+    _dispatch_rejects_non_string(tmp_path, capsys, "/options/variant",
+                                 lambda d: d.update(options={"variant": 7}))
+
+
+def _dispatch_rejects_non_string(tmp_path, capsys, path, edit):
+    data = json.loads(Path(THREE_BUS).read_text())
+    edit(data)
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, "dispatch", str(case), "--method", "also-x",
+                         "--out", str(tmp_path / "d"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: expected a string, got ")
+
+
+@pytest.mark.parametrize("key", ["norm", "label"])
+@pytest.mark.parametrize("value", [None, 7], ids=["null", "number"])
+def test_solve_non_string_field_is_an_input_error(tmp_path, capsys, key, value):
+    data = problem_to_dict(interval_toy(0.4))
+    data["groups"][0][key] = value
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", str(problem_file))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: /groups/0/{key}: expected a string, got ")
+
 
 def test_dispatch_trajectories_center_on_family_mean(tmp_path, capsys):
     out_dir = tmp_path / "d"

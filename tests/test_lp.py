@@ -275,11 +275,11 @@ def test_block_pivot_equals_dense_update(case):
 
 
 def _crash_by_rows(tab):
-    """The crash basis built row by row: the reference for the vectorised
-    ``_Tableau._crash``.  Returns (basis, A, T, xb)."""
+    """The crash basis built row by row, with its artificial columns stored:
+    the reference for the vectorised ``_Tableau._crash``.  Returns
+    (basis, A, T, xb) with A and T over every column, artificials included."""
     cols, m = tab.first_art, tab.m
-    A0 = tab.A[:, :cols]
-    resid = tab.b - A0 @ tab.nb_val[:cols]
+    resid = tab.b - tab.A @ tab.nb_val[:cols]
     basis = np.full(m, -1)
     art_rows = []
     for i in range(m):
@@ -291,7 +291,7 @@ def _crash_by_rows(tab):
     for k, i in enumerate(art_rows):
         art[i, k] = 1.0 if resid[i] >= 0.0 else -1.0
         basis[i] = cols + k
-    A = np.hstack([A0, art])
+    A = np.hstack([tab.A, art])
     T = A.copy()
     for k, i in enumerate(art_rows):
         if A[i, cols + k] < 0:
@@ -319,9 +319,19 @@ def test_crash_equals_the_row_loop():
             p.G[rng.random(p.G.shape) < 0.3] = -0.0
         tab = _Tableau(p)
         basis, A, T, xb = _crash_by_rows(tab)
+        cols = tab.first_art
         assert np.array_equal(tab.basis, basis)
-        assert tab.A.tobytes() == A.tobytes()
-        assert tab.T.tobytes() == T.tobytes()  # signs of zeros included
+        # The tableau stores only the columns before the artificials ...
+        assert tab.A.shape[1] == tab.T.shape[1] == cols
+        assert tab.A.tobytes() == A[:, :cols].tobytes()
+        assert tab.T.tobytes() == T[:, :cols].tobytes()  # signs of zeros included
+        # ... and knows each slack and artificial column by its row and sign.
+        mi = tab.n_ineq
+        k, rows = np.nonzero(A[:, cols:].T)  # one entry per artificial
+        assert np.array_equal(k, np.arange(tab.unit_rows.size - mi))
+        assert np.array_equal(tab.unit_rows, np.concatenate([np.arange(mi), rows]))
+        assert tab.unit_sign.tobytes() == np.concatenate(
+            [np.ones(mi), A[rows, cols + k]]).tobytes()
         assert tab.xb.tobytes() == xb.tobytes()
 
 # The CVaR LP of the bundled three-bus case: the pivot count and objective of
@@ -343,7 +353,8 @@ def test_three_bus_cvar_lp_is_pinned(monkeypatch, rho, iterations, objective):
     [(problem, sol)] = seen
     assert sol.status == OPTIMAL
     assert sol.iterations == iterations
-    # The last bits come from the LAPACK solve in refresh_basics.
+    # The last bits come from the LAPACK solve of the structural block in
+    # refresh_basics.
     assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
     ref = _scipy_solve(problem)
     assert ref.status == 0
@@ -542,6 +553,85 @@ def test_skipped_refresh_equals_the_dense_solve(monkeypatch):
     tab.set_rhs(h)
     tab.refresh_basics()
     assert solves == [1, 1]
+
+
+def _dense_refresh(tab):
+    """The basic values by a dense solve of the full m x m basis, with the
+    artificial columns written out: the reference for the structural-block
+    ``refresh_basics``."""
+    rows, sign = tab.unit_rows[tab.n_ineq:], tab.unit_sign[tab.n_ineq:]
+    art = np.zeros((tab.m, rows.size))
+    art[rows, np.arange(rows.size)] = sign
+    A = np.hstack([tab.A, art])
+    v = tab.nb_val.copy()
+    v[tab.basis] = 0.0
+    return np.linalg.solve(A[:, tab.basis], tab.b - A @ v)
+
+
+def _check_refresh(tab):
+    want = _dense_refresh(tab)
+    tab._fresh = False
+    tab.refresh_basics()
+    scale = max(1.0, np.abs(want).max(initial=0.0))
+    assert np.all(np.abs(tab.xb - want) <= 1e-9 * scale)
+    return np.abs(tab.xb[tab.basis >= tab.first_art]).max(initial=-1.0)
+
+
+def test_refresh_equals_the_dense_solve_of_the_full_basis(monkeypatch):
+    """After every basis change of cold solves, warm re-solves and level
+    restarts, and at every optimum, the structural-block refresh gives the
+    basic values of the full basis, artificials included."""
+    art_values = []  # the largest basic artificial value at each check
+    real = _Tableau._swap
+
+    def swap(tab, *args):
+        real(tab, *args)
+        art_values.append(_check_refresh(tab))
+
+    rng = np.random.default_rng(5)
+    backend = SimplexBackend()
+    problems = ([_random_problem(rng) for _ in range(30)]
+                + [_restart_problem(rng) for _ in range(10)])
+    monkeypatch.setattr(_Tableau, "_swap", swap)
+    for p in problems:
+        tab = _Tableau(p)
+        assert tab.A.shape[1] == tab.T.shape[1] == p.n_vars + p.n_ineq
+        art_values.append(_check_refresh(tab))  # the crash basis
+        sess = backend.start_session(p)
+        if sess.solve().status != OPTIMAL:
+            continue
+        for shift in (0.5, -0.25) if p.n_ineq else ():
+            h = p.h.copy()
+            h[0] += shift
+            q = LpProblem(p.c, p.G, h, p.A_eq, p.b_eq, p.lower, p.upper)
+            sess = backend.start_session(q, warm=sess)
+            sess.solve(rng.normal(size=p.n_vars))
+        if sess._tab is not None:
+            art_values.append(_check_refresh(sess._tab))
+    art_values = np.array(art_values)
+    assert np.any(art_values > 1e-3)  # basic artificials away from 0 ...
+    assert np.any((art_values >= 0.0) & (art_values <= 1e-9))  # ... and at 0
+
+
+def test_refresh_of_a_singular_basis_raises():
+    # Columns 0 and 1 are equal, so a basis holding both is singular.
+    p = LpProblem(np.ones(2), G=[[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]],
+                  h=[1.0, 2.0, 3.0], lower=[0.0, 0.0])
+    tab = _Tableau(p)
+    tab.basis[:] = [0, 1, 4]
+    tab._fresh = False
+    with pytest.raises(NumericError, match="singular"):
+        tab.refresh_basics()
+    # Row 0 needs an artificial; with row 0's slack also basic, two unit
+    # columns cover row 0 and none covers row 1.
+    p = LpProblem(np.ones(2), G=[[1.0, 1.0], [1.0, -1.0]], h=[-1.0, 2.0],
+                  lower=[0.0, 0.0])
+    tab = _Tableau(p)
+    assert tab.basis.tolist() == [tab.first_art, 3]
+    tab.basis[1] = 2
+    tab._fresh = False
+    with pytest.raises(NumericError, match="singular"):
+        tab.refresh_basics()
 
 
 def _perfbench_inputs():
