@@ -131,29 +131,31 @@ class _ScenarioLpBuilder:
     """Shared row assembly for all scenario-based LPs over a CcpProblem.
 
     Column layout: decision x first, then caller-added blocks (shortfalls,
-    CVaR tails, margin bounds, ...) in the order they are added.  Rows are
-    collected densely and stacked once.
+    CVaR tails, margin bounds, ...) in the order they are added.  Rows
+    (counted by ``n_rows``): the polytope's, then the appended dense blocks.
     """
 
     def __init__(self, problem: CcpProblem):
         self.problem = problem
         self.n = problem.n_vars
         self.cols = self.n
+        self.n_rows = 0
         self.rows: list[np.ndarray] = []
         self.rhs: list[np.ndarray] = []
         self.lo_extra: list[np.ndarray] = []
-        self.hi_extra: list[np.ndarray] = []
+        if problem.polytope.G is not None:
+            self.append_rows(problem.polytope.G, problem.polytope.h)
 
-    def add_block(self, size: int, lo=0.0, hi=np.inf) -> slice:
+    def add_block(self, size: int, lo=0.0) -> slice:
         blk = slice(self.cols, self.cols + size)
         self.cols += size
         self.lo_extra.append(np.full(size, lo))
-        self.hi_extra.append(np.full(size, hi))
         return blk
 
     def append_rows(self, mat: np.ndarray, rhs: np.ndarray) -> None:
         self.rows.append(mat)
         self.rhs.append(np.atleast_1d(rhs))
+        self.n_rows += mat.shape[0]
 
     def add_margins(self, group: JccGroup) -> list[dict]:
         """Columns and rows for the Wasserstein margins at the group's rho.
@@ -194,57 +196,39 @@ class _ScenarioLpBuilder:
             self.append_rows(block, -sign * con.a0[comp])
         return terms
 
-    def scenario_rows(self, group: JccGroup, mask, terms: list[dict],
+    def scenario_rows(self, group: JccGroup, terms: list[dict],
                       diag: int | None = None) -> None:
-        """Rows  xi_i'(A_j x + a0_j) + c_j'x + d_j + extra <= 0  for the
-        masked scenarios, one constraint after another.  ``terms[j]`` maps
-        column -> coefficient of constraint j's extra terms; with ``diag``,
-        the row of the i-th masked scenario also gets -1 in column
-        diag + i (a per-scenario shortfall or excess)."""
-        data = group.samples.data[mask]
-        cnt = data.shape[0]
-        if cnt == 0:
-            return
+        """Rows  xi_i'(A_j x + a0_j) + c_j'x + d_j + extra <= 0  for every
+        scenario, one constraint after another.  ``terms[j]`` maps column ->
+        coefficient of constraint j's extra terms; with ``diag``, the row of
+        scenario i also gets -1 in column diag + i (a per-scenario shortfall
+        or excess)."""
+        data = group.samples.data
         for con, extra in zip(group.constraints, terms):
-            block = np.zeros((cnt, self.cols))
+            block = np.zeros((group.n, self.cols))
             block[:, :self.n] = data @ con.A + con.c
             for col, coeff in extra.items():
                 block[:, col] = coeff
             if diag is not None:
-                block[np.arange(cnt), diag + np.arange(cnt)] = -1.0
+                block[np.arange(group.n), diag + np.arange(group.n)] = -1.0
             self.append_rows(block, 0.0 - (data @ con.a0 + con.d))
 
     def finish(self, objective: np.ndarray) -> LpProblem:
+        """The LP, its row blocks copied into one zero-padded matrix; each is
+        dropped once copied, so the heap does not grow around them."""
         poly = self.problem.polytope
-        pieces = []
-        rhs_pieces = []
-        if poly.G is not None:
-            side = np.zeros((poly.G.shape[0], self.cols - self.n))
-            pieces.append(np.hstack([poly.G, side]))
-            rhs_pieces.append(poly.h)
-        if self.rows:
-            pieces.extend(self._padded(self.rows))
-            rhs_pieces.extend(self.rhs)
-        G = np.vstack(pieces) if pieces else None
-        h = np.concatenate(rhs_pieces) if pieces else None
-        A_eq = b_eq = None
-        if poly.A_eq is not None:
-            A_eq = np.hstack([poly.A_eq,
-                              np.zeros((poly.A_eq.shape[0], self.cols - self.n))])
-            b_eq = poly.b_eq
-        lo = np.concatenate([poly.lower] + self.lo_extra) if self.lo_extra else poly.lower
-        hi = np.concatenate([poly.upper] + self.hi_extra) if self.hi_extra else poly.upper
-        return LpProblem(objective, G, h, A_eq, b_eq, lo, hi)
-
-    def _padded(self, rows):
-        out = []
-        for mat in rows:
-            if mat.shape[1] < self.cols:
-                pad = np.zeros((mat.shape[0], self.cols - mat.shape[1]))
-                out.append(np.hstack([mat, pad]))
-            else:
-                out.append(mat)
-        return out
+        G = np.zeros((self.n_rows, self.cols))
+        start = 0
+        while self.rows:
+            mat = self.rows.pop(0)
+            G[start:start + len(mat), :mat.shape[1]] = mat
+            start += len(mat)
+        A_eq = (None if poly.A_eq is None
+                else np.pad(poly.A_eq, ((0, 0), (0, self.cols - self.n))))
+        lo = np.concatenate([poly.lower] + self.lo_extra)
+        hi = np.concatenate([poly.upper, np.full(self.cols - self.n, np.inf)])
+        return LpProblem(objective, G, np.concatenate(self.rhs), A_eq, poly.b_eq,
+                         lo, hi)
 
 
 class SStepAssembler:
@@ -254,25 +238,35 @@ class SStepAssembler:
     iterations; only the level row's rhs and the shortfall weights in the
     objective change.  Build once per solve, stamp cheap copies after.
     ``session`` is the latest level's solver; the next level restarts
-    from its basis.
+    from its basis.  Columns: x, shortfalls, margin bounds.  Rows: the
+    polytope, each group's margin rows (``margin_rows[g]``), the level
+    row, each group's scenario rows (``scenario_rows[g][j, i]``: constraint
+    j, scenario i); ``scenario_hard_lp`` cuts the hard LPs from them.
     """
 
     def __init__(self, problem: CcpProblem):
         self.problem = problem
         builder = _ScenarioLpBuilder(problem)
         self.s_blocks = [builder.add_block(g.n) for g in problem.groups]
-        margins = [builder.add_margins(g) for g in problem.groups]
+        margins, self.margin_rows = [], []
+        for g in problem.groups:
+            first = builder.n_rows
+            margins.append(builder.add_margins(g))
+            self.margin_rows.append(np.arange(first, builder.n_rows))
         # level row c'x <= f (rhs patched per level)
+        self.level_row = builder.n_rows
         level = np.zeros(builder.cols)
         level[:problem.n_vars] = problem.objective
         builder.append_rows(level[None, :], np.array([0.0]))
-        self.level_row_local = sum(m.shape[0] for m in builder.rows[:-1])
+        self.scenario_rows = []
         for g, terms, blk in zip(problem.groups, margins, self.s_blocks):
-            builder.scenario_rows(g, np.ones(g.n, dtype=bool), terms, blk.start)
+            first = builder.n_rows
+            builder.scenario_rows(g, terms, blk.start)
+            self.scenario_rows.append(
+                np.arange(first, builder.n_rows).reshape(-1, g.n))
         self.lp_template = builder.finish(np.zeros(builder.cols))
         self.cols = builder.cols
-        n_poly = problem.polytope.n_ineq
-        self.level_row = n_poly + self.level_row_local
+        self.hard_cols = np.r_[:problem.n_vars, self.s_blocks[-1].stop:self.cols]
         self.session: lp.SimplexSession | None = None
 
     def lp_at(self, f: float, z: list[np.ndarray]) -> LpProblem:
@@ -393,19 +387,24 @@ def inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
 
 # -- hard-constrained LPs ----------------------------------------------------
 
-def scenario_hard_lp(problem: CcpProblem, masks: list[np.ndarray]) -> LpProblem:
+def scenario_hard_lp(asm: SStepAssembler, masks: list[np.ndarray]) -> LpProblem:
     """min objective'x over the polytope with the masked scenarios' rows
-    imposed hard, robustified at each group's radius."""
-    builder = _ScenarioLpBuilder(problem)
+    imposed hard, robustified at each group's radius: cut from the skeleton
+    ``asm`` without its shortfall columns and level row, with the polytope
+    rows, then per group its margin rows and its masked scenarios' rows."""
+    problem, t = asm.problem, asm.lp_template
+    rows = [np.arange(problem.polytope.n_ineq)]
     for gi, g in enumerate(problem.groups):
-        terms = builder.add_margins(g)
         mask = np.asarray(masks[gi], dtype=bool)
         if mask.shape != (g.n,):
             raise ModelError(f"mask for group {gi} must have length {g.n}")
-        builder.scenario_rows(g, mask, terms)
-    obj = np.zeros(builder.cols)
+        rows += [asm.margin_rows[gi], asm.scenario_rows[gi][:, mask].ravel()]
+    rows, cols = np.concatenate(rows), asm.hard_cols
+    obj = np.zeros(cols.size)
     obj[:problem.n_vars] = problem.objective
-    return builder.finish(obj)
+    G, h = (t.G[np.ix_(rows, cols)], t.h[rows]) if rows.size else (None, None)
+    A_eq = None if t.A_eq is None else t.A_eq[:, cols]
+    return LpProblem(obj, G, h, A_eq, t.b_eq, t.lower[cols], t.upper[cols])
 
 
 def mean_value_lp(problem: CcpProblem) -> LpProblem:
@@ -423,17 +422,17 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
     return builder.finish(obj)
 
 
-def _polish(problem: CcpProblem, masks, fallback_x):
+def _polish(asm: SStepAssembler, masks, fallback_x):
     """Re-minimize the true cost subject to the accepted scenario selection
     imposed hard.  Falls back to the raw accepted point if the cleanup LP
     stumbles numerically (it is feasible by construction)."""
     try:
-        sol = lp.solve_lp(scenario_hard_lp(problem, masks))
+        sol = lp.solve_lp(scenario_hard_lp(asm, masks))
     except NumericError:
         return fallback_x
     if sol.status != OPTIMAL:
         return fallback_x
-    return sol.x[:problem.n_vars]
+    return sol.x[:asm.problem.n_vars]
 
 
 # -- bound initialization ----------------------------------------------------
@@ -526,7 +525,7 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
     if best is not None:
         asm.session = None  # free the level tableau before the polish LP
         x_raw, masks = best
-        x = _polish(problem, masks, x_raw)
+        x = _polish(asm, masks, x_raw)
     return _report(problem, method, x, trace=trace, f_lower=f_lo, f_upper=f_hi)
 
 
@@ -598,13 +597,12 @@ def solve_cvar(problem: CcpProblem) -> SolveReport:
     builder = _ScenarioLpBuilder(problem)
     for g in problem.groups:
         terms = builder.add_margins(g)
-        mask = np.ones(g.n, dtype=bool)
         if g.epsilon == 0.0:
-            builder.scenario_rows(g, mask, terms)
+            builder.scenario_rows(g, terms)
             continue
         t_blk = builder.add_block(1, lo=-np.inf)
-        w_blk = builder.add_block(g.n, lo=0.0)
-        builder.scenario_rows(g, mask, [{**m, t_blk.start: -1.0} for m in terms],
+        w_blk = builder.add_block(g.n)
+        builder.scenario_rows(g, [{**m, t_blk.start: -1.0} for m in terms],
                               w_blk.start)
         # tail budget: t + mean excess / epsilon <= 0
         row = np.zeros((1, builder.cols))
@@ -641,6 +639,7 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
         raise CapacityError(
             f"oracle enumeration would visit {count} subset combinations "
             f"(cap {ORACLE_CAP})")
+    asm = SStepAssembler(problem)
     keeps = [math.ceil((1.0 - g.epsilon) * g.n - 1e-9) for g in problem.groups]
     pools = [list(itertools.combinations(range(g.n), k))
              for g, k in zip(problem.groups, keeps)]
@@ -652,7 +651,7 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
             mask = np.zeros(g.n, dtype=bool)
             mask[list(subset)] = True
             masks.append(mask)
-        sol = lp.solve_lp(scenario_hard_lp(problem, masks))
+        sol = lp.solve_lp(scenario_hard_lp(asm, masks))
         if sol.status == OPTIMAL and sol.objective < best_obj:
             best_obj = sol.objective
             best_x = sol.x[:problem.n_vars]

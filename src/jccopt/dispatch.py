@@ -23,7 +23,7 @@ import numpy as np
 from . import algorithms, lp
 from .errors import ModelError
 from .model import (REQUIRED, BiAffineConstraint, CcpProblem, JccGroup,
-                    Polytope, SampleSet, floats, integer, read_field,
+                    Polytope, SampleSet, floats, integer, number, read_field,
                     text)
 
 VARIANTS = {"day-ahead": (24, 1.0), "intraday": (4, 0.25)}
@@ -752,7 +752,7 @@ def _scenario_rows(data: dict, key: str, where: str, base_dir: Path | None,
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             return SampleSet.from_csv(path).data
-        return np.atleast_2d(np.asarray(value, dtype=float))
+        return np.atleast_2d(floats(value))
     return read_field(data, key, where, rows, default)
 
 
@@ -763,7 +763,7 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
         raise ModelError(f"/options/variant: unknown variant {variant!r}")
     horizon = read_field(data, "horizon", "/", integer,
                          VARIANTS[variant][0] if variant else None)
-    step = read_field(data, "step", "/", float,
+    step = read_field(data, "step", "/", number,
                       VARIANTS[variant][1] if variant else None)
     if horizon is None or step is None:
         raise ModelError("/horizon,/step: give both, or set options.variant")
@@ -780,10 +780,10 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
         lines.append(Line(
             from_bus=read_field(ld, "from_bus", where, integer),
             to_bus=read_field(ld, "to_bus", where, integer),
-            capacity=read_field(ld, "capacity", where, float),
-            reactance=read_field(ld, "reactance", where, float, None),
-            epsilon=read_field(ld, "epsilon", where, float, 0.1),
-            rho=read_field(ld, "rho", where, float, 0.0),
+            capacity=read_field(ld, "capacity", where, number),
+            reactance=read_field(ld, "reactance", where, number, None),
+            epsilon=read_field(ld, "epsilon", where, number, 0.1),
+            rho=read_field(ld, "rho", where, number, 0.0),
             name=read_field(ld, "name", where, text, f"line{li}")))
     network = Network(buses=buses, lines=lines,
                       slack_bus=read_field(net_data, "slack_bus", "/network", integer, 0),
@@ -798,21 +798,21 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     generators = []
     for gi, gd in enumerate(read_field(data, "generators", "/", list, [])):
         where = f"/generators/{gi}"
-        segs = [Segment(width=read_field(sd, "width", f"{where}/segments/{si}", float),
-                        cost=read_field(sd, "cost", f"{where}/segments/{si}", float))
+        segs = [Segment(width=read_field(sd, "width", f"{where}/segments/{si}", number),
+                        cost=read_field(sd, "cost", f"{where}/segments/{si}", number))
                 for si, sd in enumerate(read_field(gd, "segments", where, list))]
         generators.append(Generator(
             bus=read_field(gd, "bus", where, integer),
-            p_min=read_field(gd, "p_min", where, float),
-            p_max=read_field(gd, "p_max", where, float),
-            ramp_dn=read_field(gd, "ramp_dn", where, float),
-            ramp_up=read_field(gd, "ramp_up", where, float),
+            p_min=read_field(gd, "p_min", where, number),
+            p_max=read_field(gd, "p_max", where, number),
+            ramp_dn=read_field(gd, "ramp_dn", where, number),
+            ramp_up=read_field(gd, "ramp_up", where, number),
             segments=segs,
-            fixed_cost=read_field(gd, "fixed_cost", where, float, 0.0),
-            reserve_cost_up=read_field(gd, "reserve_cost_up", where, float, 0.0),
-            reserve_cost_dn=read_field(gd, "reserve_cost_dn", where, float, 0.0),
-            epsilon=read_field(gd, "epsilon", where, float, 0.05),
-            rho=read_field(gd, "rho", where, float, 0.0),
+            fixed_cost=read_field(gd, "fixed_cost", where, number, 0.0),
+            reserve_cost_up=read_field(gd, "reserve_cost_up", where, number, 0.0),
+            reserve_cost_dn=read_field(gd, "reserve_cost_dn", where, number, 0.0),
+            epsilon=read_field(gd, "epsilon", where, number, 0.05),
+            rho=read_field(gd, "rho", where, number, 0.0),
             name=read_field(gd, "name", where, text, f"g{gi}")))
 
     adns = []
@@ -823,9 +823,9 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
             bus=read_field(dd, "bus", where, integer),
             rows=_scenario_rows(dd, "boundary_samples", where, base_dir),
             horizon=horizon,
-            reserve_cost_up=read_field(dd, "reserve_cost_up", where, float, 0.0),
-            epsilon=read_field(dd, "epsilon", where, float, 0.05),
-            rho=read_field(dd, "rho", where, float, 0.0),
+            reserve_cost_up=read_field(dd, "reserve_cost_up", where, number, 0.0),
+            epsilon=read_field(dd, "epsilon", where, number, 0.05),
+            rho=read_field(dd, "rho", where, number, 0.0),
             name=read_field(dd, "name", where, text, f"d{di}")))
         test_rows = _scenario_rows(dd, "test_boundary_samples", where, base_dir, None)
         if test_rows is not None:

@@ -17,6 +17,7 @@ scenario; group evaluation and the alternation's shortfalls both read it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,6 +278,8 @@ class CcpProblem:
         if n == 0:
             raise ModelError("objective must be nonempty")
         self.polytope.validate(n)
+        if not self.groups:
+            raise ModelError("a problem needs at least one chance group")
         for g in self.groups:
             for j, con in enumerate(g.constraints):
                 if con.x_dim != n:
@@ -350,9 +353,29 @@ def evaluate_group(group: JccGroup, x: np.ndarray,
 REQUIRED = object()
 
 
+def number(value, finite: bool = True) -> float:
+    """A JSON number as a float.  Strings, booleans and NaN raise instead
+    of being converted, and so do the infinities unless not ``finite``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    value = float(value)
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def floats(value) -> np.ndarray:
-    """A JSON number or (nested) array as a float array."""
-    return np.asarray(value, dtype=float)
+    """A JSON number or (nested, rectangular) array of finite numbers as a
+    float array; any other entry raises, as in ``number``."""
+    arr = np.asarray(value, dtype=object)
+    odd = [type(v) for v in arr.flat if type(v) not in (int, float)]
+    if odd:
+        raise TypeError("expected numbers, got " + (
+            "a ragged array" if odd[0] is list else odd[0].__name__))
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("entries must be finite numbers")
+    return arr
 
 
 def integer(value) -> int:
@@ -370,6 +393,13 @@ def text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
     return value
+
+
+def texts(value) -> list[str]:
+    """A JSON array of strings."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return [text(v) for v in value]
 
 
 def read_field(data, key: str, where: str, kind=None, default=REQUIRED):
@@ -411,6 +441,12 @@ def _bounds_to_json(lower, upper):
     return out
 
 
+def _bound(value) -> float:
+    """A bound: a JSON number, or +-Infinity for none (the LP rejects an
+    infinity on the wrong side)."""
+    return number(value, finite=False)
+
+
 def _bounds_from_json(entries, n):
     if len(entries) > n:
         raise ModelError(f"/polytope/bounds: {len(entries)} entries for {n} variables")
@@ -418,8 +454,8 @@ def _bounds_from_json(entries, n):
     upper = np.full(n, np.inf)
     for j, entry in enumerate(entries):
         where = f"/polytope/bounds/{j}"
-        lower[j] = read_field(entry, "lower", where, float, -np.inf)
-        upper[j] = read_field(entry, "upper", where, float, np.inf)
+        lower[j] = read_field(entry, "lower", where, _bound, -np.inf)
+        upper[j] = read_field(entry, "upper", where, _bound, np.inf)
     return lower, upper
 
 
@@ -470,21 +506,24 @@ def problem_from_dict(data: dict) -> CcpProblem:
     poly = Polytope(*(read_field(poly_data, k, "/polytope", floats, None)
                       for k in ("ineq_lhs", "ineq_rhs", "eq_lhs", "eq_rhs")),
                     lower=lower, upper=upper)
+    group_data = read_field(data, "groups", "/", list, [])
+    if not group_data:
+        raise ModelError("/groups: a problem needs at least one chance group")
     groups = []
-    for gi, gd in enumerate(read_field(data, "groups", "/", list, [])):
+    for gi, gd in enumerate(group_data):
         where = f"/groups/{gi}"
         constraints = []
         for ci, cd in enumerate(read_field(gd, "constraints", where, list)):
             at = f"{where}/constraints/{ci}"
             constraints.append(BiAffineConstraint(
                 *(read_field(cd, k, at, floats) for k in ("A", "a0", "c")),
-                read_field(cd, "d", at, float)))
+                read_field(cd, "d", at, number)))
         groups.append(JccGroup(
             constraints=constraints,
             samples=SampleSet(read_field(gd, "samples", where, floats)),
-            epsilon=read_field(gd, "epsilon", where, float),
-            rho=read_field(gd, "rho", where, float, 0.0),
+            epsilon=read_field(gd, "epsilon", where, number),
+            rho=read_field(gd, "rho", where, number, 0.0),
             norm=read_field(gd, "norm", where, text, "l1"),
             label=read_field(gd, "label", where, text, f"group{gi}")))
     return CcpProblem(objective=objective, polytope=poly, groups=groups,
-                      var_names=read_field(data, "var_names", "/", list, None))
+                      var_names=read_field(data, "var_names", "/", texts, None))

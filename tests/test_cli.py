@@ -203,6 +203,80 @@ def test_solve_non_string_field_is_an_input_error(tmp_path, capsys, key, value):
     assert err.startswith(f"error: /groups/0/{key}: expected a string, got ")
 
 
+@pytest.mark.parametrize("groups", [[], None], ids=["empty", "missing"])
+def test_solve_without_groups_is_an_input_error(tmp_path, capsys, groups):
+    data = {"objective": [1.0],
+            "polytope": {"bounds": [{"lower": 1.0, "upper": 3.0}]}}
+    if groups is not None:
+        data["groups"] = groups
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", str(problem_file), "--method", "all")
+    assert code == 1 and out == ""
+    assert err.startswith("error: /groups: ")
+
+
+def _set(*keys):
+    """An edit that sets the field at ``keys`` of a JSON document."""
+    def edit(data, value):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+    return edit
+
+
+NAN, INF = float("nan"), float("inf")
+SPEC = {"n": 4, "columns": 2, "distribution": {"kind": "uniform"}}
+GAUSSIAN_SPEC = {"n": 4, "columns": 2, "distribution": {"kind": "gaussian"}}
+
+
+# Number fields given a string, a boolean, NaN or an infinity; json writes
+# and reads the NaN and Infinity literals.
+@pytest.mark.parametrize("command, base, keys, value", [
+    ("dispatch", OVERLAP, ("generators", 0, "p_max"), "10.0"),
+    ("dispatch", OVERLAP, ("generators", 0, "reserve_cost_up"), True),
+    ("dispatch", OVERLAP, ("generators", 0, "epsilon"), False),
+    ("dispatch", OVERLAP, ("generators", 0, "p_max"), NAN),
+    ("dispatch", OVERLAP, ("step",), INF),
+    ("dispatch", OVERLAP, ("network", "buses", 0, "fixed_load"), ["5", "5"]),
+    ("dispatch", OVERLAP, ("network", "buses", 0, "fixed_load"), [True, 5.0]),
+    ("dispatch", OVERLAP, ("adns", 0, "boundary_samples"), [["1"] * 8] * 10),
+    ("solve", None, ("objective",), [INF]),
+    ("solve", None, ("groups", 0, "samples"), [["1", "3"]] * 5),
+    ("solve", None, ("groups", 0, "constraints", 0, "d"), "0"),
+    ("solve", None, ("var_names",), [7]),
+    ("solve", None, ("var_names",), [None]),
+    ("solve", None, ("polytope", "bounds", 0, "lower"), NAN),
+    ("solve", None, ("polytope", "bounds", 0, "upper"), "8"),
+    ("generate", SPEC, ("distribution", "low"), "0"),
+    ("generate", SPEC, ("distribution", "low"), NAN),
+    ("generate", GAUSSIAN_SPEC, ("distribution", "std"), True),
+], ids=["p_max-string", "reserve_cost_up-true", "epsilon-false", "p_max-nan",
+        "step-infinity", "fixed_load-strings", "fixed_load-boolean",
+        "boundary_samples-strings", "objective-infinity", "samples-strings",
+        "d-string", "var_names-number", "var_names-null", "lower-nan",
+        "upper-string", "low-string",
+        "low-nan", "std-true"])
+def test_number_field_takes_only_finite_numbers(tmp_path, capsys, command,
+                                                base, keys, value):
+    if command == "dispatch":
+        data = json.loads(Path(base).read_text())
+    elif command == "solve":
+        data = problem_to_dict(interval_toy(0.4))
+    else:
+        data = json.loads(json.dumps(base))
+    _set(*keys)(data, value)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)]
+    if command == "dispatch":
+        argv += ["--method", "also-x", "--out", str(tmp_path / "d")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: /{'/'.join(map(str, keys))}: ")
+    assert not (tmp_path / "scenarios.csv").exists()
+
+
 def test_dispatch_trajectories_center_on_family_mean(tmp_path, capsys):
     out_dir = tmp_path / "d"
     run(capsys, "dispatch", OVERLAP, "--method", "also-x",
