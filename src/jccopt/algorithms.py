@@ -60,17 +60,19 @@ MAX_OUTER = 100
 
 @dataclass
 class BisectionConfig:
-    """Level bracket and terminal gap.  delta1 = None resolves to the
-    scale-aware default 1e-4 * max(1, f_upper + f_lower)."""
+    """Level bracket f_lower <= f_upper, both finite, and terminal gap
+    delta1; None resolves here to 1e-4 * max(1, f_upper + f_lower)."""
 
     f_lower: float
     f_upper: float
     delta1: float | None = None
 
-    def resolved_delta1(self) -> float:
-        if self.delta1 is not None:
-            return self.delta1
-        return 1e-4 * max(1.0, self.f_upper + self.f_lower)
+    def __post_init__(self):
+        if not -math.inf < self.f_lower <= self.f_upper < math.inf:
+            raise ModelError(f"level bracket [{self.f_lower:g}, {self.f_upper:g}]"
+                             " must be finite and ordered")
+        if self.delta1 is None:
+            self.delta1 = 1e-4 * max(1.0, self.f_upper + self.f_lower)
 
     @classmethod
     def from_problem(cls, problem: CcpProblem):
@@ -439,7 +441,7 @@ def _polish(asm: SStepAssembler, masks, fallback_x):
 
 def init_bounds(problem: CcpProblem) -> tuple[float, float]:
     """Level bracket: lower from the mean-value LP, upper from the CVaR
-    restriction when it is feasible, otherwise a multiplicative guess."""
+    restriction if feasible (no lower than f_lo), else a multiplicative guess."""
     sol = lp.solve_lp(mean_value_lp(problem))
     if sol.status != OPTIMAL:
         raise ModelError(
@@ -448,7 +450,7 @@ def init_bounds(problem: CcpProblem) -> tuple[float, float]:
     f_lo = float(sol.objective)
     cvar = solve_cvar(problem)
     if cvar.is_feasible:
-        return f_lo, float(cvar.objective)
+        return f_lo, max(float(cvar.objective), f_lo)
     if f_lo > 0:
         return f_lo, 2.0 * f_lo
     return f_lo, f_lo + max(1.0, abs(f_lo))
@@ -495,7 +497,6 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
     """
     cfg = cfg or BisectionConfig.from_problem(problem)
     asm = SStepAssembler(problem)
-    delta1 = cfg.resolved_delta1()
     f_lo, f_hi = float(cfg.f_lower), float(cfg.f_upper)
     best = None
     trace = []
@@ -506,7 +507,7 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
         return found
 
     for _ in range(MAX_OUTER):
-        if f_hi - f_lo <= delta1:
+        if f_hi - f_lo <= cfg.delta1:
             break
         f = 0.5 * (f_lo + f_hi)
         found = run_level(f)
@@ -673,6 +674,14 @@ def out_of_sample_reliability(x: np.ndarray, groups: list[JccGroup],
     return [evaluate_group(g, x, scenarios=ts, rho_override=0.0).rate
             for g, ts in zip(groups, test_sets)]
 
+
+def applicable_methods(problem: CcpProblem) -> list[str]:
+    """METHODS in order, less also-x-single on several groups and the
+    oracle above ORACLE_CAP subset combinations."""
+    return [m for m in METHODS
+            if (m != METHOD_ALSO_X_SINGLE or problem.n_groups == 1)
+            and (m != METHOD_ORACLE
+                 or oracle_enumeration_count(problem) <= ORACLE_CAP)]
 
 
 def solve(problem: CcpProblem, method: str,

@@ -18,8 +18,8 @@ import numpy as np
 from . import algorithms as alg
 from . import dispatch as dp
 from .errors import ModelError, NumericError
-from .model import (SampleSet, evaluate_group, problem_from_dict,
-                    problem_to_dict)
+from .model import (SampleSet, evaluate_group, floats, problem_from_dict,
+                    problem_to_dict, read_field)
 from .scenarios import generate_scenarios, spec_from_dict
 from .toys import INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy, two_group_toy
 
@@ -65,17 +65,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _applicable_methods(problem, requested: str) -> list[str]:
-    if requested != "all":
-        return [requested]
-    methods = [alg.METHOD_ALSO_X]
-    if problem.n_groups == 1:
-        methods.append(alg.METHOD_ALSO_X_SINGLE)
-    methods.append(alg.METHOD_INTUITIVE)
-    methods.append(alg.METHOD_CVAR)
-    if alg.oracle_enumeration_count(problem) <= alg.ORACLE_CAP:
-        methods.append(alg.METHOD_ORACLE)
-    return methods
+def _methods(problem, requested: str) -> list[str]:
+    """The methods a --method choice names: one, or all that apply."""
+    return alg.applicable_methods(problem) if requested == "all" else [requested]
 
 
 def _rates(report) -> str:
@@ -95,7 +87,7 @@ def cmd_example1(args) -> int:
         problem = interval_toy(eps)
         cfg = alg.BisectionConfig(*INTERVAL_BOUNDS, delta1=1e-4)
         per_method = {}
-        for method in _applicable_methods(problem, args.method):
+        for method in _methods(problem, args.method):
             report = alg.solve(problem, method, cfg)
             per_method[method] = report.to_dict()
             print(f"eps={eps:.2f} method={method:<14} {report.status:<10} "
@@ -136,16 +128,12 @@ def _load_json(path: Path) -> dict:
 
 def cmd_solve(args) -> int:
     problem = problem_from_dict(_load_json(Path(args.problem)))
-    cfg = None
     if (args.f_lower is None) != (args.f_upper is None):
         raise ModelError("--f-lower and --f-upper must be given together")
-    if args.f_lower is not None:
-        if not -np.inf < args.f_lower <= args.f_upper < np.inf:
-            raise ModelError(f"--f-lower {args.f_lower:g} and --f-upper "
-                             f"{args.f_upper:g} must be finite and ordered")
-        cfg = alg.BisectionConfig(args.f_lower, args.f_upper)
+    cfg = (None if args.f_lower is None
+           else alg.BisectionConfig(args.f_lower, args.f_upper))
     results = {}
-    for method in _applicable_methods(problem, args.method):
+    for method in _methods(problem, args.method):
         report = alg.solve(problem, method, cfg)
         results[method] = report.to_dict()
         print(f"method={method:<14} {report.status:<10} "
@@ -197,12 +185,14 @@ def cmd_dispatch(args) -> int:
         raise ModelError("give --rho or --rho-grid, not both")
 
     if args.rho_grid is not None:
-        grid = [float(v) for v in args.rho_grid.split(",") if v.strip() != ""]
+        try:
+            grid = [float(v) for v in args.rho_grid.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ModelError(f"--rho-grid: {exc}") from None
         if not grid:
             raise ModelError("--rho-grid: empty grid")
-        methods = ((alg.METHOD_ALSO_X, alg.METHOD_CVAR)
-                   if args.method == "all" else (args.method,))
-        rows = dp.rho_sweep(case, grid, methods=methods)
+        rows = (dp.rho_sweep(case, grid) if args.method == "all"
+                else dp.rho_sweep(case, grid, methods=(args.method,)))
         csv_rows = []
         for r in rows:
             print(f"rho={r['rho']:g} method={r['method']:<7} "
@@ -224,7 +214,7 @@ def cmd_dispatch(args) -> int:
     results = {}
     audits = {}
     trajectory_x = None
-    for method in _applicable_methods(model.problem, args.method):
+    for method in _methods(model.problem, args.method):
         report = alg.solve(model.problem, method)
         results[method] = report.to_dict()
         cost = (None if report.objective is None
@@ -250,21 +240,17 @@ def cmd_dispatch(args) -> int:
 
 def cmd_evaluate(args) -> int:
     report = _load_json(Path(args.report))
-    if "problem" not in report or "results" not in report:
-        raise ModelError(f"{args.report}: expected a solve/dispatch report "
-                         "with 'problem' and 'results' sections")
-    problem = problem_from_dict(report["problem"])
-    results = report["results"]
-    method = args.method
-    if method is None:
-        feasible = [m for m, r in results.items()
-                    if r.get("x") is not None]
-        if not feasible:
-            raise ModelError(f"{args.report}: no feasible solution to evaluate")
-        method = sorted(feasible)[0]
-    if method not in results or results[method].get("x") is None:
+    problem = problem_from_dict(read_field(report, "problem", "/", dict))
+    results = read_field(report, "results", "/", dict)
+    xs = {m: read_field(read_field(results, m, "/results", dict), "x",
+                        f"/results/{m}", lambda v: floats(v, (problem.n_vars,)),
+                        None) for m in results}
+    feasible = sorted(m for m in xs if xs[m] is not None)
+    if not feasible:
+        raise ModelError(f"{args.report}: no feasible solution to evaluate")
+    method = feasible[0] if args.method is None else args.method
+    if method not in feasible:
         raise ModelError(f"{args.report}: no feasible {method!r} solution")
-    x = np.asarray(results[method]["x"], dtype=float)
     test = SampleSet.from_csv(Path(args.scenarios))
     groups = problem.groups
     if args.group is not None:
@@ -279,7 +265,7 @@ def cmd_evaluate(args) -> int:
             "uncertainty dimension")
     print("group,reliability")
     for g in groups:
-        rate = evaluate_group(g, x, scenarios=test, rho_override=0.0).rate
+        rate = evaluate_group(g, xs[method], scenarios=test, rho_override=0.0).rate
         print(f"{g.label},{rate!r}")
     return EXIT_OK
 

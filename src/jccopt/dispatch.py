@@ -705,8 +705,8 @@ def deterministic_dispatch(case: DispatchCase):
     return model, algorithms._report(model.problem, "deterministic", x)
 
 
-def rho_sweep(case: DispatchCase, rho_grid,
-              methods=("also-x", "cvar")) -> list[dict]:
+def rho_sweep(case: DispatchCase, rho_grid, methods=(
+        algorithms.METHOD_ALSO_X, algorithms.METHOD_CVAR)) -> list[dict]:
     """Solve the case across a shared-radius grid.
 
     One row per (rho, method): status, objective (LP part), full cost

@@ -91,6 +91,8 @@ class SampleSet:
                     if i == 0:
                         continue  # header row
                     raise ModelError(f"{path}: non-numeric value on line {i + 1}") from None
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ModelError(f"{path}: non-finite value on line {i + 1}")
         if not rows:
             raise ModelError(f"{path}: no scenario rows found")
         widths = {len(r) for r in rows}
@@ -364,9 +366,10 @@ def number(value, finite: bool = True) -> float:
     return value
 
 
-def floats(value) -> np.ndarray:
+def floats(value, shape=None) -> np.ndarray:
     """A JSON number or (nested, rectangular) array of finite numbers as a
-    float array; any other entry raises, as in ``number``."""
+    float array; any other entry raises, as in ``number``, and so does an
+    array of another ``shape`` when one is given."""
     arr = np.asarray(value, dtype=object)
     odd = [type(v) for v in arr.flat if type(v) not in (int, float)]
     if odd:
@@ -375,6 +378,8 @@ def floats(value) -> np.ndarray:
     arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("entries must be finite numbers")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
     return arr
 
 

@@ -42,6 +42,15 @@ def z_step_lp(s: np.ndarray, epsilon: float) -> np.ndarray:
     return sol.x
 
 
+def over_cap_problem() -> CcpProblem:
+    """One variable, one group of 40 scenarios at epsilon 0.5: more subset
+    combinations than the oracle enumerates."""
+    g = JccGroup(
+        constraints=[BiAffineConstraint(A=np.zeros((1, 1)), a0=[1.0], c=[-1.0])],
+        samples=SampleSet(np.linspace(0, 1, 40)[:, None]), epsilon=0.5)
+    return CcpProblem(objective=[1.0], polytope=Polytope(lower=[0.0]), groups=[g])
+
+
 def random_instance(seed: int) -> CcpProblem:
     """Small covering-style instance with benign geometry.
 

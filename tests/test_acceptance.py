@@ -99,7 +99,7 @@ def test_sandwich_on_random_instances():
         for seed in range(50):
             problem = random_instance(seed)
             cfg = alg.BisectionConfig.from_problem(problem)
-            tol = cfg.resolved_delta1() + 1e-9
+            tol = cfg.delta1 + 1e-9
             oracle = alg.solve_oracle(problem)
             multi = alg.solve_also_x_multi(problem, cfg)
             intuitive = alg.solve_intuitive_extension(problem, cfg)

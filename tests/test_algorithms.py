@@ -11,7 +11,7 @@ from jccopt import (METHODS, BiAffineConstraint, BisectionConfig,
                     out_of_sample_reliability, solve, solve_also_x_multi,
                     solve_also_x_single, solve_cvar, solve_intuitive_extension,
                     solve_oracle, z_step)
-from jccopt.algorithms import gamma_value, mean_value_lp
+from jccopt.algorithms import applicable_methods, gamma_value, mean_value_lp
 from jccopt.cases import overlap_case, three_bus_case
 from jccopt.dispatch import build_ccp, rho_sweep
 from jccopt import algorithms, lp
@@ -19,7 +19,7 @@ from jccopt.model import evaluate_group
 from jccopt.toys import (INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy,
                          two_group_toy)
 
-from helpers import random_instance, s_step, z_step_lp
+from helpers import over_cap_problem, random_instance, s_step, z_step_lp
 
 
 def interval_cfg():
@@ -265,7 +265,7 @@ def test_two_group_exact_rates_and_ordering():
     ri = solve_intuitive_extension(p, BisectionConfig(*TWO_GROUP_BOUNDS))
     assert (rm.per_group[0].violation_rate, rm.per_group[1].violation_rate) \
         == (16 / 20, 4 / 20)
-    d1 = BisectionConfig(*TWO_GROUP_BOUNDS).resolved_delta1()
+    d1 = BisectionConfig(*TWO_GROUP_BOUNDS).delta1
     assert rm.objective <= ri.objective + d1
 
 
@@ -370,12 +370,42 @@ def test_cvar_eps_zero_is_worst_case():
 
 
 def test_oracle_capacity_guard():
-    g = JccGroup(
-        constraints=[BiAffineConstraint(A=np.zeros((1, 1)), a0=[1.0], c=[-1.0])],
-        samples=SampleSet(np.linspace(0, 1, 40)[:, None]), epsilon=0.5)
-    p = CcpProblem(objective=[1.0], polytope=Polytope(lower=[0.0]), groups=[g])
     with pytest.raises(CapacityError, match="cap"):
-        solve_oracle(p)
+        solve_oracle(over_cap_problem())
+
+
+@pytest.mark.parametrize("problem, expected", [
+    (interval_toy(0.4), list(METHODS)),
+    (two_group_toy(0), ["also-x", "intuitive", "cvar"]),
+    (over_cap_problem(), ["also-x", "also-x-single", "intuitive", "cvar"]),
+], ids=["interval", "two-group", "over-cap"])
+def test_applicable_methods(problem, expected):
+    assert applicable_methods(problem) == expected
+
+
+@pytest.mark.parametrize("lo, hi", [(8.0, 0.0), (np.nan, 8.0), (0.0, np.inf),
+                                    (-np.inf, 8.0)])
+def test_bisection_config_rejects_inverted_or_non_finite_bracket(lo, hi):
+    with pytest.raises(ModelError, match="must be finite and ordered"):
+        solve(interval_toy(0.4), "also-x", BisectionConfig(lo, hi))
+
+
+def test_bisection_config_resolves_delta1_at_construction():
+    assert BisectionConfig(1.0, 3.0).delta1 == pytest.approx(4e-4)
+    assert BisectionConfig(-2.0, 1.0).delta1 == 1e-4
+    assert BisectionConfig(3.0, 3.0, delta1=0.5).delta1 == 0.5
+
+
+def test_init_bounds_upper_end_never_below_lower_end(monkeypatch):
+    """A CVaR optimum that round-off puts just below the mean-value one
+    still gives an ordered bracket."""
+    p = interval_toy(0.4)
+    f_lo, _ = init_bounds(p)
+    below = algorithms.SolveReport("cvar", "feasible", np.array([f_lo]),
+                                   f_lo - 1e-12, [])
+    monkeypatch.setattr(algorithms, "solve_cvar", lambda problem: below)
+    assert init_bounds(p) == (f_lo, f_lo)
+    assert BisectionConfig.from_problem(p).f_upper == f_lo
 
 
 def test_out_of_sample_reliability_interval():

@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jccopt.algorithms import applicable_methods
 from jccopt.cases import bundled_case_path
 from jccopt.cli import main
 from jccopt.model import SampleSet, problem_to_dict
-from jccopt.toys import INTERVAL_SCENARIOS, interval_toy
+from jccopt.toys import INTERVAL_SCENARIOS, interval_toy, two_group_toy
+
+from helpers import over_cap_problem
 
 OVERLAP = str(bundled_case_path("overlap"))
 THREE_BUS = str(bundled_case_path("three_bus"))
@@ -89,6 +92,21 @@ def test_solve_rejects_inverted_or_non_finite_bracket(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert "must be finite and ordered" in err
+
+
+@pytest.mark.parametrize("problem", [
+    interval_toy(0.4), two_group_toy(0), over_cap_problem()],
+    ids=["interval", "two-group", "over-cap"])
+def test_solve_method_all_runs_the_applicable_methods(tmp_path, capsys,
+                                                      problem):
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(problem_to_dict(problem)))
+    code, out, _ = run(capsys, "solve", str(problem_file), "--method", "all",
+                       "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    ran = [line.split()[0].removeprefix("method=")
+           for line in out.splitlines() if line.startswith("method=")]
+    assert ran == applicable_methods(problem)
 
 
 def test_dispatch_report_audits_and_determinism(tmp_path, capsys):
@@ -334,6 +352,74 @@ def test_evaluate_from_solve_report(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "group,reliability"
     assert lines[1] == "interval,0.6"
+
+
+def _interval_report(tmp_path, capsys) -> Path:
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(problem_to_dict(interval_toy(0.4))))
+    report_file = tmp_path / "r.json"
+    run(capsys, "solve", str(problem_file), "--method", "also-x",
+        "--f-lower", "0", "--f-upper", "8", "--out", str(report_file))
+    return report_file
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    (("results",), [], "/results"),
+    (("results", "also-x"), [], "/results/also-x"),
+    (("results", "also-x", "x"), ["3.0"], "/results/also-x/x"),
+    (("results", "also-x", "x"), [True], "/results/also-x/x"),
+    (("results", "also-x", "x"), [3.0, 3.0], "/results/also-x/x"),
+    (("results", "also-x", "x"), "x", "/results/also-x/x"),
+    (("results", "also-x", "x"), [[3.0]], "/results/also-x/x"),
+], ids=["results-list", "result-list", "x-string-entry", "x-boolean",
+        "x-wrong-length", "x-string", "x-nested"])
+def test_evaluate_malformed_report_is_an_input_error(tmp_path, capsys, keys,
+                                                     value, path):
+    report_file = _interval_report(tmp_path, capsys)
+    report = json.loads(report_file.read_text())
+    _set(*keys)(report, value)
+    report_file.write_text(json.dumps(report))
+    test_csv = tmp_path / "t.csv"
+    SampleSet(INTERVAL_SCENARIOS).to_csv(test_csv)
+    code, out, err = run(capsys, "evaluate", str(report_file), str(test_csv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_scenario_cell_names_file_and_line(
+        tmp_path, capsys, cell):
+    report_file = _interval_report(tmp_path, capsys)
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text(f"xi0,xi1\n1.0,2.0\n3.0,{cell}\n")
+    code, out, err = run(capsys, "evaluate", str(report_file), str(bad_csv))
+    assert code == 1 and out == ""
+    assert err == f"error: {bad_csv}: non-finite value on line 3\n"
+
+
+def test_dispatch_non_finite_csv_scenario_cell_names_file_and_line(
+        tmp_path, capsys):
+    data = json.loads(Path(THREE_BUS).read_text())
+    rows = [list(row) for row in data["wind"]["errors"]]
+    rows[1][0] = float("nan")
+    csv = tmp_path / "w.csv"
+    csv.write_text("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+    data["wind"]["errors"] = {"csv": "w.csv"}
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, "dispatch", str(case), "--method", "also-x",
+                         "--out", str(tmp_path / "d"))
+    assert code == 1 and out == ""
+    assert err == f"error: {csv}: non-finite value on line 2\n"
+
+
+def test_dispatch_rho_grid_that_is_not_numbers_is_an_input_error(tmp_path,
+                                                                  capsys):
+    code, out, err = run(capsys, "dispatch", OVERLAP, "--rho-grid", "a,b",
+                         "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: --rho-grid: ")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_evaluate_dimension_mismatch(tmp_path, capsys):
