@@ -240,7 +240,7 @@ def cmd_dispatch(args) -> int:
 
 def cmd_evaluate(args) -> int:
     report = _load_json(Path(args.report))
-    problem = problem_from_dict(read_field(report, "problem", "/", dict))
+    problem = problem_from_dict(read_field(report, "problem", "/", dict), "/problem")
     results = read_field(report, "results", "/", dict)
     xs = {m: read_field(read_field(results, m, "/results", dict), "x",
                         f"/results/{m}", lambda v: floats(v, (problem.n_vars,)),

@@ -14,7 +14,6 @@ Units: MW, MWh, $/MWh, hours.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,10 +22,28 @@ import numpy as np
 from . import algorithms, lp
 from .errors import ModelError
 from .model import (REQUIRED, BiAffineConstraint, CcpProblem, JccGroup,
-                    Polytope, SampleSet, floats, integer, number, read_field,
-                    text)
+                    Polytope, SampleSet, check_risk, floats, integer, number,
+                    read_field, text)
 
 VARIANTS = {"day-ahead": (24, 1.0), "intraday": (4, 0.25)}
+
+
+def _rows(rows, width: int, what: str, formula: str) -> np.ndarray:
+    """Scenario ``rows`` as a 2-d float array that must be ``width`` wide;
+    ``what`` names the rows and ``formula`` their width in the message."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if rows.shape[1] != width:
+        raise ModelError(f"{what} rows are {rows.shape[1]} wide, expected "
+                         f"{formula} = {width}")
+    return rows
+
+
+def _check_bands(owner: str, p_lower, p_upper, e_lower, e_upper) -> None:
+    """ADN boundary windows must be ordered in every scenario."""
+    if np.any(p_lower > p_upper + 1e-12):
+        raise ModelError(f"{owner}: p_lower > p_upper in a scenario")
+    if np.any(e_lower > e_upper + 1e-12):
+        raise ModelError(f"{owner}: e_lower > e_upper in a scenario")
 
 
 @dataclass
@@ -77,11 +94,8 @@ class Generator:
             raise ModelError(
                 f"generator {self.name!r}: need ramp_dn <= 0 <= ramp_up "
                 "(down-rate stored as a negative number)")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ModelError(f"generator {self.name!r}: epsilon outside [0, 1)")
-        if not 0.0 <= self.rho < math.inf:
-            raise ModelError(
-                f"generator {self.name!r}: rho must be finite and nonnegative")
+        self.epsilon, self.rho = check_risk(f"generator {self.name!r}",
+                                            self.epsilon, self.rho)
 
 
 @dataclass
@@ -113,14 +127,10 @@ class Adn:
         if len(shapes) != 1:
             raise ModelError(f"adn {self.name!r}: boundary arrays must share a "
                              f"shape, got {sorted(shapes)}")
-        if np.any(self.p_lower > self.p_upper + 1e-12):
-            raise ModelError(f"adn {self.name!r}: p_lower > p_upper in a scenario")
-        if np.any(self.e_lower > self.e_upper + 1e-12):
-            raise ModelError(f"adn {self.name!r}: e_lower > e_upper in a scenario")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ModelError(f"adn {self.name!r}: epsilon outside [0, 1)")
-        if not 0.0 <= self.rho < math.inf:
-            raise ModelError(f"adn {self.name!r}: rho must be finite and nonnegative")
+        _check_bands(f"adn {self.name!r}", self.p_lower, self.p_upper,
+                     self.e_lower, self.e_upper)
+        self.epsilon, self.rho = check_risk(f"adn {self.name!r}",
+                                            self.epsilon, self.rho)
 
     @property
     def n(self) -> int:
@@ -134,11 +144,8 @@ class Adn:
     def from_rows(cls, bus: int, rows, horizon: int, **kw) -> "Adn":
         """Rows of width 4T ordered p_lower[T], p_upper[T], e_lower[T],
         e_upper[T] (the boundary CSV layout)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != 4 * horizon:
-            raise ModelError(
-                f"adn {kw.get('name', '')!r}: boundary rows are "
-                f"{rows.shape[1]} wide, expected 4*T = {4 * horizon}")
+        rows = _rows(rows, 4 * horizon,
+                     f"adn {kw.get('name', '')!r}: boundary", "4*T")
         T = horizon
         return cls(bus=bus, p_lower=rows[:, 0:T], p_upper=rows[:, T:2 * T],
                    e_lower=rows[:, 2 * T:3 * T], e_upper=rows[:, 3 * T:4 * T],
@@ -182,12 +189,8 @@ class WindScenarioSet:
     @classmethod
     def from_rows(cls, farms, rows, horizon: int) -> "WindScenarioSet":
         """Rows of width W*T, farm-major then time (the wind CSV layout)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
         w = len(farms)
-        if rows.shape[1] != w * horizon:
-            raise ModelError(
-                f"wind error rows are {rows.shape[1]} wide, expected "
-                f"W*T = {w * horizon}")
+        rows = _rows(rows, w * horizon, "wind error", "W*T")
         return cls(farms=farms, errors=rows.reshape(rows.shape[0], w, horizon))
 
     def to_rows(self) -> np.ndarray:
@@ -227,10 +230,8 @@ class Line:
     def __post_init__(self):
         if self.capacity <= 0:
             raise ModelError(f"line {self.name!r}: capacity must be positive")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ModelError(f"line {self.name!r}: epsilon outside [0, 1)")
-        if not 0.0 <= self.rho < math.inf:
-            raise ModelError(f"line {self.name!r}: rho must be finite and nonnegative")
+        self.epsilon, self.rho = check_risk(f"line {self.name!r}",
+                                            self.epsilon, self.rho)
 
 
 @dataclass
@@ -361,13 +362,34 @@ class DispatchCase:
         if len(counts) > 1:
             raise ModelError("all adns must carry the same scenario count")
 
-    @property
-    def n_scenarios(self) -> int:
-        if self.wind is not None:
-            return self.wind.n
-        if self.adns:
-            return self.adns[0].n
-        return 1
+        # held-out rows: each block the groups stack, in its training
+        # layout, all with one row count
+        wind_rows = self.test_wind_rows
+        boundary_rows = self.test_boundary_rows or []
+        if wind_rows is None and not boundary_rows:
+            return
+        farms = self.wind.farms if self.wind is not None else []
+        if wind_rows is None and farms:
+            raise ModelError("case embeds adn boundary test data but no wind "
+                             "test data")
+        if not boundary_rows and self.adns:
+            raise ModelError("case embeds wind test data but no adn "
+                             "boundary test data")
+        if len(boundary_rows) != len(self.adns):
+            raise ModelError(f"{len(boundary_rows)} test_boundary_samples "
+                             f"blocks for {len(self.adns)} adns")
+        n_rows = {}
+        if wind_rows is not None:
+            n_rows["wind test_errors"] = _rows(
+                wind_rows, len(farms) * T, "wind test_errors", "W*T").shape[0]
+        for d, rows in zip(self.adns, boundary_rows):
+            what = f"adn {d.name!r}: test_boundary_samples"
+            rows = _rows(rows, 4 * T, what, "4*T")
+            _check_bands(what, *np.hsplit(rows, 4))
+            n_rows[what] = rows.shape[0]
+        if len(set(n_rows.values())) > 1:
+            raise ModelError("held-out blocks must have equal row counts, got "
+                             + ", ".join(f"{k} {n}" for k, n in n_rows.items()))
 
 
 # -- variable indexing ---------------------------------------------------------
@@ -432,46 +454,32 @@ class DispatchModel:
 
     def test_sample_sets(self) -> list[SampleSet] | None:
         """Held-out per-group scenario sets from the case's embedded test
-        data, stacked exactly like the training groups."""
+        data (which ``DispatchCase.validate`` checks), stacked exactly like
+        the training groups."""
         case = self.case
-        if case.test_wind_rows is None and case.test_boundary_rows is None:
+        if case.test_wind_rows is None and not case.test_boundary_rows:
             return None
-        T = case.horizon
-        if case.test_wind_rows is not None:
-            farms = case.wind.farms if case.wind is not None else []
-            wind = WindScenarioSet.from_rows(farms, case.test_wind_rows, T)
-        else:
-            if case.wind is not None and case.wind.farms:
-                raise ModelError("case embeds adn boundary test data but no "
-                                 "wind test data")
-            n_test = np.atleast_2d(case.test_boundary_rows[0]).shape[0]
-            wind = WindScenarioSet([], np.zeros((n_test, 0, T)))
-        boundaries = []
-        if case.adns:
-            if case.test_boundary_rows is None:
-                raise ModelError("case embeds wind test data but no adn "
-                                 "boundary test data")
-            boundaries = [Adn.from_rows(d.bus, rows, T, name=d.name + "-test")
-                          for d, rows in zip(case.adns, case.test_boundary_rows)]
-        stacks = _group_scenario_stacks(case, wind, boundaries)
+        stacks = _group_scenario_stacks(case, case.test_wind_rows,
+                                        case.test_boundary_rows or [])
         return [SampleSet(s) for s in stacks]
 
 
-def _group_scenario_stacks(case: DispatchCase, wind: WindScenarioSet,
-                           adns: list[Adn]) -> list[np.ndarray]:
+def _group_scenario_stacks(case: DispatchCase, wind_rows,
+                           boundary_rows) -> list[np.ndarray]:
     """Per-group stacked scenario matrices, in group order (generators,
-    ADNs, lines), from the wind forecast errors and the ADN boundary
-    realizations ``adns``."""
-    n = wind.n
+    ADNs, lines), from wind forecast error rows (``None`` without wind
+    farms) and one block of boundary rows per ADN, in the case CSV
+    layouts; the blocks must have one row count."""
+    if wind_rows is None:
+        n = np.atleast_2d(boundary_rows[0]).shape[0] if boundary_rows else 1
+        wind_rows = np.zeros((n, 0))
+    farms = case.wind.farms if case.wind is not None else []
+    wind = WindScenarioSet.from_rows(farms, wind_rows, case.horizon)
     omega_p, omega_m = aggregate_errors(wind)
     gen_stack = np.hstack([omega_p, omega_m])
     stacks = [gen_stack for _ in case.generators]
-    for d in adns:
-        if d.n != n:
-            raise ModelError(f"adn {d.name!r}: {d.n} boundary scenarios vs "
-                             f"{n} wind scenarios")
-        stacks.append(np.hstack([omega_p, d.p_lower, d.p_upper,
-                                 d.e_lower, d.e_upper]))
+    stacks.extend(np.hstack([omega_p, np.atleast_2d(rows)])
+                  for rows in boundary_rows)
     line_stack = np.hstack([wind.to_rows(), omega_p, omega_m])
     stacks.extend(line_stack for _ in case.network.lines)
     return stacks
@@ -607,15 +615,14 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
                for t in range(T)])
         units.append((d.name or f"adn{di}", d, cons))
 
-    wind = (case.wind if case.wind is not None
-            else WindScenarioSet([], np.zeros((case.n_scenarios, 0, T))))
-    W = len(wind.farms)
+    farms = case.wind.farms if case.wind is not None else []
+    W = len(farms)
     psi = case.network.resolved_ptdf()
     gen_bus = [case.network.bus_pos(g.bus) for g in gens]
     adn_bus = [case.network.bus_pos(d.bus) for d in adns]
-    farm_bus = [case.network.bus_pos(f.bus) for f in wind.farms]
+    farm_bus = [case.network.bus_pos(f.bus) for f in farms]
     loads = np.array([b.fixed_load for b in case.network.buses])
-    forecasts = np.array([f.forecast for f in wind.farms]).reshape(W, T)
+    forecasts = np.array([f.forecast for f in farms]).reshape(W, T)
     for li, ln in enumerate(lines):
         # xi = [farm errors (W*T, farm-major), omega_plus (T), omega_minus (T)]
         psi_g, psi_d = psi[li, gen_bus], psi[li, adn_bus]
@@ -637,7 +644,9 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
                     d=sign * const - ln.capacity))
         units.append((ln.name or f"line{li}", ln, cons))
 
-    stacks = _group_scenario_stacks(case, wind, adns)
+    stacks = _group_scenario_stacks(
+        case, None if case.wind is None else case.wind.to_rows(),
+        [d.to_rows() for d in adns])
     radius = None if rho_override is None else float(rho_override)
     groups = [JccGroup(constraints=cons, samples=SampleSet(stack),
                        epsilon=unit.epsilon,
@@ -715,8 +724,6 @@ def rho_sweep(case: DispatchCase, rho_grid, methods=(
     """
     rows = []
     for rho in rho_grid:
-        if not 0.0 <= rho < math.inf:
-            raise ModelError("rho grid entries must be finite and nonnegative")
         model = build_ccp(case, rho_override=float(rho))
         test_sets = model.test_sample_sets()
         for method in methods:
@@ -726,7 +733,7 @@ def rho_sweep(case: DispatchCase, rho_grid, methods=(
                     rel = algorithms.out_of_sample_reliability(
                         report.x, model.problem.groups, test_sets)
                 else:
-                    rel = [1.0 - g.violation_rate for g in report.per_group]
+                    rel = [g.rate for g in report.per_group]
             else:
                 rel = None
             rows.append({
@@ -842,9 +849,6 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
         wind = WindScenarioSet.from_rows(farms, rows, horizon)
         test_wind_rows = _scenario_rows(wd, "test_errors", "/wind", base_dir, None)
 
-    if test_boundary_rows and len(test_boundary_rows) != len(adns):
-        raise ModelError("/adns: test_boundary_samples must be given for "
-                         "every adn or none")
     case = DispatchCase(
         horizon=horizon, step=step, network=network,
         generators=generators, adns=adns, wind=wind,

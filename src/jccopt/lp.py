@@ -62,13 +62,34 @@ _BASIC, _NB_LO, _NB_UP, _NB_FREE, _FIXED = 0, 1, 2, 3, 4
 _PRICE_SIGN = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
 
 
-def _as_matrix(a, rows, cols, name):
-    m = np.asarray(a, dtype=float)
-    if m.shape != (rows, cols):
-        raise ModelError(f"{name}: expected shape {(rows, cols)}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ModelError(f"{name}: entries must be finite")
-    return m
+def check_blocks(blocks, n: int, where: str = "") -> None:
+    """Convert and check in place the blocks of an LpProblem or Polytope
+    over n variables: paired ``G``/``h`` and ``A_eq``/``b_eq`` of matching
+    shapes and finite entries; bounds of length n, infinite where absent,
+    never NaN.  ``where`` prefixes the error messages."""
+    for lhs, rhs in (("G", "h"), ("A_eq", "b_eq")):
+        M, b = getattr(blocks, lhs), getattr(blocks, rhs)
+        if (M is None) != (b is None):
+            raise ModelError(f"{where}{lhs} and {rhs} must be given together")
+        if M is None:
+            continue
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+        if M.shape != (b.size, n):
+            raise ModelError(f"{where}{lhs} must be {(b.size, n)}, got {M.shape}")
+        for name, arr in ((lhs, M), (rhs, b)):
+            if not np.all(np.isfinite(arr)):
+                raise ModelError(f"{where}{name}: entries must be finite")
+        setattr(blocks, lhs, M)
+        setattr(blocks, rhs, b)
+    blocks.lower = (np.full(n, -np.inf) if blocks.lower is None
+                    else np.atleast_1d(np.asarray(blocks.lower, dtype=float)))
+    blocks.upper = (np.full(n, np.inf) if blocks.upper is None
+                    else np.atleast_1d(np.asarray(blocks.upper, dtype=float)))
+    if blocks.lower.shape != (n,) or blocks.upper.shape != (n,):
+        raise ModelError(f"{where}bounds must match the variable count")
+    if np.any(np.isnan(blocks.lower)) or np.any(np.isnan(blocks.upper)):
+        raise ModelError(f"{where}bounds may be infinite but not NaN")
 
 
 @dataclass
@@ -89,29 +110,8 @@ class LpProblem:
             raise ModelError("c must be a nonempty vector")
         if not np.all(np.isfinite(self.c)):
             raise ModelError("c: entries must be finite")
-        n = self.c.size
-        if (self.G is None) != (self.h is None):
-            raise ModelError("G and h must be given together")
-        if (self.A_eq is None) != (self.b_eq is None):
-            raise ModelError("A_eq and b_eq must be given together")
-        if self.G is not None:
-            self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
-            self.G = _as_matrix(self.G, self.h.size, n, "G")
-            if not np.all(np.isfinite(self.h)):
-                raise ModelError("h: entries must be finite")
-        if self.A_eq is not None:
-            self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-            self.A_eq = _as_matrix(self.A_eq, self.b_eq.size, n, "A_eq")
-            if not np.all(np.isfinite(self.b_eq)):
-                raise ModelError("b_eq: entries must be finite")
-        self.lower = (np.full(n, -np.inf) if self.lower is None
-                      else np.atleast_1d(np.asarray(self.lower, dtype=float)))
-        self.upper = (np.full(n, np.inf) if self.upper is None
-                      else np.atleast_1d(np.asarray(self.upper, dtype=float)))
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ModelError("bounds must match the variable count")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
-            raise ModelError("bounds may be infinite but not NaN")
+        check_blocks(self, self.c.size)
+        # a model polytope may carry these; the LP cannot
         if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
             raise ModelError("a lower bound may not be +inf, nor an upper bound -inf")
 

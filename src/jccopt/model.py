@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
+from .lp import check_blocks
 
 # A scenario counts as satisfied when its worst constraint value is below
 # this; absorbs LP vertex noise without hiding real violations.
@@ -166,27 +167,7 @@ class Polytope:
     upper: np.ndarray | None = None
 
     def validate(self, n: int) -> None:
-        if (self.G is None) != (self.h is None):
-            raise ModelError("polytope: G and h must be given together")
-        if (self.A_eq is None) != (self.b_eq is None):
-            raise ModelError("polytope: A_eq and b_eq must be given together")
-        if self.G is not None:
-            self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
-            self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
-            if self.G.shape != (self.h.size, n):
-                raise ModelError(f"polytope: G must be {(self.h.size, n)}, got {self.G.shape}")
-        if self.A_eq is not None:
-            self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-            self.A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-            if self.A_eq.shape != (self.b_eq.size, n):
-                raise ModelError(
-                    f"polytope: A_eq must be {(self.b_eq.size, n)}, got {self.A_eq.shape}")
-        self.lower = (np.full(n, -np.inf) if self.lower is None
-                      else np.atleast_1d(np.asarray(self.lower, dtype=float)))
-        self.upper = (np.full(n, np.inf) if self.upper is None
-                      else np.atleast_1d(np.asarray(self.upper, dtype=float)))
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ModelError("polytope: bounds must match the variable count")
+        check_blocks(self, n, "polytope: ")
 
     @property
     def n_ineq(self) -> int:
@@ -195,6 +176,17 @@ class Polytope:
     @property
     def n_eq(self) -> int:
         return 0 if self.A_eq is None else self.A_eq.shape[0]
+
+
+def check_risk(owner: str, epsilon, rho) -> tuple[float, float]:
+    """A risk level and a Wasserstein radius as floats, checked: epsilon in
+    [0, 1), rho finite and nonnegative.  ``owner`` starts the messages."""
+    epsilon, rho = float(epsilon), float(rho)
+    if not 0.0 <= epsilon < 1.0:
+        raise ModelError(f"{owner}: epsilon must be in [0, 1)")
+    if not 0.0 <= rho < math.inf:
+        raise ModelError(f"{owner}: rho must be finite and nonnegative")
+    return epsilon, rho
 
 
 @dataclass
@@ -212,13 +204,8 @@ class JccGroup:
     def __post_init__(self):
         if not self.constraints:
             raise ModelError(f"group {self.label!r}: needs at least one constraint")
-        self.epsilon = float(self.epsilon)
-        self.rho = float(self.rho)
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ModelError(f"group {self.label!r}: epsilon must be in [0, 1)")
-        if not 0.0 <= self.rho < np.inf:
-            raise ModelError(
-                f"group {self.label!r}: rho must be finite and nonnegative")
+        self.epsilon, self.rho = check_risk(f"group {self.label!r}",
+                                            self.epsilon, self.rho)
         dual_norm(self.norm)
         k = self.samples.dim
         for j, g in enumerate(self.constraints):
@@ -251,10 +238,8 @@ class JccGroup:
             raise ModelError(
                 f"group {self.label!r}: test scenarios have dim {data.shape[1]}, "
                 f"expected {self.samples.dim}")
-        rho = self.rho if rho is None else float(rho)
-        if not 0.0 <= rho < np.inf:
-            raise ModelError(
-                f"group {self.label!r}: rho must be finite and nonnegative")
+        rho = (self.rho if rho is None
+               else check_risk(f"group {self.label!r}", self.epsilon, rho)[1])
         x = np.asarray(x, dtype=float)
         out = np.empty((data.shape[0], len(self.constraints)))
         for j, con in enumerate(self.constraints):
@@ -452,13 +437,13 @@ def _bound(value) -> float:
     return number(value, finite=False)
 
 
-def _bounds_from_json(entries, n):
+def _bounds_from_json(entries, n, path):
     if len(entries) > n:
-        raise ModelError(f"/polytope/bounds: {len(entries)} entries for {n} variables")
+        raise ModelError(f"{path}: {len(entries)} entries for {n} variables")
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
     for j, entry in enumerate(entries):
-        where = f"/polytope/bounds/{j}"
+        where = f"{path}/{j}"
         lower[j] = read_field(entry, "lower", where, _bound, -np.inf)
         upper[j] = read_field(entry, "upper", where, _bound, np.inf)
     return lower, upper
@@ -498,25 +483,28 @@ def problem_to_dict(problem: CcpProblem) -> dict:
     return out
 
 
-def problem_from_dict(data: dict) -> CcpProblem:
-    objective = read_field(data, "objective", "/", floats, None)
+def problem_from_dict(data: dict, path: str = "/") -> CcpProblem:
+    """The problem of the JSON object ``data``, found at ``path`` of its
+    file; error messages name paths from there."""
+    root = path.rstrip("/")
+    objective = read_field(data, "objective", path, floats, None)
     if objective is None:
-        raise ModelError("/objective: missing")
+        raise ModelError(f"{root}/objective: missing")
     n = objective.size
-    poly_data = read_field(data, "polytope", "/", dict, {})
+    poly_data = read_field(data, "polytope", path, dict, {})
     lower = upper = None
-    bounds = read_field(poly_data, "bounds", "/polytope", list, None)
+    bounds = read_field(poly_data, "bounds", f"{root}/polytope", list, None)
     if bounds is not None:
-        lower, upper = _bounds_from_json(bounds, n)
-    poly = Polytope(*(read_field(poly_data, k, "/polytope", floats, None)
+        lower, upper = _bounds_from_json(bounds, n, f"{root}/polytope/bounds")
+    poly = Polytope(*(read_field(poly_data, k, f"{root}/polytope", floats, None)
                       for k in ("ineq_lhs", "ineq_rhs", "eq_lhs", "eq_rhs")),
                     lower=lower, upper=upper)
-    group_data = read_field(data, "groups", "/", list, [])
+    group_data = read_field(data, "groups", path, list, [])
     if not group_data:
-        raise ModelError("/groups: a problem needs at least one chance group")
+        raise ModelError(f"{root}/groups: a problem needs at least one chance group")
     groups = []
     for gi, gd in enumerate(group_data):
-        where = f"/groups/{gi}"
+        where = f"{root}/groups/{gi}"
         constraints = []
         for ci, cd in enumerate(read_field(gd, "constraints", where, list)):
             at = f"{where}/constraints/{ci}"
@@ -531,4 +519,4 @@ def problem_from_dict(data: dict) -> CcpProblem:
             norm=read_field(gd, "norm", where, text, "l1"),
             label=read_field(gd, "label", where, text, f"group{gi}")))
     return CcpProblem(objective=objective, polytope=poly, groups=groups,
-                      var_names=read_field(data, "var_names", "/", texts, None))
+                      var_names=read_field(data, "var_names", path, texts, None))

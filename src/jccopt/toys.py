@@ -9,6 +9,7 @@ from .model import BiAffineConstraint, CcpProblem, JccGroup, Polytope, SampleSet
 # Five (lo, hi) interval scenarios; the point must land inside a
 # 1-epsilon fraction of them.  Infeasible for eps < 0.4 (no point is in
 # four of the five intervals), then the optimum walks down 3, 2, 1.
+# Read-only: each toy holds its own copy.
 INTERVAL_SCENARIOS = np.array([
     [1.0, 3.0],
     [2.0, 4.0],
@@ -16,6 +17,7 @@ INTERVAL_SCENARIOS = np.array([
     [4.0, 6.0],
     [5.0, 7.0],
 ])
+INTERVAL_SCENARIOS.setflags(write=False)
 
 # Level bracket the interval toy is traditionally solved under.
 INTERVAL_BOUNDS = (0.0, 8.0)
@@ -27,7 +29,7 @@ def interval_toy(epsilon: float, rho: float = 0.0) -> CcpProblem:
     below = BiAffineConstraint(A=np.zeros((2, 1)), a0=[1.0, 0.0], c=[-1.0])
     above = BiAffineConstraint(A=np.zeros((2, 1)), a0=[0.0, -1.0], c=[1.0])
     group = JccGroup(constraints=[below, above],
-                     samples=SampleSet(INTERVAL_SCENARIOS),
+                     samples=SampleSet(INTERVAL_SCENARIOS.copy()),
                      epsilon=epsilon, rho=rho, label="interval")
     polytope = Polytope(lower=[-np.inf], upper=[np.inf])
     return CcpProblem(objective=[1.0], polytope=polytope, groups=[group],

@@ -386,6 +386,27 @@ def test_evaluate_malformed_report_is_an_input_error(tmp_path, capsys, keys,
     assert err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("problem", "objective"), ["1"],
+     "/problem/objective: expected numbers, got str"),
+    (("problem", "groups", 0, "epsilon"), "0.4",
+     "/problem/groups/0/epsilon: expected a number, got str"),
+    (("problem", "polytope", "bounds", 0), {"lower": "0"},
+     "/problem/polytope/bounds/0/lower: expected a number, got str"),
+], ids=["objective", "group-epsilon", "bound"])
+def test_evaluate_problem_errors_name_their_path_in_the_report(
+        tmp_path, capsys, keys, value, message):
+    report_file = _interval_report(tmp_path, capsys)
+    report = json.loads(report_file.read_text())
+    _set(*keys)(report, value)
+    report_file.write_text(json.dumps(report))
+    test_csv = tmp_path / "t.csv"
+    SampleSet(INTERVAL_SCENARIOS).to_csv(test_csv)
+    code, out, err = run(capsys, "evaluate", str(report_file), str(test_csv))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_evaluate_non_finite_scenario_cell_names_file_and_line(
         tmp_path, capsys, cell):
@@ -411,6 +432,21 @@ def test_dispatch_non_finite_csv_scenario_cell_names_file_and_line(
                          "--out", str(tmp_path / "d"))
     assert code == 1 and out == ""
     assert err == f"error: {csv}: non-finite value on line 2\n"
+
+
+def test_dispatch_malformed_held_out_rows_fail_at_load(tmp_path, capsys):
+    # The held-out rows are checked when the case loads, not only when a
+    # sweep scores against them.
+    data = json.loads(Path(THREE_BUS).read_text())
+    for row in data["wind"]["test_errors"]:
+        del row[-1]
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, "dispatch", str(case), "--rho", "0",
+                         "--method", "cvar", "--out", str(tmp_path / "d"))
+    assert code == 1 and out == ""
+    assert err == "error: wind test_errors rows are 3 wide, expected W*T = 4\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_dispatch_rho_grid_that_is_not_numbers_is_an_input_error(tmp_path,

@@ -1,15 +1,18 @@
 """Dispatch compilation: PTDF, builder semantics, audits, case files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from jccopt import (Adn, Bus, DispatchCase, Generator, Line, ModelError,
-                    Network, SampleSet, Segment, WindFarm, WindScenarioSet,
-                    aggregate_errors, audit_dispatch, build_ccp, case_from_dict,
-                    case_to_dict, compute_ptdf, deterministic_dispatch,
-                    load_case, rho_sweep, solve_also_x_multi)
+from jccopt import (Adn, BiAffineConstraint, Bus, DispatchCase, Generator,
+                    JccGroup, Line, ModelError, Network, SampleSet, Segment,
+                    SolveReport, ViolationReport, WindFarm, WindScenarioSet,
+                    aggregate_errors, algorithms, audit_dispatch, build_ccp,
+                    case_from_dict, case_to_dict, compute_ptdf,
+                    deterministic_dispatch, load_case, rho_sweep,
+                    solve_also_x_multi)
 from jccopt.cases import overlap_case, render_case, three_bus_case
 
 from helpers import random_dispatch_case
@@ -119,6 +122,39 @@ def test_dispatch_radii_must_be_finite_and_nonnegative():
                 e_lower=np.zeros((1, 1)), e_upper=np.ones((1, 1)), rho=rho)
         with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
             Line(0, 1, capacity=1.0, rho=rho)
+
+
+# Every owner of a risk setting, built with the given epsilon and rho.
+RISK_OWNERS = {
+    "group 'u'": lambda **risk: JccGroup(
+        constraints=[BiAffineConstraint(np.zeros((1, 1)), [1.0], [-1.0])],
+        samples=SampleSet(np.zeros((1, 1))), label="u", **risk),
+    "generator 'u'": lambda **risk: Generator(
+        bus=0, p_min=0.0, p_max=4.0, ramp_dn=-1.0, ramp_up=1.0,
+        segments=[Segment(4.0, 10.0)], name="u", **risk),
+    "adn 'u'": lambda **risk: Adn(
+        bus=0, p_lower=np.zeros((1, 1)), p_upper=np.ones((1, 1)),
+        e_lower=np.zeros((1, 1)), e_upper=np.ones((1, 1)), name="u", **risk),
+    "line 'u'": lambda **risk: Line(0, 1, capacity=1.0, name="u", **risk),
+}
+
+
+@pytest.mark.parametrize("owner", list(RISK_OWNERS))
+@pytest.mark.parametrize("risk, message", [
+    ({"epsilon": 1.0}, "epsilon must be in [0, 1)"),
+    ({"epsilon": -0.1}, "epsilon must be in [0, 1)"),
+    ({"epsilon": np.nan}, "epsilon must be in [0, 1)"),
+    ({"rho": -0.1}, "rho must be finite and nonnegative"),
+    ({"rho": np.nan}, "rho must be finite and nonnegative"),
+    ({"rho": np.inf}, "rho must be finite and nonnegative"),
+], ids=["eps-one", "eps-negative", "eps-nan", "rho-negative", "rho-nan",
+        "rho-inf"])
+def test_risk_settings_follow_one_rule(owner, risk, message):
+    make = RISK_OWNERS[owner]
+    with pytest.raises(ModelError, match=f"^{re.escape(owner)}: {re.escape(message)}$"):
+        make(**{"epsilon": 0.1, "rho": 0.0, **risk})
+    unit = make(epsilon=0, rho=0)
+    assert (type(unit.epsilon), type(unit.rho)) == (float, float)
 
 
 def test_case_requires_paired_scenario_counts():
@@ -401,6 +437,22 @@ def test_held_out_sets_need_wind_rows_when_the_case_has_wind():
     assert all(ts.n == 100 for ts in sets)
 
 
+def test_rho_sweep_in_sample_reliability_is_the_report_rate(monkeypatch):
+    # Without held-out rows the sweep reports each group's in-sample rate,
+    # one integer division: 1/3, where 1 - 2/3 is 0.33333333333333337.
+    def solve(problem, method, cfg=None):
+        per_group = [ViolationReport(g.label, g.epsilon, g.rho, 1, 3, np.zeros(3))
+                     for g in problem.groups]
+        return SolveReport(method, algorithms.FEASIBLE, np.zeros(problem.n_vars),
+                           0.0, per_group)
+
+    monkeypatch.setattr(algorithms, "solve", solve)
+    case = overlap_case()
+    assert case.test_wind_rows is None and case.test_boundary_rows is None
+    [row] = rho_sweep(case, [0.0], methods=("cvar",))
+    assert row["reliability"] == [1 / 3] * len(row["labels"])
+
+
 def test_rho_sweep_rejects_negative_radius():
     for rho in (-0.1, np.nan, np.inf):
         with pytest.raises(ModelError, match="finite and nonnegative"):
@@ -460,6 +512,91 @@ def test_case_scenarios_from_csv(tmp_path):
     loaded = load_case(path)
     np.testing.assert_array_equal(loaded.wind.errors, case.wind.errors)
     np.testing.assert_array_equal(loaded.adns[0].p_lower, case.adns[0].p_lower)
+
+
+def _drop_last_column(rows):
+    for row in rows:
+        del row[-1]
+
+
+def _second_adn_without_test_rows(data):
+    adn = dict(data["adns"][0], name="adn3")
+    del adn["test_boundary_samples"]
+    data["adns"].append(adn)
+
+
+def _cross_first_power_window(data):
+    row = data["adns"][0]["test_boundary_samples"][0]
+    row[0] = row[4] + 1.0       # p_lower[0] above p_upper[0] (T = 4)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _drop_last_column(d["wind"]["test_errors"]),
+     "wind test_errors rows are 3 wide, expected W*T = 4"),
+    (lambda d: _drop_last_column(d["adns"][0]["test_boundary_samples"]),
+     "adn 'adn2': test_boundary_samples rows are 15 wide, expected 4*T = 16"),
+    (_second_adn_without_test_rows, "1 test_boundary_samples blocks for 2 adns"),
+    (lambda d: d["wind"]["test_errors"].pop(),
+     "held-out blocks must have equal row counts, got wind test_errors 99, "
+     "adn 'adn2': test_boundary_samples 100"),
+    (_cross_first_power_window,
+     "adn 'adn2': test_boundary_samples: p_lower > p_upper in a scenario"),
+    (lambda d: d["wind"].pop("test_errors"),
+     "case embeds adn boundary test data but no wind test data"),
+    (lambda d: d["adns"][0].pop("test_boundary_samples"),
+     "case embeds wind test data but no adn boundary test data"),
+], ids=["wind-width", "boundary-width", "adn-block-missing", "unequal-rows",
+        "band-order", "wind-rows-absent", "boundary-rows-absent"])
+def test_load_case_checks_held_out_rows(tmp_path, edit, message):
+    data = case_to_dict(three_bus_case())
+    edit(data)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        load_case(path)
+
+
+def _two_farm_case() -> DispatchCase:
+    """The three-bus case with a second wind farm at bus 2."""
+    case = three_bus_case()
+    rng = np.random.default_rng(7)
+    T, n, n_test = case.horizon, case.wind.n, len(case.test_wind_rows)
+    farms = case.wind.farms + [WindFarm(bus=2, forecast=np.full(T, 1.5))]
+    case.wind = WindScenarioSet(farms, np.concatenate(
+        [case.wind.errors, rng.normal(0.0, 0.5, size=(n, 1, T))], axis=1))
+    case.test_wind_rows = np.hstack(
+        [case.test_wind_rows, rng.normal(0.0, 0.5, size=(n_test, T))])
+    case.validate()
+    return case
+
+
+def _reference_stacks(case, wind, adns):
+    """Per-group scenario stacks from a wind set and whole ADNs."""
+    omega_p, omega_m = aggregate_errors(wind)
+    return ([np.hstack([omega_p, omega_m]) for _ in case.generators]
+            + [np.hstack([omega_p, d.p_lower, d.p_upper, d.e_lower, d.e_upper])
+               for d in adns]
+            + [np.hstack([wind.to_rows(), omega_p, omega_m])
+               for _ in case.network.lines])
+
+
+@pytest.mark.parametrize("make", [three_bus_case, _two_farm_case],
+                         ids=["one-farm", "two-farms"])
+def test_scenario_stacks_keep_their_bytes(make):
+    case = make()
+    model = build_ccp(case)
+    T = case.horizon
+    test_wind = WindScenarioSet.from_rows(case.wind.farms, case.test_wind_rows, T)
+    test_adns = [Adn.from_rows(d.bus, rows, T, name=d.name)
+                 for d, rows in zip(case.adns, case.test_boundary_rows)]
+
+    def layout(arrays):
+        return [(a.shape, a.tobytes()) for a in arrays]
+
+    assert layout(g.samples.data for g in model.problem.groups) == layout(
+        _reference_stacks(case, case.wind, case.adns))
+    assert layout(s.data for s in model.test_sample_sets()) == layout(
+        _reference_stacks(case, test_wind, test_adns))
 
 
 def test_embedded_test_sets_match_group_layout(three_bus_model):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, ModelError,
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
 from jccopt.model import dual_norm, norm_value
-from jccopt.toys import interval_toy, two_group_toy
+from jccopt.toys import INTERVAL_SCENARIOS, interval_toy, two_group_toy
 
 from helpers import random_instance
 
@@ -300,6 +301,31 @@ def test_polytope_validate_shapes():
         Polytope(G=[[1.0]], h=[1.0]).validate(2)
     with pytest.raises(ModelError, match="together"):
         Polytope(G=[[1.0]]).validate(1)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ({"G": [[np.nan]], "h": [0.0]}, "polytope: G: entries must be finite"),
+    ({"G": [[1.0]], "h": [np.inf]}, "polytope: h: entries must be finite"),
+    ({"A_eq": [[np.inf]], "b_eq": [0.0]},
+     "polytope: A_eq: entries must be finite"),
+    ({"lower": [np.nan]}, "polytope: bounds may be infinite but not NaN"),
+], ids=["G-nan", "h-inf", "A_eq-inf", "lower-nan"])
+def test_polytope_blocks_are_checked_when_the_problem_is_built(blocks, message):
+    # the LP block rule, so a bad polytope fails here, not in its first LP
+    con = BiAffineConstraint(A=np.zeros((1, 1)), a0=[1.0], c=[-1.0])
+    g = JccGroup(constraints=[con], samples=SampleSet(np.zeros((2, 1))),
+                 epsilon=0.1)
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        CcpProblem(objective=[1.0], polytope=Polytope(**blocks), groups=[g])
+
+
+def test_interval_toys_do_not_share_scenarios():
+    toy = interval_toy(0.4)
+    toy.groups[0].samples.data[0, 0] = 99.0
+    assert interval_toy(0.4).groups[0].samples.data[0, 0] == 1.0
+    assert INTERVAL_SCENARIOS[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        INTERVAL_SCENARIOS[0, 0] = 99.0
 
 
 def test_every_export_resolves():
