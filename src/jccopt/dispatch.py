@@ -29,13 +29,24 @@ VARIANTS = {"day-ahead": (24, 1.0), "intraday": (4, 0.25)}
 
 
 def _rows(rows, width: int, what: str, formula: str) -> np.ndarray:
-    """Scenario ``rows`` as a 2-d float array that must be ``width`` wide;
-    ``what`` names the rows and ``formula`` their width in the message."""
+    """Scenario ``rows`` as a 2-d float array of finite entries that must
+    be ``width`` wide; ``what`` names the rows and ``formula`` their width
+    in the message."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != width:
         raise ModelError(f"{what} rows are {rows.shape[1]} wide, expected "
                          f"{formula} = {width}")
+    _check_finite(what, rows)
     return rows
+
+
+def _check_finite(what: str, rows) -> None:
+    """Every scenario row (the leading axis) of ``rows`` must be finite;
+    the message names ``what`` and the first row that is not."""
+    finite = np.isfinite(rows.reshape(rows.shape[0], -1)).all(axis=1)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise ModelError(f"{what} row {bad[0]}: entries must be finite")
 
 
 def _check_bands(owner: str, p_lower, p_upper, e_lower, e_upper) -> None:
@@ -346,9 +357,12 @@ class DispatchCase:
             if d.horizon != T:
                 raise ModelError(f"adn {d.name!r}: boundaries cover "
                                  f"{d.horizon} steps, horizon is {T}")
+            for key in ("p_lower", "p_upper", "e_lower", "e_upper"):
+                _check_finite(f"adn {d.name!r}: {key}", getattr(d, key))
         if self.wind is not None:
             if self.wind.horizon != T:
                 raise ModelError("wind scenarios do not match the horizon")
+            _check_finite("wind error", self.wind.errors)
             for f in self.wind.farms:
                 self.network.bus_pos(f.bus)
                 if f.forecast.shape != (T,):

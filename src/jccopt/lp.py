@@ -1,10 +1,12 @@
 """Linear programming core: a bounded-variable simplex on a dense tableau.
 
 Solves   min c'x  s.t.  G x <= h,  A_eq x = b_eq,  lower <= x <= upper
-with a bounded-variable two-phase primal simplex.  The tableau stores the
-structural and slack columns only; the artificials of phase 1 are unit
-columns known by their row and sign, and the basic values are recomputed
-from the structural block of the basis alone (``_Tableau.refresh_basics``).
+with a bounded-variable two-phase primal simplex.  The constraint matrix
+is kept as its structural block alone (the ``G`` and ``A_eq`` rows over
+the problem's variables); slacks and the artificials of phase 1 are unit
+columns known by their row and sign.  The tableau ``T`` stores the
+structural and slack columns, and the basic values are recomputed from
+the structural block of the basis alone (``_Tableau.refresh_basics``).
 Bounds are handled natively (nonbasic variables rest at either bound),
 so boxes never inflate the row count.  Pricing is largest-reduced-cost
 with a deterministic lowest-index tie-break; after a degenerate stall
@@ -155,27 +157,29 @@ class _Tableau:
     Columns: structural vars, then one slack per inequality row, then the
     artificials the crash basis needs.  Every column j >= n_struct is the
     unit column ``unit_sign[j - n_struct] * e_{unit_rows[j - n_struct]}``.
-    ``A`` and ``T`` store only the ``first_art`` columns before the
-    artificials: an artificial is read only while basic, as its unit
-    column, and once it leaves the basis it is fixed at zero, so it is
-    never priced and never enters a ratio test.  ``lo``, ``hi``, ``vstat``
-    and ``nb_val`` cover every column, artificials included; ``vstat``
-    tracks where each nonbasic column rests, and basic values live in
-    ``xb`` (positionally parallel to ``basis``).
+    ``A`` is the structural block only (m x n_struct: the ``G`` rows, then
+    the ``A_eq`` rows); the crash and ``refresh_basics`` add the unit
+    columns from ``unit_rows`` and ``unit_sign``.  ``T`` stores the
+    ``first_art`` columns before the artificials: an artificial is read
+    only while basic, as its unit column, and once it leaves the basis it
+    is fixed at zero, so it is never priced and never enters a ratio
+    test.  ``lo``, ``hi``, ``vstat`` and ``nb_val`` cover every column,
+    artificials included; ``vstat`` tracks where each nonbasic column
+    rests, and basic values live in ``xb`` (positionally parallel to
+    ``basis``).
     """
 
     def __init__(self, problem: LpProblem):
         n, mi, me = problem.n_vars, problem.n_ineq, problem.n_eq
         m = mi + me
         cols = n + mi
-        A = np.zeros((m, cols))
-        b = np.zeros(m)
+        A = np.empty((m, n))
+        b = np.empty(m)
         if mi:
-            A[:mi, :n] = problem.G
-            A[np.arange(mi), n + np.arange(mi)] = 1.0
+            A[:mi] = problem.G
             b[:mi] = problem.h
         if me:
-            A[mi:, :n] = problem.A_eq
+            A[mi:] = problem.A_eq
             b[mi:] = problem.b_eq
         self.A, self.b = A, b
         self.lo = np.concatenate([problem.lower, np.zeros(mi)])
@@ -198,8 +202,8 @@ class _Tableau:
     def _crash(self):
         """Initial basis: nonbasics at a finite bound, slacks absorbing what
         they can, artificials covering the rest."""
-        m, n = self.m, self.n_struct
-        cols = self.A.shape[1]
+        m, n, mi = self.m, self.n_struct, self.n_ineq
+        cols = n + mi
         vstat = np.full(cols, _NB_LO, dtype=np.int8)
         val = np.where(np.isfinite(self.lo), self.lo, 0.0)
         no_lo = ~np.isfinite(self.lo)
@@ -212,9 +216,10 @@ class _Tableau:
         self.free_cols = np.flatnonzero(free)
         vstat[np.isfinite(self.lo) & (self.hi == self.lo)] = _FIXED
 
-        resid = self.b - self.A @ val
+        resid = self.b - self.A @ val[:n]
+        resid[:mi] -= val[n:]
         slack = np.zeros(m, dtype=bool)
-        slack[:self.n_ineq] = resid[:self.n_ineq] >= 0.0
+        slack[:mi] = resid[:mi] >= 0.0
         rows, art_rows = np.flatnonzero(slack), np.flatnonzero(~slack)
         n_art = art_rows.size
         basis = np.empty(m, dtype=int)
@@ -224,8 +229,8 @@ class _Tableau:
         # Each artificial is +-e_i, signed so that it starts at |resid_i|;
         # slack rows have resid >= 0, so they keep sign +1.
         sign = np.where(resid < 0.0, -1.0, 1.0)
-        self.unit_rows = np.concatenate([np.arange(self.n_ineq), art_rows])
-        self.unit_sign = np.concatenate([np.ones(self.n_ineq), sign[art_rows]])
+        self.unit_rows = np.concatenate([np.arange(mi), art_rows])
+        self.unit_sign = np.concatenate([np.ones(mi), sign[art_rows]])
         self.lo = np.concatenate([self.lo, np.zeros(n_art)])
         self.hi = np.concatenate([self.hi, np.full(n_art, np.inf)])
         self.first_art = cols
@@ -233,10 +238,15 @@ class _Tableau:
         self.basis = basis
         # nb_val is meaningful only where nonbasic.
         self.nb_val = np.concatenate([val, np.zeros(n_art)])
-        # T = B^-1 A: the crash basis is +-unit columns, so T is A with the
-        # rows of the -1 artificials negated.  One product builds it, with
-        # no copy of A besides T itself.
-        self.T = self.A * sign[:, None]
+        # T = B^-1 [A I]: the crash basis is +-unit columns, so T is the
+        # structural block and the slack identity with the rows of the -1
+        # artificials negated.  Both are written straight into T; the slack
+        # block's zeros carry the row sign, as a product would give them.
+        T = np.empty((m, cols))
+        np.multiply(self.A, sign[:, None], out=T[:, :n])
+        T[:, n:] = np.copysign(0.0, sign)[:, None]
+        T[np.arange(mi), n + np.arange(mi)] = sign[:mi]
+        self.T = T
         self.xb = np.where(slack, resid, np.abs(resid))
 
     def _extend(self, c):
@@ -517,16 +527,18 @@ class _Tableau:
         when nothing moved since the last refresh.
 
         Every basic slack or artificial is a unit column +-e_u, so only the
-        structural block needs a factor: the rows W that no basic unit
-        column covers give the square system A[W, S] x_S = r[W] for the
-        basic structural columns S, and each unit row u then reads off
-        x_u = sign_u (r_u - A[u, S] x_S)."""
+        structural block ``A`` needs a factor: the rows W that no basic
+        unit column covers give the square system A[W, S] x_S = r[W] for
+        the basic structural columns S, and each unit row u then reads off
+        x_u = sign_u (r_u - A[u, S] x_S).  The rhs r is b less the
+        structural and slack columns at their nonbasic values."""
         if self._fresh:
             return
         n, basis = self.n_struct, self.basis
         v = self.nb_val[:self.first_art].copy()
         v[basis[basis < self.first_art]] = 0.0
-        rhs = self.b - self.A @ v
+        rhs = self.b - self.A @ v[:n]
+        rhs[:self.n_ineq] -= v[n:]
         s = basis < n
         k = basis[~s] - n
         u, sign = self.unit_rows[k], self.unit_sign[k]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -122,23 +123,40 @@ class BiAffineConstraint:
 
     def __init__(self, A, a0, c, d: float = 0.0):
         A = np.atleast_2d(np.asarray(A, dtype=float))
+        flat = A.ravel()
+        index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+        self._store(A.shape, index, flat[index], a0, c, d)
+
+    @classmethod
+    def from_entries(cls, shape, index, value, a0, c,
+                     d: float = 0.0) -> "BiAffineConstraint":
+        """The constraint whose ``A`` of ``shape`` holds ``value`` at the
+        flat row-major positions ``index`` (strictly increasing, in range)
+        and 0.0 elsewhere, built without the dense matrix."""
+        value = np.asarray(value, dtype=float)
+        keep = (value != 0.0) | np.signbit(value)
+        con = cls.__new__(cls)
+        con._store(tuple(shape), np.asarray(index, dtype=np.intp)[keep],
+                   value[keep], a0, c, d)
+        return con
+
+    def _store(self, shape, index, value, a0, c, d):
         self.a0 = np.atleast_1d(np.asarray(a0, dtype=float))
         self.c = np.atleast_1d(np.asarray(c, dtype=float))
         self.d = float(d)
-        k, n = A.shape
+        k, n = shape
         if self.a0.shape != (k,):
             raise ModelError(f"a0 must have length {k} (rows of A), got {self.a0.shape}")
         if self.c.shape != (n,):
             raise ModelError(f"c must have length {n} (cols of A), got {self.c.shape}")
-        for name, arr in (("A", A), ("a0", self.a0), ("c", self.c)):
+        for name, arr in (("A", value), ("a0", self.a0), ("c", self.c)):
             if not np.all(np.isfinite(arr)):
                 raise ModelError(f"{name} must be finite")
         if not np.isfinite(self.d):
             raise ModelError("d must be finite")
-        flat = A.ravel()
         self.A_shape = (k, n)
-        self.A_index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-        self.A_value = flat[self.A_index]
+        self.A_index = index
+        self.A_value = value
 
     @property
     def A(self) -> np.ndarray:
@@ -449,8 +467,71 @@ def _bounds_from_json(entries, n, path):
     return lower, upper
 
 
+def _shape(value) -> tuple[int, int]:
+    """A JSON array of two positive whole numbers, as a matrix shape."""
+    try:
+        k, n = map(integer, value)
+    except (TypeError, ValueError):
+        k = n = 0
+    if min(k, n) < 1:
+        raise ValueError(f"expected two positive whole numbers, got {value!r}")
+    return k, n
+
+
+def _entries_from_json(data, where) -> tuple:
+    """The (shape, index, value) of a matrix written as the JSON object
+    ``{"shape": [k, n], "index": [...], "value": [...]}`` at path
+    ``where``: ``value[i]`` sits at flat row-major position ``index[i]``,
+    the indices strictly increasing, and every other entry is 0.0."""
+    shape = read_field(data, "shape", where, _shape)
+    index = read_field(data, "index", where, list)
+    value = read_field(data, "value", where, list)
+    if len(index) != len(value):
+        raise ModelError(f"{where}: index has {len(index)} entries, value "
+                         f"{len(value)}")
+    positions, values = [], []
+    for i, (j, v) in enumerate(zip(index, value)):
+        try:
+            j = integer(j)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"{where}/index/{i}: {exc}") from None
+        if not 0 <= j < shape[0] * shape[1]:
+            raise ModelError(f"{where}/index/{i}: {j} is out of range for "
+                             f"shape {list(shape)}")
+        if positions and j <= positions[-1]:
+            raise ModelError(f"{where}/index/{i}: {j} " + (
+                "repeats the entry before" if j == positions[-1] else
+                "is below the entry before") + "; indices must be strictly "
+                "increasing")
+        positions.append(j)
+        try:
+            values.append(number(v))
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"{where}/value/{i}: {exc}") from None
+    return shape, positions, values
+
+
+def _constraint_from_json(data, where) -> BiAffineConstraint:
+    """The constraint of the JSON object at path ``where``, whose ``A`` is
+    a dense nested list or its stored entries (``_entries_from_json``)."""
+    A = read_field(data, "A", where)
+    build = (partial(BiAffineConstraint.from_entries,
+                     *_entries_from_json(A, f"{where}/A"))
+             if isinstance(A, dict)
+             else partial(BiAffineConstraint, read_field(data, "A", where, floats)))
+    rest = [read_field(data, k, where, floats) for k in ("a0", "c")]
+    rest.append(read_field(data, "d", where, number))
+    try:
+        return build(*rest)
+    except ModelError as exc:  # a0 or c against the shape of A
+        raise ModelError(f"{where}: {exc}") from None
+
+
 def problem_to_dict(problem: CcpProblem) -> dict:
-    """JSON-ready dict; numbers survive a round trip bit-exactly."""
+    """JSON-ready dict; numbers survive a round trip bit-exactly.  Each
+    constraint's ``A`` is written as its stored entries (the nonzeros and
+    any -0.0, at their flat row-major positions); every other block is
+    dense."""
     poly = problem.polytope
     out = {
         "objective": problem.objective.tolist(),
@@ -474,8 +555,9 @@ def problem_to_dict(problem: CcpProblem) -> dict:
             "rho": g.rho,
             "norm": g.norm,
             "constraints": [
-                {"A": c.A.tolist(), "a0": c.a0.tolist(),
-                 "c": c.c.tolist(), "d": c.d}
+                {"A": {"shape": list(c.A_shape), "index": c.A_index.tolist(),
+                       "value": c.A_value.tolist()},
+                 "a0": c.a0.tolist(), "c": c.c.tolist(), "d": c.d}
                 for c in g.constraints
             ],
             "samples": g.samples.data.tolist(),
@@ -505,12 +587,9 @@ def problem_from_dict(data: dict, path: str = "/") -> CcpProblem:
     groups = []
     for gi, gd in enumerate(group_data):
         where = f"{root}/groups/{gi}"
-        constraints = []
-        for ci, cd in enumerate(read_field(gd, "constraints", where, list)):
-            at = f"{where}/constraints/{ci}"
-            constraints.append(BiAffineConstraint(
-                *(read_field(cd, k, at, floats) for k in ("A", "a0", "c")),
-                read_field(cd, "d", at, number)))
+        constraints = [
+            _constraint_from_json(cd, f"{where}/constraints/{ci}")
+            for ci, cd in enumerate(read_field(gd, "constraints", where, list))]
         groups.append(JccGroup(
             constraints=constraints,
             samples=SampleSet(read_field(gd, "samples", where, floats)),

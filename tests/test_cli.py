@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jccopt import algorithms
 from jccopt.algorithms import applicable_methods
 from jccopt.cases import bundled_case_path
 from jccopt.cli import main
-from jccopt.model import SampleSet, problem_to_dict
+from jccopt.dispatch import build_ccp, load_case
+from jccopt.model import SampleSet, evaluate_group, problem_to_dict
 from jccopt.toys import INTERVAL_SCENARIOS, interval_toy, two_group_toy
 
 from helpers import over_cap_problem
@@ -352,6 +354,37 @@ def test_evaluate_from_solve_report(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "group,reliability"
     assert lines[1] == "interval,0.6"
+
+
+def test_evaluate_reads_the_dispatch_report_sparse_or_dense(tmp_path, capsys):
+    # The report writes each constraint's A as its stored entries; evaluate
+    # scores the held-out rows from it as the in-memory model does, and
+    # reads a report whose A is written dense the same way.
+    code, _, _ = run(capsys, "dispatch", THREE_BUS, "--method", "cvar",
+                     "--out", str(tmp_path / "d"))
+    assert code == 0
+    report_file = tmp_path / "d" / "dispatch_report.json"
+    model = build_ccp(load_case(Path(THREE_BUS)))
+    x = algorithms.solve(model.problem, "cvar").x
+    held_out = model.test_sample_sets()[0]
+    held_out.to_csv(tmp_path / "t.csv")
+    want = "group,reliability\n" + "".join(
+        f"{g.label},{evaluate_group(g, x, held_out, 0.0).rate!r}\n"
+        for g in model.problem.groups if g.samples.dim == held_out.dim)
+    code, out, _ = run(capsys, "evaluate", str(report_file), str(tmp_path / "t.csv"))
+    assert code == 0 and out == want
+
+    report = json.loads(report_file.read_text())
+    assert report["results"]["cvar"]["x"] == x.tolist()
+    for gd, g in zip(report["problem"]["groups"], model.problem.groups):
+        for cd, con in zip(gd["constraints"], g.constraints):
+            assert cd["A"]["index"] == con.A_index.tolist()
+            cd["A"] = con.A.tolist()
+    dense = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert 5 * report_file.stat().st_size <= len(dense)
+    report_file.write_text(dense)
+    code, out, _ = run(capsys, "evaluate", str(report_file), str(tmp_path / "t.csv"))
+    assert code == 0 and out == want
 
 
 def _interval_report(tmp_path, capsys) -> Path:

@@ -556,6 +556,41 @@ def test_load_case_checks_held_out_rows(tmp_path, edit, message):
         load_case(path)
 
 
+def _set_cell(block, index, value):
+    def edit(case):
+        block(case)[index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_cell(lambda c: c.test_wind_rows, (0, 0), np.nan),
+     "wind test_errors row 0: entries must be finite"),
+    (_set_cell(lambda c: c.test_boundary_rows[0], (3, 2), np.inf),
+     "adn 'adn2': test_boundary_samples row 3: entries must be finite"),
+    (_set_cell(lambda c: c.wind.errors, (2, 0, 1), np.nan),
+     "wind error row 2: entries must be finite"),
+    (_set_cell(lambda c: c.adns[0].e_upper, (4, 1), -np.inf),
+     "adn 'adn2': e_upper row 4: entries must be finite"),
+    (_set_cell(lambda c: c.adns[0].p_lower, (9, 0), np.nan),
+     "adn 'adn2': p_lower row 9: entries must be finite"),
+], ids=["held-out-wind", "held-out-boundary", "wind", "adn-energy", "adn-power"])
+def test_non_finite_scenario_rows_name_their_block_and_row(edit, message):
+    # Rows built in Python, not read from a file, reach validate unchecked.
+    case = three_bus_case()
+    edit(case)
+    for check in (case.validate, lambda: build_ccp(case)):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            check()
+
+
+def test_adn_rows_must_be_finite():
+    rows = three_bus_case().adns[0].to_rows()
+    rows[1, 5] = np.nan
+    with pytest.raises(ModelError, match=re.escape(
+            "adn 'a': boundary row 1: entries must be finite")):
+        Adn.from_rows(bus=2, rows=rows, horizon=4, name="a")
+
+
 def _two_farm_case() -> DispatchCase:
     """The three-bus case with a second wind farm at bus 2."""
     case = three_bus_case()

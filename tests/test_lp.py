@@ -274,12 +274,22 @@ def test_block_pivot_equals_dense_update(case):
 
 
 
+def _slacks(tab):
+    """The slack columns written out: +e_i for each inequality row i."""
+    mi = tab.n_ineq
+    slacks = np.zeros((tab.m, mi))
+    slacks[np.arange(mi), np.arange(mi)] = 1.0
+    return slacks
+
+
 def _crash_by_rows(tab):
-    """The crash basis built row by row, with its artificial columns stored:
-    the reference for the vectorised ``_Tableau._crash``.  Returns
-    (basis, A, T, xb) with A and T over every column, artificials included."""
-    cols, m = tab.first_art, tab.m
-    resid = tab.b - tab.A @ tab.nb_val[:cols]
+    """The crash basis built row by row, with its slack and artificial
+    columns stored: the reference for the vectorised ``_Tableau._crash``.
+    Returns (basis, A, T, xb) with A and T over every column, artificials
+    included."""
+    cols, m, n = tab.first_art, tab.m, tab.n_struct
+    S = _slacks(tab)
+    resid = tab.b - tab.A @ tab.nb_val[:n] - S @ tab.nb_val[n:cols]
     basis = np.full(m, -1)
     art_rows = []
     for i in range(m):
@@ -291,7 +301,7 @@ def _crash_by_rows(tab):
     for k, i in enumerate(art_rows):
         art[i, k] = 1.0 if resid[i] >= 0.0 else -1.0
         basis[i] = cols + k
-    A = np.hstack([tab.A, art])
+    A = np.hstack([tab.A, S, art])
     T = A.copy()
     for k, i in enumerate(art_rows):
         if A[i, cols + k] < 0:
@@ -321,9 +331,13 @@ def test_crash_equals_the_row_loop():
         basis, A, T, xb = _crash_by_rows(tab)
         cols = tab.first_art
         assert np.array_equal(tab.basis, basis)
-        # The tableau stores only the columns before the artificials ...
-        assert tab.A.shape[1] == tab.T.shape[1] == cols
-        assert tab.A.tobytes() == A[:, :cols].tobytes()
+        # A is the structural block, the G rows then the A_eq rows ...
+        assert tab.A.shape == (tab.m, tab.n_struct)
+        blocks = [M for M in (p.G, p.A_eq) if M is not None]
+        assert tab.A.tobytes() == np.vstack(
+            [np.zeros((0, tab.n_struct)), *blocks]).tobytes()
+        # ... T stores only the columns before the artificials ...
+        assert tab.T.shape[1] == cols
         assert tab.T.tobytes() == T[:, :cols].tobytes()  # signs of zeros included
         # ... and knows each slack and artificial column by its row and sign.
         mi = tab.n_ineq
@@ -562,7 +576,7 @@ def _dense_refresh(tab):
     rows, sign = tab.unit_rows[tab.n_ineq:], tab.unit_sign[tab.n_ineq:]
     art = np.zeros((tab.m, rows.size))
     art[rows, np.arange(rows.size)] = sign
-    A = np.hstack([tab.A, art])
+    A = np.hstack([tab.A, _slacks(tab), art])
     v = tab.nb_val.copy()
     v[tab.basis] = 0.0
     return np.linalg.solve(A[:, tab.basis], tab.b - A @ v)
@@ -595,7 +609,8 @@ def test_refresh_equals_the_dense_solve_of_the_full_basis(monkeypatch):
     monkeypatch.setattr(_Tableau, "_swap", swap)
     for p in problems:
         tab = _Tableau(p)
-        assert tab.A.shape[1] == tab.T.shape[1] == p.n_vars + p.n_ineq
+        assert tab.A.shape == (tab.m, p.n_vars)
+        assert tab.T.shape[1] == p.n_vars + p.n_ineq
         art_values.append(_check_refresh(tab))  # the crash basis
         sess = backend.start_session(p)
         if sess.solve().status != OPTIMAL:

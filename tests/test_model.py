@@ -222,7 +222,9 @@ def _stored(M):
     return np.count_nonzero((M != 0.0) | np.signbit(M))
 
 
-def test_bi_affine_A_reads_back_exactly():
+def _A_matrices():
+    """Constraint matrices with signed zeros, all-zero ones and random
+    sparse ones."""
     rng = np.random.default_rng(11)
     mats = [np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -2.0]]),
             np.full((2, 3), -0.0), np.zeros((1, 4)), np.array([[3.0]])]
@@ -231,7 +233,11 @@ def test_bi_affine_A_reads_back_exactly():
         M = np.where(rng.random((k, n)) < 0.3, rng.normal(size=(k, n)), 0.0)
         M[rng.random((k, n)) < 0.2] = -0.0
         mats.append(M)
-    for M in mats:
+    return mats
+
+
+def test_bi_affine_A_reads_back_exactly():
+    for M in _A_matrices():
         con = BiAffineConstraint(A=M, a0=np.zeros(M.shape[0]), c=np.zeros(M.shape[1]))
         A = con.A
         assert A.shape == M.shape and A.dtype == np.float64
@@ -241,6 +247,94 @@ def test_bi_affine_A_reads_back_exactly():
         assert con.A is not con.A
         A[...] = 7.0  # a read is a copy: the constraint does not change
         assert np.array_equal(con.A, M)
+
+
+def _one_constraint_problem(M):
+    con = BiAffineConstraint(A=M, a0=np.zeros(M.shape[0]), c=np.ones(M.shape[1]))
+    g = JccGroup(constraints=[con], samples=SampleSet(np.ones((2, M.shape[0]))),
+                 epsilon=0.1)
+    return CcpProblem(objective=np.ones(M.shape[1]), polytope=Polytope(), groups=[g])
+
+
+def test_sparse_A_round_trips_bit_exactly():
+    for M in _A_matrices():
+        d = json.loads(json.dumps(problem_to_dict(_one_constraint_problem(M))))
+        stored = np.flatnonzero((M != 0.0) | np.signbit(M))
+        assert d["groups"][0]["constraints"][0]["A"] == {
+            "shape": list(M.shape), "index": stored.tolist(),
+            "value": M.ravel()[stored].tolist()}
+        con = problem_from_dict(d).groups[0].constraints[0]
+        assert con.A.tobytes() == M.tobytes()  # signs of zeros included
+        assert np.array_equal(con.A_index, stored)
+
+
+def test_dense_A_reads_to_the_same_problem():
+    d = problem_to_dict(build_ccp(three_bus_case()).problem)
+    dense = json.loads(json.dumps(d))
+    for gd, g in zip(dense["groups"], problem_from_dict(d).groups):
+        for cd, con in zip(gd["constraints"], g.constraints):
+            cd["A"] = con.A.tolist()
+    assert problem_to_dict(problem_from_dict(dense)) == d
+    for M in _A_matrices():
+        d = problem_to_dict(_one_constraint_problem(M))
+        d["groups"][0]["constraints"][0]["A"] = M.tolist()
+        assert problem_from_dict(d).groups[0].constraints[0].A.tobytes() == M.tobytes()
+
+
+def _sparse_A_edit(key, value):
+    def edit(A):
+        A[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_sparse_A_edit("shape", [0, 3]),
+     "/A/shape: expected two positive whole numbers, got [0, 3]"),
+    (_sparse_A_edit("shape", [2, 1.5]),
+     "/A/shape: expected two positive whole numbers, got [2, 1.5]"),
+    (_sparse_A_edit("shape", [2, 3, 1]),
+     "/A/shape: expected two positive whole numbers, got [2, 3, 1]"),
+    (_sparse_A_edit("shape", "2x3"),
+     "/A/shape: expected two positive whole numbers, got '2x3'"),
+    (_sparse_A_edit("shape", [2, True]),
+     "/A/shape: expected two positive whole numbers, got [2, True]"),
+    (_sparse_A_edit("index", [1, 2.5, 5]),
+     "/A/index/1: expected a whole number, got 2.5"),
+    (_sparse_A_edit("index", [1, "2", 5]),
+     "/A/index/1: expected a whole number, got str"),
+    (_sparse_A_edit("index", [1, 2, 6]),
+     "/A/index/2: 6 is out of range for shape [2, 3]"),
+    (_sparse_A_edit("index", [-1, 2, 5]),
+     "/A/index/0: -1 is out of range for shape [2, 3]"),
+    (_sparse_A_edit("index", [2, 1, 5]),
+     "/A/index/1: 1 is below the entry before; indices must be strictly increasing"),
+    (_sparse_A_edit("index", [1, 1, 5]),
+     "/A/index/1: 1 repeats the entry before; indices must be strictly increasing"),
+    (_sparse_A_edit("value", [-0.0, float("nan"), -2.0]),
+     "/A/value/1: expected a finite number, got nan"),
+    (_sparse_A_edit("value", [-0.0, float("inf"), -2.0]),
+     "/A/value/1: expected a finite number, got inf"),
+    (_sparse_A_edit("value", [-0.0, None, -2.0]),
+     "/A/value/1: expected a number, got NoneType"),
+    (_sparse_A_edit("value", [-0.0, 1.5]), "/A: index has 3 entries, value 2"),
+    (lambda A: A.pop("index"), "/A: missing field 'index'"),
+    (_sparse_A_edit("value", 1.5), "/A/value: expected an array, got float"),
+    (_sparse_A_edit("shape", [3, 3]),
+     ": a0 must have length 3 (rows of A), got (2,)"),
+], ids=["shape-zero", "shape-fraction", "shape-three", "shape-string", "shape-bool",
+        "index-fraction", "index-string", "index-above", "index-below",
+        "index-decreasing", "index-duplicate", "value-nan", "value-inf",
+        "value-null", "lengths-differ", "index-missing", "value-not-array",
+        "shape-against-a0"])
+def test_sparse_A_malformed_forms_name_their_path(edit, message):
+    M = np.array([[0.0, -0.0, 1.5], [0.0, 0.0, -2.0]])
+    d = problem_to_dict(_one_constraint_problem(M))
+    A = d["groups"][0]["constraints"][0]["A"]
+    assert A == {"shape": [2, 3], "index": [1, 2, 5], "value": [-0.0, 1.5, -2.0]}
+    edit(A)
+    where = "/groups/0/constraints/0"
+    with pytest.raises(ModelError, match=f"^{re.escape(where + message)}$"):
+        problem_from_dict(d)
 
 
 def test_three_bus_constraints_store_only_their_entries():
