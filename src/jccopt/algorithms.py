@@ -34,7 +34,7 @@ from . import lp
 from .errors import CapacityError, ModelError, NumericError
 from .lp import OPTIMAL, UNBOUNDED, LpProblem
 from .model import (TOL_ZERO, CcpProblem, JccGroup, SampleSet, ViolationReport,
-                    evaluate_group)
+                    evaluate_group, risk_budget)
 
 FEASIBLE = "feasible"
 INFEASIBLE_STATUS = "infeasible"
@@ -288,11 +288,6 @@ class SStepAssembler:
             c[self.s_blocks[gi]] = zi / (m * g.n)
         return c
 
-    def split(self, y: np.ndarray):
-        x = y[:self.problem.n_vars]
-        s = [y[blk] for blk in self.s_blocks]
-        return x, s
-
     def session_at(self, f: float) -> lp.SimplexSession:
         """Warm-restartable solver of the full-activation LP at level f;
         it starts from the previous level's basis, and later objectives
@@ -325,14 +320,11 @@ def z_step(s: np.ndarray, epsilon: float) -> np.ndarray:
     z = np.ones(n)
     if epsilon <= 0.0 or n == 0 or not np.any(s > 0.0):
         return z
-    budget = epsilon * n
-    whole = int(math.floor(budget + 1e-9))
-    frac = budget - whole
-    if frac < 1e-9:
-        frac = 0.0
+    whole = risk_budget(epsilon, n)
+    frac = epsilon * n - whole
     order = np.argsort(-s, kind="stable")
     z[order[:whole]] = 0.0
-    if frac > 0.0 and whole < n:
+    if frac >= 1e-9 and whole < n:
         z[order[whole]] = 1.0 - frac
     return z
 
@@ -364,12 +356,9 @@ def inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
     delta = None
     gammas: list[float] = []
     for k in range(MAX_INNER):
-        sol = session.solve(asm.objective_for(z))
-        if sol.status == UNBOUNDED:
-            raise NumericError("shortfall LP unbounded (pathological polytope)")
-        if sol.status != OPTIMAL:
+        x = _point(session.solve(asm.objective_for(z)), problem, "shortfall LP")
+        if x is None:
             return InnerResult(None, None, None, None, None, k, "lp-infeasible")
-        x, _ = asm.split(sol.x)
         s = shortfalls(problem, x)
         z = [z_step(s[gi], g.epsilon) for gi, g in enumerate(problem.groups)]
         gamma = gamma_value(z, s)
@@ -385,6 +374,15 @@ def inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
             return InnerResult(x, s, z, gamma, delta, k + 1, "delta", gammas)
         gamma_prev = gamma
     return InnerResult(x, s, z, gamma, delta, MAX_INNER, "max_inner", gammas)
+
+
+def _point(sol: lp.LpSolution, problem: CcpProblem,
+           what: str) -> np.ndarray | None:
+    """The decision part x of an LP solution: None when the LP is
+    infeasible; an unbounded LP ``what`` raises NumericError."""
+    if sol.status == UNBOUNDED:
+        raise NumericError(f"{what} unbounded (pathological polytope)")
+    return sol.x[:problem.n_vars] if sol.status == OPTIMAL else None
 
 
 # -- hard-constrained LPs ----------------------------------------------------
@@ -429,12 +427,11 @@ def _polish(asm: SStepAssembler, masks, fallback_x):
     imposed hard.  Falls back to the raw accepted point if the cleanup LP
     stumbles numerically (it is feasible by construction)."""
     try:
-        sol = lp.solve_lp(scenario_hard_lp(asm, masks))
+        x = _point(lp.solve_lp(scenario_hard_lp(asm, masks)), asm.problem,
+                   "polish LP")
     except NumericError:
         return fallback_x
-    if sol.status != OPTIMAL:
-        return fallback_x
-    return sol.x[:asm.problem.n_vars]
+    return fallback_x if x is None else x
 
 
 # -- bound initialization ----------------------------------------------------
@@ -545,16 +542,13 @@ def _full_activation_level(asm: SStepAssembler, f: float):
     fraction of exactly-satisfied scenarios reaches 1 - epsilon.  The
     polish keeps those satisfied scenarios."""
     problem = asm.problem
-    sol = asm.session_at(f).solve()
-    if sol.status == UNBOUNDED:
-        raise NumericError("shortfall LP unbounded (pathological polytope)")
-    x = s = gamma = None
+    x = _point(asm.session_at(f).solve(), problem, "shortfall LP")
+    s = gamma = None
     ok = False
-    if sol.status == OPTIMAL:
-        x, _ = asm.split(sol.x)
+    if x is not None:
         s = shortfalls(problem, x)
         gamma = gamma_value([np.ones(g.n) for g in problem.groups], s)
-        ok = all(float(np.mean(si <= TOL_ZERO)) >= 1.0 - g.epsilon - 1e-12
+        ok = all(np.count_nonzero(si > TOL_ZERO) <= risk_budget(g.epsilon, g.n)
                  for si, g in zip(s, problem.groups))
     record = _level_record(problem, f, x, s, gamma, None, 1, ok)
     return record, ((x, [si <= TOL_ZERO for si in s]) if ok else None)
@@ -612,28 +606,26 @@ def solve_cvar(problem: CcpProblem) -> SolveReport:
         builder.append_rows(row, np.array([0.0]))
     obj = np.zeros(builder.cols)
     obj[:problem.n_vars] = problem.objective
-    sol = lp.solve_lp(builder.finish(obj))
-    if sol.status == UNBOUNDED:
-        raise NumericError("CVaR LP unbounded (pathological polytope)")
     return _report(problem, METHOD_CVAR,
-                   sol.x[:problem.n_vars] if sol.status == OPTIMAL else None)
+                   _point(lp.solve_lp(builder.finish(obj)), problem, "CVaR LP"))
 
 
 def oracle_enumeration_count(problem: CcpProblem) -> int:
+    """Scenario selections that keep each group within its risk budget."""
     total = 1
     for g in problem.groups:
-        keep = math.ceil((1.0 - g.epsilon) * g.n - 1e-9)
-        total *= sum(math.comb(g.n, k) for k in range(keep, g.n + 1))
+        total *= sum(math.comb(g.n, v)
+                     for v in range(risk_budget(g.epsilon, g.n) + 1))
     return total
 
 
 def solve_oracle(problem: CcpProblem) -> SolveReport:
     """Exhaustive scenario-subset search (exact sample optimum).
 
-    Per group, any keep-set of ceil((1-eps)*n) scenarios certifies the rate;
-    larger keep-sets only shrink the feasible region, so minimizing over the
-    exact-size subsets equals minimizing over all subsets of at least that
-    size.  Guarded by the full enumeration count.
+    Per group, any keep-set of all but floor(eps*n) scenarios certifies the
+    rate; larger keep-sets only shrink the feasible region, so minimizing
+    over the exact-size subsets equals minimizing over all subsets of at
+    least that size.  Guarded by the full enumeration count.
     """
     count = oracle_enumeration_count(problem)
     if count > ORACLE_CAP:
@@ -641,9 +633,9 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
             f"oracle enumeration would visit {count} subset combinations "
             f"(cap {ORACLE_CAP})")
     asm = SStepAssembler(problem)
-    keeps = [math.ceil((1.0 - g.epsilon) * g.n - 1e-9) for g in problem.groups]
-    pools = [list(itertools.combinations(range(g.n), k))
-             for g, k in zip(problem.groups, keeps)]
+    pools = [list(itertools.combinations(
+                 range(g.n), g.n - risk_budget(g.epsilon, g.n)))
+             for g in problem.groups]
     best_obj = np.inf
     best_x = None
     for combo in itertools.product(*pools):
@@ -653,26 +645,22 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
             mask[list(subset)] = True
             masks.append(mask)
         sol = lp.solve_lp(scenario_hard_lp(asm, masks))
-        if sol.status == OPTIMAL and sol.objective < best_obj:
-            best_obj = sol.objective
-            best_x = sol.x[:problem.n_vars]
-        elif sol.status == UNBOUNDED:
-            raise NumericError("oracle subproblem unbounded (pathological polytope)")
+        x = _point(sol, problem, "oracle subproblem")
+        if x is not None and sol.objective < best_obj:
+            best_obj, best_x = sol.objective, x
     return _report(problem, METHOD_ORACLE, best_x)
 
 
 def out_of_sample_reliability(x: np.ndarray, groups: list[JccGroup],
                               test_sets: list[SampleSet]) -> list[float]:
-    """Per-group fraction of held-out scenarios fully satisfied at x.
-    Raw constraints: the Wasserstein margin is a training-side hedge and is
-    not applied to test-set measurement."""
+    """Per-group fraction of held-out scenarios fully satisfied at x, at
+    radius 0 (see ``evaluate_group``)."""
     if len(groups) != len(test_sets):
         raise ModelError("one test set per group required")
     for g, ts in zip(groups, test_sets):
         if ts.n == 0:
             raise ModelError(f"group {g.label!r}: empty test set")
-    return [evaluate_group(g, x, scenarios=ts, rho_override=0.0).rate
-            for g, ts in zip(groups, test_sets)]
+    return [evaluate_group(g, x, ts).rate for g, ts in zip(groups, test_sets)]
 
 
 def applicable_methods(problem: CcpProblem) -> list[str]:

@@ -157,6 +157,7 @@ def _write_trajectories(out: Path, model: dp.DispatchModel,
     dt = case.step
     written = []
     for di, adn in enumerate(case.adns):
+        name = dp.unit_name(dp.Adn, di, adn.name)
         p = x[idx.adn_p[di]]
         r = x[idx.adn_r_up[di]]
         energy = dt * np.cumsum(p)
@@ -172,7 +173,7 @@ def _write_trajectories(out: Path, model: dp.DispatchModel,
                 row += [samples[k, t] - center[t]
                         for k in range(samples.shape[0])]
                 rows.append(row)
-            path = out / f"trajectory_{adn.name or f'd{di}'}_{side}.csv"
+            path = out / f"trajectory_{name}_{side}.csv"
             _write_csv(path, header, rows)
             written.append(path)
     return written
@@ -265,7 +266,7 @@ def cmd_evaluate(args) -> int:
             "uncertainty dimension")
     print("group,reliability")
     for g in groups:
-        rate = evaluate_group(g, xs[method], scenarios=test, rho_override=0.0).rate
+        rate = evaluate_group(g, xs[method], test).rate
         print(f"{g.label},{rate!r}")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ Units: MW, MWh, $/MWh, hours.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -245,6 +246,13 @@ class Line:
                                             self.epsilon, self.rho)
 
 
+def unit_name(kind, i: int, name: str = "") -> str:
+    """``name``, or else the default name of the i-th unit of ``kind``
+    (Generator, Adn or Line): g0, d0, line0, ...  Group labels, variable
+    names, file names and the names a case file may omit all read it."""
+    return name or {Generator: "g", Adn: "d", Line: "line"}[kind] + str(i)
+
+
 @dataclass
 class Network:
     buses: list[Bus]
@@ -436,13 +444,13 @@ class VarIndex:
         self.seg: list[np.ndarray] = []
         series = {kind: [] for kind in GEN_KINDS + ADN_KINDS}
         for gi, g in enumerate(case.generators):
-            tag = g.name or f"g{gi}"
+            tag = unit_name(Generator, gi, g.name)
             self.seg.append(block([f"seg[{tag},{s}"
                                    for s in range(len(g.segments))]))
             for kind in GEN_KINDS:
                 series[kind].append(block([f"{kind}[{tag}"])[0])
         for di, d in enumerate(case.adns):
-            tag = d.name or f"d{di}"
+            tag = unit_name(Adn, di, d.name)
             for kind in ADN_KINDS:
                 series[kind].append(block([f"{kind}[{tag}"])[0])
         (self.p, self.r_up, self.r_dn, self.a_up, self.a_dn,
@@ -604,7 +612,7 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
                              c=[(idx.r_dn[gi, t], -1.0)]) for t in range(T)]
                 + [_constraint(k, nv, A=[((T + t, idx.a_up[gi, t]), -1.0)],
                                c=[(idx.r_up[gi, t], -1.0)]) for t in range(T)])
-        units.append((g.name or f"gen{gi}", g, cons))
+        units.append((unit_name(Generator, gi, g.name), g, cons))
 
     for di, d in enumerate(adns):
         # xi = [omega_plus (T), p_lo (T), p_hi (T), e_lo (T), e_hi (T)]
@@ -627,7 +635,7 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
             # a_up * omega_plus - r <= 0
             + [_constraint(k, nv, A=[((t, a[t]), 1.0)], c=[(r[t], -1.0)])
                for t in range(T)])
-        units.append((d.name or f"adn{di}", d, cons))
+        units.append((unit_name(Adn, di, d.name), d, cons))
 
     farms = case.wind.farms if case.wind is not None else []
     W = len(farms)
@@ -656,7 +664,7 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
                     c=[(idx.p[:, t], sign * psi_g),
                        (idx.adn_p[:, t], -sign * psi_d)],
                     d=sign * const - ln.capacity))
-        units.append((ln.name or f"line{li}", ln, cons))
+        units.append((unit_name(Line, li, ln.name), ln, cons))
 
     stacks = _group_scenario_stacks(
         case, None if case.wind is None else case.wind.to_rows(),
@@ -723,8 +731,8 @@ def deterministic_dispatch(case: DispatchCase):
     mean-value LP that ``init_bounds`` also solves for the lower level
     bound, here compiled from a case and reported like a solve."""
     model = build_ccp(case)
-    sol = lp.solve_lp(algorithms.mean_value_lp(model.problem))
-    x = sol.x[:model.problem.n_vars] if sol.status == lp.OPTIMAL else None
+    x = algorithms._point(lp.solve_lp(algorithms.mean_value_lp(model.problem)),
+                          model.problem, "mean-value LP")
     return model, algorithms._report(model.problem, "deterministic", x)
 
 
@@ -777,6 +785,21 @@ def _scenario_rows(data: dict, key: str, where: str, base_dir: Path | None,
     return read_field(data, key, where, rows, default)
 
 
+# The risk fields and name that every generator, ADN and line reads.
+_UNIT_KINDS = {"epsilon": number, "rho": number, "name": text}
+
+
+def _read_fields(cls, data, where: str, kinds: dict, **defaults) -> dict:
+    """Fields of the dataclass ``cls`` from the JSON object ``data`` at
+    path ``where``, read in the order of ``kinds``, which maps each to its
+    kind (see ``read_field``).  A missing field reads as its default in
+    ``defaults``, else as the one ``cls`` declares; a field with neither
+    is required."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)} | defaults
+    return {key: read_field(data, key, where, kind, defaults[key])
+            for key, kind in kinds.items()}
+
+
 def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     options = read_field(data, "options", "/", dict, {})
     variant = read_field(options, "variant", "/options", text, None)
@@ -790,25 +813,15 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
         raise ModelError("/horizon,/step: give both, or set options.variant")
 
     net_data = read_field(data, "network", "/", dict)
-    buses = []
-    for bi, bd in enumerate(read_field(net_data, "buses", "/network", list, [])):
-        where = f"/network/buses/{bi}"
-        buses.append(Bus(id=read_field(bd, "id", where, integer),
-                         fixed_load=read_field(bd, "fixed_load", where, floats)))
-    lines = []
-    for li, ld in enumerate(read_field(net_data, "lines", "/network", list, [])):
-        where = f"/network/lines/{li}"
-        lines.append(Line(
-            from_bus=read_field(ld, "from_bus", where, integer),
-            to_bus=read_field(ld, "to_bus", where, integer),
-            capacity=read_field(ld, "capacity", where, number),
-            reactance=read_field(ld, "reactance", where, number, None),
-            epsilon=read_field(ld, "epsilon", where, number, 0.1),
-            rho=read_field(ld, "rho", where, number, 0.0),
-            name=read_field(ld, "name", where, text, f"line{li}")))
-    network = Network(buses=buses, lines=lines,
-                      slack_bus=read_field(net_data, "slack_bus", "/network", integer, 0),
-                      ptdf=read_field(net_data, "ptdf", "/network", floats, None))
+    buses = [Bus(**_read_fields(Bus, bd, f"/network/buses/{bi}",
+                                {"id": integer, "fixed_load": floats}))
+             for bi, bd in enumerate(read_field(net_data, "buses", "/network", list, []))]
+    lines = [Line(**_read_fields(Line, ld, f"/network/lines/{li}", {
+                 "from_bus": integer, "to_bus": integer, "capacity": number,
+                 "reactance": number, **_UNIT_KINDS}, name=unit_name(Line, li)))
+             for li, ld in enumerate(read_field(net_data, "lines", "/network", list, []))]
+    network = Network(buses=buses, lines=lines, **_read_fields(
+        Network, net_data, "/network", {"slack_bus": integer, "ptdf": floats}))
     if lines and network.ptdf is None:
         missing = [ln.name for ln in lines if ln.reactance is None]
         if missing:
@@ -819,22 +832,16 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     generators = []
     for gi, gd in enumerate(read_field(data, "generators", "/", list, [])):
         where = f"/generators/{gi}"
-        segs = [Segment(width=read_field(sd, "width", f"{where}/segments/{si}", number),
-                        cost=read_field(sd, "cost", f"{where}/segments/{si}", number))
+        segs = [Segment(**_read_fields(Segment, sd, f"{where}/segments/{si}",
+                                       {"width": number, "cost": number}))
                 for si, sd in enumerate(read_field(gd, "segments", where, list))]
-        generators.append(Generator(
-            bus=read_field(gd, "bus", where, integer),
-            p_min=read_field(gd, "p_min", where, number),
-            p_max=read_field(gd, "p_max", where, number),
-            ramp_dn=read_field(gd, "ramp_dn", where, number),
-            ramp_up=read_field(gd, "ramp_up", where, number),
-            segments=segs,
-            fixed_cost=read_field(gd, "fixed_cost", where, number, 0.0),
-            reserve_cost_up=read_field(gd, "reserve_cost_up", where, number, 0.0),
-            reserve_cost_dn=read_field(gd, "reserve_cost_dn", where, number, 0.0),
-            epsilon=read_field(gd, "epsilon", where, number, 0.05),
-            rho=read_field(gd, "rho", where, number, 0.0),
-            name=read_field(gd, "name", where, text, f"g{gi}")))
+        generators.append(Generator(segments=segs, **_read_fields(
+            Generator, gd, where,
+            {"bus": integer, "p_min": number, "p_max": number,
+             "ramp_dn": number, "ramp_up": number, "fixed_cost": number,
+             "reserve_cost_up": number, "reserve_cost_dn": number,
+             **_UNIT_KINDS},
+            name=unit_name(Generator, gi))))
 
     adns = []
     test_boundary_rows = []
@@ -844,10 +851,9 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
             bus=read_field(dd, "bus", where, integer),
             rows=_scenario_rows(dd, "boundary_samples", where, base_dir),
             horizon=horizon,
-            reserve_cost_up=read_field(dd, "reserve_cost_up", where, number, 0.0),
-            epsilon=read_field(dd, "epsilon", where, number, 0.05),
-            rho=read_field(dd, "rho", where, number, 0.0),
-            name=read_field(dd, "name", where, text, f"d{di}")))
+            **_read_fields(Adn, dd, where,
+                           {"reserve_cost_up": number, **_UNIT_KINDS},
+                           name=unit_name(Adn, di))))
         test_rows = _scenario_rows(dd, "test_boundary_samples", where, base_dir, None)
         if test_rows is not None:
             test_boundary_rows.append(test_rows)
@@ -856,8 +862,8 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     test_wind_rows = None
     wd = read_field(data, "wind", "/", dict, None)
     if wd is not None:
-        farms = [WindFarm(bus=read_field(fd, "bus", f"/wind/farms/{fi}", integer),
-                          forecast=read_field(fd, "forecast", f"/wind/farms/{fi}", floats))
+        farms = [WindFarm(**_read_fields(WindFarm, fd, f"/wind/farms/{fi}",
+                                         {"bus": integer, "forecast": floats}))
                  for fi, fd in enumerate(read_field(wd, "farms", "/wind", list))]
         rows = _scenario_rows(wd, "errors", "/wind", base_dir)
         wind = WindScenarioSet.from_rows(farms, rows, horizon)
@@ -872,28 +878,22 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     return case
 
 
+def _json_fields(unit) -> dict:
+    """Every field of a dataclass unit, arrays written as lists."""
+    return dataclasses.asdict(unit, dict_factory=lambda items: {
+        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
+
+
 def case_to_dict(case: DispatchCase) -> dict:
     data = {
         "horizon": case.horizon,
         "step": case.step,
         "network": {
             "slack_bus": case.network.slack_bus,
-            "buses": [{"id": b.id, "fixed_load": b.fixed_load.tolist()}
-                      for b in case.network.buses],
-            "lines": [{"from_bus": ln.from_bus, "to_bus": ln.to_bus,
-                       "capacity": ln.capacity, "reactance": ln.reactance,
-                       "epsilon": ln.epsilon, "rho": ln.rho, "name": ln.name}
-                      for ln in case.network.lines],
+            "buses": [_json_fields(b) for b in case.network.buses],
+            "lines": [_json_fields(ln) for ln in case.network.lines],
         },
-        "generators": [{
-            "bus": g.bus, "p_min": g.p_min, "p_max": g.p_max,
-            "ramp_dn": g.ramp_dn, "ramp_up": g.ramp_up,
-            "segments": [{"width": s.width, "cost": s.cost} for s in g.segments],
-            "fixed_cost": g.fixed_cost,
-            "reserve_cost_up": g.reserve_cost_up,
-            "reserve_cost_dn": g.reserve_cost_dn,
-            "epsilon": g.epsilon, "rho": g.rho, "name": g.name,
-        } for g in case.generators],
+        "generators": [_json_fields(g) for g in case.generators],
         "adns": [{
             "bus": d.bus,
             "boundary_samples": d.to_rows().tolist(),
@@ -905,8 +905,7 @@ def case_to_dict(case: DispatchCase) -> dict:
         data["network"]["ptdf"] = case.network.ptdf.tolist()
     if case.wind is not None:
         data["wind"] = {
-            "farms": [{"bus": f.bus, "forecast": f.forecast.tolist()}
-                      for f in case.wind.farms],
+            "farms": [_json_fields(f) for f in case.wind.farms],
             "errors": case.wind.to_rows().tolist(),
         }
         if case.test_wind_rows is not None:

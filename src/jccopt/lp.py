@@ -62,6 +62,7 @@ _BASIC, _NB_LO, _NB_UP, _NB_FREE, _FIXED = 0, 1, 2, 3, 4
 # Free columns are priced on -|d| separately.  Basic and fixed columns
 # never enter; artificials are always one or the other.
 _PRICE_SIGN = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
+_PRICE_SIGN.setflags(write=False)
 
 
 def check_blocks(blocks, n: int, where: str = "") -> None:

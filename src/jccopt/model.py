@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import partial
 
 import numpy as np
@@ -207,6 +207,12 @@ def check_risk(owner: str, epsilon, rho) -> tuple[float, float]:
     return epsilon, rho
 
 
+def risk_budget(epsilon: float, n: int) -> int:
+    """floor(epsilon * n): how many of a group's n scenarios may be
+    violated at risk epsilon.  Every acceptance rule reads this count."""
+    return math.floor(epsilon * n + 1e-9)
+
+
 @dataclass
 class JccGroup:
     """One joint chance constraint: all member constraints must hold
@@ -329,7 +335,7 @@ class ViolationReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.violation_rate <= self.epsilon + 1e-12
+        return self.n - self.n_satisfied <= risk_budget(self.epsilon, self.n)
 
     def to_dict(self):
         return {"label": self.label, "epsilon": self.epsilon, "rho": self.rho,
@@ -337,16 +343,14 @@ class ViolationReport:
 
 
 def evaluate_group(group: JccGroup, x: np.ndarray,
-                   scenarios: SampleSet | None = None,
-                   rho_override: float | None = None) -> ViolationReport:
+                   scenarios: SampleSet | None = None) -> ViolationReport:
     """Fraction of scenarios on which every group constraint holds at x.
 
-    Uses the group's own samples unless ``scenarios`` is given (e.g. a
-    held-out test set).  ``rho_override`` replaces the group's radius:
-    pass 0.0 to measure raw (non-robustified) satisfaction.
+    Scores the group's own samples at its radius, or a held-out set
+    ``scenarios`` at radius 0: the Wasserstein margin hedges training
+    only, so held-out scenarios are measured on the raw constraints.
     """
-    data = None if scenarios is None else scenarios.data
-    rho = group.rho if rho_override is None else float(rho_override)
+    data, rho = (None, group.rho) if scenarios is None else (scenarios.data, 0.0)
     worst = group.values(x, data, rho).max(axis=1)
     n_sat = int(np.count_nonzero(worst <= TOL_ZERO))
     return ViolationReport(group.label, group.epsilon, rho, n_sat, worst.size,
@@ -355,7 +359,8 @@ def evaluate_group(group: JccGroup, x: np.ndarray,
 
 # -- serialization -----------------------------------------------------------
 
-REQUIRED = object()
+# The default of a field that must be given, as in a dataclass.
+REQUIRED = MISSING
 
 
 def number(value, finite: bool = True) -> float:

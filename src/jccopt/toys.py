@@ -36,24 +36,26 @@ def interval_toy(epsilon: float, rho: float = 0.0) -> CcpProblem:
                       var_names=["x"])
 
 
-# Level bracket for the covering toy.
+# Level bracket, risk levels and scenarios per group of the covering toy.
 TWO_GROUP_BOUNDS = (0.0, 10.0)
 TWO_GROUP_EPSILONS = (0.8, 0.2)
+TWO_GROUP_N = 20
 
 
-def two_group_toy(seed: int = 0, n: int = 20) -> CcpProblem:
+def two_group_toy(seed: int = 0) -> CcpProblem:
     """Two independent covering groups sharing a budget.
 
     Variables (x1..x4, y1, y2): minimize y1 + 2*y2 subject to
     x1+x2+x3+x4 = y1 + y2, y1 in [0,2], y2 >= 0, and two chance groups:
     (x1, x2) >= xi componentwise at risk 0.8, (x3, x4) >= xi at risk 0.2,
-    each on its own n uniform-[0,1]^2 scenarios.  The loose first group
-    may drop most of its scenarios, the tight second one almost none; a
-    per-group activation split exploits that, a pooled one cannot.
+    each on its own TWO_GROUP_N uniform-[0,1]^2 scenarios.  The loose
+    first group may drop most of its scenarios, the tight second one
+    almost none; a per-group activation split exploits that, a pooled
+    one cannot.
     """
     rng = np.random.default_rng(seed)
-    xi1 = rng.uniform(0.0, 1.0, size=(n, 2))
-    xi2 = rng.uniform(0.0, 1.0, size=(n, 2))
+    xi1 = rng.uniform(0.0, 1.0, size=(TWO_GROUP_N, 2))
+    xi2 = rng.uniform(0.0, 1.0, size=(TWO_GROUP_N, 2))
     nvar = 6
 
     def cover(xcol: int, xicomp: int) -> BiAffineConstraint:

@@ -25,7 +25,7 @@ def s_step(problem: CcpProblem, z: list[np.ndarray], f: float):
             "direction that the level row does not cap")
     if sol.status != OPTIMAL:
         return None, None, sol.status
-    x, _ = asm.split(sol.x)
+    x = sol.x[:problem.n_vars]
     return x, shortfalls(problem, x), sol.status
 
 

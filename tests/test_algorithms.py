@@ -1,4 +1,5 @@
 import weakref
+from math import comb
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jccopt import (METHODS, BiAffineConstraint, BisectionConfig,
-                    CapacityError, CcpProblem, JccGroup, ModelError, Polytope,
-                    SampleSet, SStepAssembler, init_bounds, inner_alternation,
+                    CapacityError, CcpProblem, JccGroup, ModelError,
+                    NumericError, Polytope, SampleSet, SStepAssembler,
+                    init_bounds, inner_alternation,
                     out_of_sample_reliability, solve, solve_also_x_multi,
                     solve_also_x_single, solve_cvar, solve_intuitive_extension,
                     solve_oracle, z_step)
-from jccopt.algorithms import applicable_methods, gamma_value, mean_value_lp
+from jccopt.algorithms import (applicable_methods, gamma_value, mean_value_lp,
+                               oracle_enumeration_count)
 from jccopt.cases import overlap_case, three_bus_case
 from jccopt.dispatch import build_ccp, rho_sweep
 from jccopt import algorithms, lp
@@ -285,6 +288,61 @@ def test_trace_records_bisection_path():
     fs = [t.f for t in r.trace]
     assert all(INTERVAL_BOUNDS[0] < f < INTERVAL_BOUNDS[1] for f in fs)
     assert r.f_upper - r.f_lower <= 1e-4 + 1e-15
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+def test_levels_below_the_polytope_minimum_are_recorded_infeasible(method):
+    # y1 + 2*y2 >= 0 on the toy's polytope, so the first midpoint, -1, has
+    # no point at all; bisection moves up from it and still finds a level.
+    problem = two_group_toy(0)
+    report = solve(problem, method, BisectionConfig(-10.0, 8.0))
+    first = report.trace[0]
+    assert first.f == -1.0 and not first.accepted
+    assert first.objective is None and first.gamma is None
+    assert first.violation_rates is None and first.delta is None
+    assert all(r.f > -1.0 for r in report.trace[1:])
+    assert report.is_feasible
+    inner = inner_alternation(SStepAssembler(problem), -1.0)
+    assert inner.reason == "lp-infeasible" and inner.iterations == 0
+    assert inner.x is None and inner.gamma is None
+
+
+@pytest.mark.parametrize("outcome", ["raises", lp.UNBOUNDED, lp.INFEASIBLE])
+def test_polish_falls_back_to_the_accepted_point(monkeypatch, outcome):
+    problem = two_group_toy(0)
+    asm = SStepAssembler(problem)
+    accepted = np.arange(problem.n_vars, dtype=float)
+
+    def polish_lp(p):
+        if outcome == "raises":
+            raise NumericError("pivot below tolerance")
+        return lp.LpSolution(outcome)
+
+    monkeypatch.setattr(lp, "solve_lp", polish_lp)
+    masks = [np.ones(g.n, dtype=bool) for g in problem.groups]
+    assert algorithms._polish(asm, masks, accepted) is accepted
+
+
+def test_unbounded_lps_raise_numeric_errors_naming_the_lp():
+    # x1 sits in no row and lowers the cost without end.
+    g = JccGroup(constraints=[BiAffineConstraint(A=np.zeros((1, 2)), a0=[1.0],
+                                                 c=[-1.0, 0.0])],
+                 samples=SampleSet([[0.5], [1.0]]), epsilon=0.5)
+    p = CcpProblem(objective=[1.0, -1.0], polytope=Polytope(lower=[0.0, 0.0]),
+                   groups=[g])
+    for solver, what in ((solve_cvar, "CVaR LP"),
+                         (solve_oracle, "oracle subproblem")):
+        with pytest.raises(NumericError, match=f"^{what} unbounded"):
+            solver(p)
+
+
+def test_oracle_counts_the_selections_within_the_risk_budget():
+    # eps 0.4 of 5 scenarios: drop at most 2, C(5,0) + C(5,1) + C(5,2)
+    assert oracle_enumeration_count(interval_toy(0.4)) == 16
+    # 0.2 * 20 drops 4 of the tight group, 0.8 * 20 drops 16 of the loose
+    loose = sum(comb(20, v) for v in range(17))
+    tight = sum(comb(20, v) for v in range(5))
+    assert oracle_enumeration_count(two_group_toy(0)) == loose * tight
 
 
 @pytest.mark.parametrize("method", ["also-x", "intuitive"])

@@ -325,6 +325,24 @@ def test_dispatch_sweep_csv_schema(tmp_path, capsys):
     assert lines[1].startswith("0.0,also-x,g1,feasible,")
 
 
+def test_dispatch_sweep_row_of_an_infeasible_method(tmp_path, capsys):
+    # cvar keeps the overlap case's rogue scenario in its tail at every
+    # radius: one row with the status and no group, cost or reliability.
+    code, out, _ = run(capsys, "dispatch", OVERLAP, "--rho-grid", "0",
+                       "--method", "cvar", "--out", str(tmp_path))
+    assert code == 0
+    assert out.startswith("rho=0 method=cvar    infeasible cost=n/a\n")
+    assert (tmp_path / "sweep.csv").read_text() == (
+        "rho,method,group,status,cost,reliability\n0.0,cvar,,infeasible,,\n")
+
+
+def test_dispatch_empty_rho_grid_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "dispatch", OVERLAP, "--rho-grid", ",",
+                         "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", "error: --rho-grid: empty grid\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_dispatch_rejects_rho_and_grid_together(capsys):
     code, _, err = run(capsys, "dispatch", OVERLAP, "--rho", "0",
                        "--rho-grid", "0,1")
@@ -369,7 +387,7 @@ def test_evaluate_reads_the_dispatch_report_sparse_or_dense(tmp_path, capsys):
     held_out = model.test_sample_sets()[0]
     held_out.to_csv(tmp_path / "t.csv")
     want = "group,reliability\n" + "".join(
-        f"{g.label},{evaluate_group(g, x, held_out, 0.0).rate!r}\n"
+        f"{g.label},{evaluate_group(g, x, held_out).rate!r}\n"
         for g in model.problem.groups if g.samples.dim == held_out.dim)
     code, out, _ = run(capsys, "evaluate", str(report_file), str(tmp_path / "t.csv"))
     assert code == 0 and out == want
@@ -489,6 +507,26 @@ def test_dispatch_rho_grid_that_is_not_numbers_is_an_input_error(tmp_path,
     assert code == 1 and out == ""
     assert err.startswith("error: --rho-grid: ")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_evaluate_group_restricts_the_scores(tmp_path, capsys):
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(problem_to_dict(two_group_toy(0))))
+    report_file = tmp_path / "r.json"
+    run(capsys, "solve", str(problem_file), "--method", "cvar",
+        "--out", str(report_file))
+    test_csv = tmp_path / "t.csv"
+    two_group_toy(1).groups[0].samples.to_csv(test_csv)
+    code, everything, _ = run(capsys, "evaluate", str(report_file), str(test_csv))
+    assert code == 0
+    header, loose, tight = everything.splitlines()
+    assert tight.startswith("tight,")
+    code, out, _ = run(capsys, "evaluate", str(report_file), str(test_csv),
+                       "--group", "tight")
+    assert code == 0 and out == f"{header}\n{tight}\n"
+    code, out, err = run(capsys, "evaluate", str(report_file), str(test_csv),
+                         "--group", "none")
+    assert (code, out, err) == (1, "", "error: no group labelled 'none'\n")
 
 
 def test_evaluate_dimension_mismatch(tmp_path, capsys):

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from jccopt import (Adn, BiAffineConstraint, Bus, DispatchCase, Generator,
-                    JccGroup, Line, ModelError, Network, SampleSet, Segment,
-                    SolveReport, ViolationReport, WindFarm, WindScenarioSet,
-                    aggregate_errors, algorithms, audit_dispatch, build_ccp,
-                    case_from_dict, case_to_dict, compute_ptdf,
-                    deterministic_dispatch, load_case, rho_sweep,
+                    JccGroup, Line, ModelError, Network, NumericError,
+                    SampleSet, Segment, SolveReport, ViolationReport, WindFarm,
+                    WindScenarioSet, aggregate_errors, algorithms,
+                    audit_dispatch, build_ccp, case_from_dict, case_to_dict,
+                    compute_ptdf, deterministic_dispatch, evaluate_group,
+                    load_case, lp, out_of_sample_reliability, rho_sweep,
                     solve_also_x_multi)
 from jccopt.cases import overlap_case, render_case, three_bus_case
+from jccopt.model import problem_to_dict
 
 from helpers import random_dispatch_case
 
@@ -74,6 +76,39 @@ def test_ptdf_requires_reactance():
 
 
 # -- error aggregation --------------------------------------------------------
+
+def _compiled(case) -> str:
+    return json.dumps(problem_to_dict(build_ccp(case).problem))
+
+
+def test_supplied_ptdf_compiles_like_the_reactances():
+    case = three_bus_case()
+    reference = _compiled(case)
+    net = case.network
+    case.network = Network(net.buses, net.lines, net.slack_bus,
+                           ptdf=compute_ptdf(net))
+    assert _compiled(case) == reference
+    # Written out and read back without reactances, the case compiles
+    # from the supplied matrix alone.
+    data = json.loads(json.dumps(case_to_dict(case)))
+    assert data["network"]["ptdf"] == case.network.ptdf.tolist()
+    for ld in data["network"]["lines"]:
+        ld["reactance"] = None
+    clone = case_from_dict(data)
+    np.testing.assert_array_equal(clone.network.ptdf, case.network.ptdf)
+    assert _compiled(clone) == reference
+
+
+def test_supplied_ptdf_must_be_lines_by_buses():
+    net = triangle_network()
+    message = re.escape("ptdf must be (lines x buses) = (3, 3), got (3, 2)")
+    with pytest.raises(ModelError, match=message):
+        Network(net.buses, net.lines, ptdf=np.zeros((3, 2)))
+    data = case_to_dict(three_bus_case())
+    data["network"]["ptdf"] = np.zeros((3, 2)).tolist()
+    with pytest.raises(ModelError, match=message):
+        case_from_dict(data)
+
 
 def test_aggregate_errors_split_is_complementary():
     rng = np.random.default_rng(3)
@@ -410,6 +445,29 @@ def test_deterministic_bound_below_also_x(three_bus_model):
     assert det.objective <= full.objective + 1e-9
 
 
+def test_deterministic_dispatch_raises_on_an_unbounded_lp(monkeypatch):
+    monkeypatch.setattr(lp, "solve_lp", lambda p: lp.LpSolution(lp.UNBOUNDED))
+    with pytest.raises(NumericError, match="^mean-value LP unbounded"):
+        deterministic_dispatch(overlap_case())
+
+
+def test_held_out_sets_are_scored_at_radius_zero():
+    # The radius hedges training only.  At 0.05 the cvar point keeps 38 of
+    # adn2's 100 held-out scenarios within the margin and 77 within the
+    # raw constraints; a held-out set is scored on the raw ones.
+    model = build_ccp(three_bus_case(), rho_override=0.05)
+    x = algorithms.solve(model.problem, "cvar").x
+    groups, tests = model.problem.groups, model.test_sample_sets()
+    held_out = [evaluate_group(g, x, ts) for g, ts in zip(groups, tests)]
+    assert [r.rho for r in held_out] == [0.0] * len(groups)
+    assert [r.rate for r in held_out] == out_of_sample_reliability(x, groups, tests)
+    adn2 = groups[2]
+    assert adn2.label == "adn2" and held_out[2].rate == 0.77
+    margin = adn2.values(x, tests[2].data).max(axis=1)
+    assert np.count_nonzero(margin <= 1e-6) == 38
+    assert evaluate_group(adn2, x).rho == 0.05  # training rows: its radius
+
+
 def test_overlap_sweep_separates_methods():
     rows = rho_sweep(overlap_case(), [0.0, 1e-2])
     by = {(r["rho"], r["method"]): r for r in rows}
@@ -472,6 +530,67 @@ def test_case_dict_round_trip_preserves_model():
     for ga, gb in zip(a.groups, b.groups):
         np.testing.assert_array_equal(ga.samples.data, gb.samples.data)
         assert ga.epsilon == gb.epsilon and ga.rho == gb.rho
+
+
+def test_unnamed_units_share_one_default_name():
+    # Group labels, variable names and a case file that omits the names
+    # all read g<i>, d<i> and line<i>.
+    case = three_bus_case()
+    for unit in case.generators + case.adns + case.network.lines:
+        unit.name = ""
+    model = build_ccp(case)
+    labels = ["g0", "g1", "d0", "line0", "line1", "line2"]
+    assert [g.label for g in model.problem.groups] == labels
+    assert {"p[g1,0]", "seg[g0,1,0]", "adn_p[d0,0]"} <= set(model.index.names)
+    data = case_to_dict(case)
+    for unit in data["generators"] + data["adns"] + data["network"]["lines"]:
+        assert unit.pop("name") == ""
+    clone = case_from_dict(data)
+    assert [u.name for u in clone.generators + clone.adns
+            + clone.network.lines] == labels
+    assert build_ccp(clone).index.names == model.index.names
+
+
+def test_omitted_fields_read_the_dataclass_defaults():
+    data = case_to_dict(three_bus_case())
+    optional = {"generators": ("fixed_cost", "reserve_cost_up",
+                               "reserve_cost_dn", "epsilon", "rho"),
+                "adns": ("reserve_cost_up", "epsilon", "rho"),
+                "lines": ("reactance", "epsilon", "rho")}
+    data["network"]["ptdf"] = compute_ptdf(three_bus_case().network).tolist()
+    units = {"generators": data["generators"], "adns": data["adns"],
+             "lines": data["network"]["lines"]}
+    for kind, keys in optional.items():
+        for unit in units[kind]:
+            for key in keys:
+                del unit[key]
+    clone = case_from_dict(data)
+    g, d, ln = clone.generators[0], clone.adns[0], clone.network.lines[0]
+    assert (g.fixed_cost, g.reserve_cost_up, g.reserve_cost_dn, g.epsilon,
+            g.rho) == (0.0, 0.0, 0.0, 0.05, 0.0)
+    assert (d.reserve_cost_up, d.epsilon, d.rho) == (0.0, 0.05, 0.0)
+    assert (ln.reactance, ln.epsilon, ln.rho) == (None, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("unit, edit, path", [
+    ("generators", {"segments": [{"width": "4"}], "bus": "0"},
+     "/generators/0/segments/0/width"),
+    ("generators", {"bus": "0", "p_min": "2", "name": 7}, "/generators/0/bus"),
+    ("generators", {"fixed_cost": "5", "epsilon": "0.05", "name": 7},
+     "/generators/0/fixed_cost"),
+    ("adns", {"bus": "2", "boundary_samples": "x"}, "/adns/0/bus"),
+    ("adns", {"boundary_samples": "x", "reserve_cost_up": "2"},
+     "/adns/0/boundary_samples"),
+    ("adns", {"reserve_cost_up": "2", "name": 7}, "/adns/0/reserve_cost_up"),
+    ("lines", {"from_bus": "0", "capacity": "8"}, "/network/lines/0/from_bus"),
+    ("lines", {"reactance": "1", "rho": "0"}, "/network/lines/0/reactance"),
+])
+def test_first_bad_field_in_reading_order_is_reported(unit, edit, path):
+    data = case_to_dict(three_bus_case())
+    units = data["network"]["lines"] if unit == "lines" else data[unit]
+    units[0].update(edit)
+    with pytest.raises(ModelError, match=f"^{re.escape(path)}: "):
+        case_from_dict(data)
 
 
 def test_bundled_json_matches_factories():

@@ -178,7 +178,9 @@ def test_cross_check_against_scipy():
 
 
 def test_degenerate_lp_terminates():
-    # Many redundant rows through the same vertex: stresses the stall->Bland path.
+    # Many redundant rows through the same vertex: a degenerate optimum that
+    # the largest-coefficient rule reaches in a few pivots, without ever
+    # stalling (test_cycling_lp_switches_to_blands_rule covers the switch).
     n = 5
     G = np.vstack([np.eye(n), np.eye(n) * 2.0, np.eye(n) * 3.0, -np.eye(n)])
     h = np.concatenate([np.ones(n), 2 * np.ones(n), 3 * np.ones(n), np.zeros(n)])
@@ -186,6 +188,100 @@ def test_degenerate_lp_terminates():
     sol = solve_lp(p)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-n, abs=1e-8)
+
+
+def test_price_signs_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        lp._PRICE_SIGN[lp._NB_LO] = -1.0
+    assert lp._PRICE_SIGN.tolist() == [0.0, 1.0, -1.0, 0.0, 0.0]
+
+
+def _cycling_lp():
+    """Marshall and Suurballe's LP: from the all-slack basis the
+    largest-coefficient rule pivots through degenerate bases forever."""
+    return LpProblem(-np.array([10.0, -57.0, -9.0, -24.0]),
+                     G=[[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0],
+                        [1.0, 0.0, 0.0, 0.0]],
+                     h=[0.0, 0.0, 1.0], lower=np.zeros(4))
+
+
+def _bland_reads(rule: bool):
+    """A _Tableau whose ``bland`` always reads ``rule``: the stall switch
+    and the reset at the start of each run leave it unchanged."""
+    class Tableau(lp._Tableau):
+        bland = property(lambda self: rule, lambda self, value: None)
+    return Tableau
+
+
+def test_cycling_lp_switches_to_blands_rule(monkeypatch):
+    """Without the switch the run cycles into the iteration cap.  With it,
+    Bland's rule takes over once 2(m+10) pivots in a row gained nothing,
+    and the run ends at HiGHS's optimum."""
+    p = _cycling_lp()
+    status, objective = _highs(p)
+    assert status == OPTIMAL
+    switched = []
+    real_moved = lp._Tableau._moved
+
+    def moved(self, gain):
+        real_moved(self, gain)
+        switched.append(self.bland)
+
+    monkeypatch.setattr(lp._Tableau, "_moved", moved)
+    _agree(solve_lp(p), status, objective)
+    assert switched.index(True) == 2 * (p.n_ineq + 10)
+    assert all(switched[switched.index(True):])
+
+    monkeypatch.setattr(lp, "_Tableau", _bland_reads(False))
+    with pytest.raises(NumericError, match="iteration cap"):
+        solve_lp(p)
+
+
+def test_blands_rule_matches_highs(monkeypatch):
+    """Every pivot under Bland's rule: cold solves of random LPs and level
+    restarts through the dual simplex agree with HiGHS.  Each Bland branch
+    runs: the primal entering column and ratio tie, and the dual leaving
+    row and ratio."""
+    tableau = _bland_reads(True)
+    monkeypatch.setattr(lp, "_Tableau", tableau)
+    ran = {"_entering": 0, "_ratio": 0, "dual_step": 0}
+
+    def count(name, hit):
+        real = getattr(tableau, name)
+
+        def wrapped(self, *args):
+            out = real(self, *args)
+            ran[name] += bool(hit(out))
+            return out
+        monkeypatch.setattr(tableau, name, wrapped)
+
+    count("_entering", lambda out: out[0] >= 0)
+    count("_ratio", lambda out: out[1] >= 0)   # a row blocks: the tie-break ran
+    count("dual_step", lambda out: out == "moved")
+
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        p = _random_problem(rng)
+        status, objective = _highs(p)
+        sol = solve_lp(p)
+        if sol.status == UNBOUNDED and status == INFEASIBLE:
+            # HiGHS presolve reports some unbounded LPs as infeasible
+            assert _scipy_is_feasible(p)
+            continue
+        _agree(sol, status, objective)
+    for seed in range(4):
+        base = _restart_problem(np.random.default_rng(seed))
+        backend = SimplexBackend()
+        sess = backend.start_session(base)
+        _agree(sess.solve(), *_highs(base))
+        for f in (2.0, 6.0, -1.0, 3.0):
+            h = base.h.copy()
+            h[0] = f
+            p = LpProblem(base.c, base.G, h, base.A_eq, base.b_eq,
+                          base.lower, base.upper)
+            sess = backend.start_session(p, warm=sess)
+            _agree(sess.solve(), *_highs(p))
+    assert min(ran.values()) > 0, ran
 
 
 def test_session_matches_cold_solves():

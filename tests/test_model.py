@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, ModelError,
                     problem_to_dict)
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
-from jccopt.model import dual_norm, norm_value
+from jccopt.model import ViolationReport, dual_norm, norm_value, risk_budget
 from jccopt.toys import INTERVAL_SCENARIOS, interval_toy, two_group_toy
 
 from helpers import random_instance
@@ -131,6 +132,19 @@ def test_evaluate_group_interval_toy():
     lo, hi = p.groups[0].samples.data.T
     np.testing.assert_allclose(rep.worst, np.maximum(lo - 3.0, 3.0 - hi))
     assert rep.satisfied  # 0.4 <= eps
+
+
+@pytest.mark.parametrize("epsilon, n, budget", [
+    (0.0, 50, 0), (0.05, 19, 0), (0.05, 20, 1), (0.1, 30, 3), (0.29, 100, 29),
+    (0.4, 5, 2), (0.8, 20, 16), (0.7, 10, 7)])
+def test_risk_budget_is_floor_of_epsilon_n(epsilon, n, budget):
+    # 0.29 * 100 is 28.999999999999996 in floats: the budget is still 29.
+    assert risk_budget(epsilon, n) == budget
+    for violated in range(n + 1):
+        report = ViolationReport("g", epsilon, 0.0, n - violated, n, np.zeros(n))
+        assert report.satisfied == (violated <= budget)
+        # the rate rule the budget replaced, to the last bit
+        assert report.satisfied == (violated / n <= epsilon + 1e-12)
 
 
 @given(st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
@@ -425,3 +439,11 @@ def test_interval_toys_do_not_share_scenarios():
 def test_every_export_resolves():
     import jccopt
     assert [name for name in jccopt.__all__ if not hasattr(jccopt, name)] == []
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_numpy_deprecations_in_jccopt_fail_the_tests(category):
+    # pyproject's filterwarnings: raised from a jccopt module, an error.
+    with pytest.raises(category):
+        warnings.warn_explicit("deprecated", category, "model.py", 1,
+                               module="jccopt.model")
