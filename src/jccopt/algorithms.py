@@ -215,6 +215,12 @@ class _ScenarioLpBuilder:
                 block[np.arange(group.n), diag + np.arange(group.n)] = -1.0
             self.append_rows(block, 0.0 - (data @ con.a0 + con.d))
 
+    def cost(self) -> np.ndarray:
+        """The problem's objective over x, zero over the added columns."""
+        c = np.zeros(self.cols)
+        c[:self.n] = self.problem.objective
+        return c
+
     def finish(self, objective: np.ndarray) -> LpProblem:
         """The LP, its row blocks copied into one zero-padded matrix; each is
         dropped once copied, so the heap does not grow around them."""
@@ -257,9 +263,7 @@ class SStepAssembler:
             self.margin_rows.append(np.arange(first, builder.n_rows))
         # level row c'x <= f (rhs patched per level)
         self.level_row = builder.n_rows
-        level = np.zeros(builder.cols)
-        level[:problem.n_vars] = problem.objective
-        builder.append_rows(level[None, :], np.array([0.0]))
+        builder.append_rows(builder.cost()[None, :], np.array([0.0]))
         self.scenario_rows = []
         for g, terms, blk in zip(problem.groups, margins, self.s_blocks):
             first = builder.n_rows
@@ -318,7 +322,7 @@ def z_step(s: np.ndarray, epsilon: float) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     n = s.size
     z = np.ones(n)
-    if epsilon <= 0.0 or n == 0 or not np.any(s > 0.0):
+    if epsilon <= 0.0 or not np.any(s > 0.0):
         return z
     whole = risk_budget(epsilon, n)
     frac = epsilon * n - whole
@@ -417,9 +421,7 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
             row = np.zeros((1, builder.cols))
             row[0, :builder.n] = mean @ con.A + con.c
             builder.append_rows(row, np.array([-(mean @ con.a0 + con.d)]))
-    obj = np.zeros(builder.cols)
-    obj[:problem.n_vars] = problem.objective
-    return builder.finish(obj)
+    return builder.finish(builder.cost())
 
 
 def _polish(asm: SStepAssembler, masks, fallback_x):
@@ -604,10 +606,8 @@ def solve_cvar(problem: CcpProblem) -> SolveReport:
         row[0, t_blk.start] = 1.0
         row[0, w_blk] = 1.0 / (g.epsilon * g.n)
         builder.append_rows(row, np.array([0.0]))
-    obj = np.zeros(builder.cols)
-    obj[:problem.n_vars] = problem.objective
-    return _report(problem, METHOD_CVAR,
-                   _point(lp.solve_lp(builder.finish(obj)), problem, "CVaR LP"))
+    return _report(problem, METHOD_CVAR, _point(lp.solve_lp(
+        builder.finish(builder.cost())), problem, "CVaR LP"))
 
 
 def oracle_enumeration_count(problem: CcpProblem) -> int:
@@ -657,9 +657,6 @@ def out_of_sample_reliability(x: np.ndarray, groups: list[JccGroup],
     radius 0 (see ``evaluate_group``)."""
     if len(groups) != len(test_sets):
         raise ModelError("one test set per group required")
-    for g, ts in zip(groups, test_sets):
-        if ts.n == 0:
-            raise ModelError(f"group {g.label!r}: empty test set")
     return [evaluate_group(g, x, ts).rate for g, ts in zip(groups, test_sets)]
 
 

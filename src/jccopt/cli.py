@@ -18,8 +18,8 @@ import numpy as np
 from . import algorithms as alg
 from . import dispatch as dp
 from .errors import ModelError, NumericError
-from .model import (SampleSet, evaluate_group, floats, problem_from_dict,
-                    problem_to_dict, read_field)
+from .model import (SampleSet, evaluate_group, floats, load_json,
+                    problem_from_dict, problem_to_dict, read_field)
 from .scenarios import generate_scenarios, spec_from_dict
 from .toys import INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy, two_group_toy
 
@@ -119,15 +119,8 @@ def cmd_example2(args) -> int:
     return EXIT_OK
 
 
-def _load_json(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: not valid JSON ({exc})") from None
-
-
 def cmd_solve(args) -> int:
-    problem = problem_from_dict(_load_json(Path(args.problem)))
+    problem = problem_from_dict(load_json(args.problem))
     if (args.f_lower is None) != (args.f_upper is None):
         raise ModelError("--f-lower and --f-upper must be given together")
     cfg = (None if args.f_lower is None
@@ -240,7 +233,7 @@ def cmd_dispatch(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    report = _load_json(Path(args.report))
+    report = load_json(args.report)
     problem = problem_from_dict(read_field(report, "problem", "/", dict), "/problem")
     results = read_field(report, "results", "/", dict)
     xs = {m: read_field(read_field(results, m, "/results", dict), "x",
@@ -273,11 +266,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_generate(args) -> int:
     spec_path = Path(args.spec)
-    spec = spec_from_dict(_load_json(spec_path))
+    spec = spec_from_dict(load_json(spec_path))
     samples = generate_scenarios(spec, base_dir=spec_path.parent)
-    out = Path(spec.output)
-    if not out.is_absolute():
-        out = spec_path.parent / out
+    out = Path(spec_path.parent, spec.output)
     samples.to_csv(out)
     print(f"wrote {out} ({samples.n} rows x {samples.dim} columns)")
     return EXIT_OK

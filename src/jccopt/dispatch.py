@@ -14,7 +14,6 @@ Units: MW, MWh, $/MWh, hours.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +22,8 @@ import numpy as np
 from . import algorithms, lp
 from .errors import ModelError
 from .model import (REQUIRED, BiAffineConstraint, CcpProblem, JccGroup,
-                    Polytope, SampleSet, check_risk, floats, integer, number,
-                    read_field, text)
+                    Polytope, SampleSet, check_risk, floats, integer, load_json,
+                    number, read_field, read_fields, text)
 
 VARIANTS = {"day-ahead": (24, 1.0), "intraday": (4, 0.25)}
 
@@ -777,27 +776,14 @@ def _scenario_rows(data: dict, key: str, where: str, base_dir: Path | None,
     """Scenario payload of a field: inline rows or {"csv": path}."""
     def rows(value):
         if isinstance(value, dict):
-            path = Path(read_field(value, "csv", f"{where}/{key}", text))
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            return SampleSet.from_csv(path).data
+            path = read_field(value, "csv", f"{where}/{key}", text)
+            return SampleSet.from_csv(Path(base_dir or "", path)).data
         return np.atleast_2d(floats(value))
     return read_field(data, key, where, rows, default)
 
 
 # The risk fields and name that every generator, ADN and line reads.
 _UNIT_KINDS = {"epsilon": number, "rho": number, "name": text}
-
-
-def _read_fields(cls, data, where: str, kinds: dict, **defaults) -> dict:
-    """Fields of the dataclass ``cls`` from the JSON object ``data`` at
-    path ``where``, read in the order of ``kinds``, which maps each to its
-    kind (see ``read_field``).  A missing field reads as its default in
-    ``defaults``, else as the one ``cls`` declares; a field with neither
-    is required."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)} | defaults
-    return {key: read_field(data, key, where, kind, defaults[key])
-            for key, kind in kinds.items()}
 
 
 def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
@@ -813,14 +799,14 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
         raise ModelError("/horizon,/step: give both, or set options.variant")
 
     net_data = read_field(data, "network", "/", dict)
-    buses = [Bus(**_read_fields(Bus, bd, f"/network/buses/{bi}",
-                                {"id": integer, "fixed_load": floats}))
+    buses = [Bus(**read_fields(Bus, bd, f"/network/buses/{bi}",
+                               {"id": integer, "fixed_load": floats}))
              for bi, bd in enumerate(read_field(net_data, "buses", "/network", list, []))]
-    lines = [Line(**_read_fields(Line, ld, f"/network/lines/{li}", {
+    lines = [Line(**read_fields(Line, ld, f"/network/lines/{li}", {
                  "from_bus": integer, "to_bus": integer, "capacity": number,
                  "reactance": number, **_UNIT_KINDS}, name=unit_name(Line, li)))
              for li, ld in enumerate(read_field(net_data, "lines", "/network", list, []))]
-    network = Network(buses=buses, lines=lines, **_read_fields(
+    network = Network(buses=buses, lines=lines, **read_fields(
         Network, net_data, "/network", {"slack_bus": integer, "ptdf": floats}))
     if lines and network.ptdf is None:
         missing = [ln.name for ln in lines if ln.reactance is None]
@@ -832,10 +818,10 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     generators = []
     for gi, gd in enumerate(read_field(data, "generators", "/", list, [])):
         where = f"/generators/{gi}"
-        segs = [Segment(**_read_fields(Segment, sd, f"{where}/segments/{si}",
-                                       {"width": number, "cost": number}))
+        segs = [Segment(**read_fields(Segment, sd, f"{where}/segments/{si}",
+                                      {"width": number, "cost": number}))
                 for si, sd in enumerate(read_field(gd, "segments", where, list))]
-        generators.append(Generator(segments=segs, **_read_fields(
+        generators.append(Generator(segments=segs, **read_fields(
             Generator, gd, where,
             {"bus": integer, "p_min": number, "p_max": number,
              "ramp_dn": number, "ramp_up": number, "fixed_cost": number,
@@ -851,9 +837,9 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
             bus=read_field(dd, "bus", where, integer),
             rows=_scenario_rows(dd, "boundary_samples", where, base_dir),
             horizon=horizon,
-            **_read_fields(Adn, dd, where,
-                           {"reserve_cost_up": number, **_UNIT_KINDS},
-                           name=unit_name(Adn, di))))
+            **read_fields(Adn, dd, where,
+                          {"reserve_cost_up": number, **_UNIT_KINDS},
+                          name=unit_name(Adn, di))))
         test_rows = _scenario_rows(dd, "test_boundary_samples", where, base_dir, None)
         if test_rows is not None:
             test_boundary_rows.append(test_rows)
@@ -862,8 +848,8 @@ def case_from_dict(data: dict, base_dir: Path | None = None) -> DispatchCase:
     test_wind_rows = None
     wd = read_field(data, "wind", "/", dict, None)
     if wd is not None:
-        farms = [WindFarm(**_read_fields(WindFarm, fd, f"/wind/farms/{fi}",
-                                         {"bus": integer, "forecast": floats}))
+        farms = [WindFarm(**read_fields(WindFarm, fd, f"/wind/farms/{fi}",
+                                        {"bus": integer, "forecast": floats}))
                  for fi, fd in enumerate(read_field(wd, "farms", "/wind", list))]
         rows = _scenario_rows(wd, "errors", "/wind", base_dir)
         wind = WindScenarioSet.from_rows(farms, rows, horizon)
@@ -917,9 +903,4 @@ def case_to_dict(case: DispatchCase) -> dict:
 
 
 def load_case(path) -> DispatchCase:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: not valid JSON ({exc})") from None
-    return case_from_dict(data, base_dir=path.parent)
+    return case_from_dict(load_json(path), base_dir=Path(path).parent)

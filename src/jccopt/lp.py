@@ -69,7 +69,8 @@ def check_blocks(blocks, n: int, where: str = "") -> None:
     """Convert and check in place the blocks of an LpProblem or Polytope
     over n variables: paired ``G``/``h`` and ``A_eq``/``b_eq`` of matching
     shapes and finite entries; bounds of length n, infinite where absent,
-    never NaN.  ``where`` prefixes the error messages."""
+    never NaN, and never +inf below or -inf above.  ``where`` prefixes the
+    error messages."""
     for lhs, rhs in (("G", "h"), ("A_eq", "b_eq")):
         M, b = getattr(blocks, lhs), getattr(blocks, rhs)
         if (M is None) != (b is None):
@@ -93,6 +94,9 @@ def check_blocks(blocks, n: int, where: str = "") -> None:
         raise ModelError(f"{where}bounds must match the variable count")
     if np.any(np.isnan(blocks.lower)) or np.any(np.isnan(blocks.upper)):
         raise ModelError(f"{where}bounds may be infinite but not NaN")
+    if np.any(blocks.lower == np.inf) or np.any(blocks.upper == -np.inf):
+        raise ModelError(f"{where}a lower bound may not be +inf, nor an upper "
+                         "bound -inf")
 
 
 @dataclass
@@ -114,9 +118,6 @@ class LpProblem:
         if not np.all(np.isfinite(self.c)):
             raise ModelError("c: entries must be finite")
         check_blocks(self, self.c.size)
-        # a model polytope may carry these; the LP cannot
-        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
-            raise ModelError("a lower bound may not be +inf, nor an upper bound -inf")
 
     @property
     def n_vars(self) -> int:

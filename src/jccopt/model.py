@@ -17,9 +17,11 @@ scenario; group evaluation and the alternation's shortfalls both read it.
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +57,7 @@ def norm_value(v: np.ndarray, norm: str) -> float:
 
 @dataclass
 class SampleSet:
-    """n scenarios of a k-dimensional uncertain vector, one per row."""
+    """n >= 1 scenarios of a k-dimensional uncertain vector, one per row."""
 
     data: np.ndarray
 
@@ -63,6 +65,8 @@ class SampleSet:
         self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
         if self.data.ndim != 2:
             raise ModelError("samples must form a 2-d array (scenarios x dim)")
+        if self.data.shape[0] == 0:
+            raise ModelError("a scenario set may not be empty")
         if not np.all(np.isfinite(self.data)):
             raise ModelError("samples must be finite")
 
@@ -190,10 +194,6 @@ class Polytope:
     @property
     def n_ineq(self) -> int:
         return 0 if self.G is None else self.G.shape[0]
-
-    @property
-    def n_eq(self) -> int:
-        return 0 if self.A_eq is None else self.A_eq.shape[0]
 
 
 def check_risk(owner: str, epsilon, rho) -> tuple[float, float]:
@@ -442,6 +442,27 @@ def read_field(data, key: str, where: str, kind=None, default=REQUIRED):
         raise ModelError(f"{path}: {exc}") from None
 
 
+def read_fields(cls, data, where: str, kinds: dict, **defaults) -> dict:
+    """Fields of the dataclass ``cls`` from the JSON object ``data`` at
+    path ``where``, read in the order of ``kinds``, which maps each to its
+    kind (see ``read_field``).  A missing field reads as its default in
+    ``defaults``, else as the one ``cls`` declares; a field with neither
+    is required."""
+    defaults = {f.name: f.default for f in fields(cls)} | defaults
+    return {key: read_field(data, key, where, kind, defaults[key])
+            for key, kind in kinds.items()}
+
+
+def load_json(path):
+    """The JSON value in the file at ``path``; text that is not JSON
+    raises a ModelError naming the file."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{path}: not valid JSON ({exc})") from None
+
+
 def _bounds_to_json(lower, upper):
     out = []
     for lo, hi in zip(lower, upper):
@@ -455,8 +476,8 @@ def _bounds_to_json(lower, upper):
 
 
 def _bound(value) -> float:
-    """A bound: a JSON number, or +-Infinity for none (the LP rejects an
-    infinity on the wrong side)."""
+    """A bound: a JSON number, or +-Infinity for none (``check_blocks``
+    rejects an infinity on the wrong side)."""
     return number(value, finite=False)
 
 
@@ -598,9 +619,8 @@ def problem_from_dict(data: dict, path: str = "/") -> CcpProblem:
         groups.append(JccGroup(
             constraints=constraints,
             samples=SampleSet(read_field(gd, "samples", where, floats)),
-            epsilon=read_field(gd, "epsilon", where, number),
-            rho=read_field(gd, "rho", where, number, 0.0),
-            norm=read_field(gd, "norm", where, text, "l1"),
-            label=read_field(gd, "label", where, text, f"group{gi}")))
+            **read_fields(JccGroup, gd, where, {
+                "epsilon": number, "rho": number, "norm": text, "label": text},
+                label=f"group{gi}")))
     return CcpProblem(objective=objective, polytope=poly, groups=groups,
                       var_names=read_field(data, "var_names", path, texts, None))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelError
-from .model import SampleSet, floats, integer, read_field, text
+from .model import SampleSet, floats, integer, read_field, read_fields, text
 
 DISTRIBUTIONS = ("uniform", "gaussian", "from-file")
 
@@ -50,18 +50,18 @@ class ScenarioGenSpec:
 
 
 def spec_from_dict(data: dict) -> ScenarioGenSpec:
+    """The spec of a JSON object: its top-level fields, then those of its
+    ``distribution``; an omitted field reads as the default that
+    ``ScenarioGenSpec`` declares, and an omitted ``n`` or ``columns`` as
+    0 (which only ``from-file`` accepts)."""
+    top = read_fields(ScenarioGenSpec, data, "/", {
+        "n": integer, "columns": integer, "seed": integer, "output": text},
+        n=0, columns=0)
     dist = read_field(data, "distribution", "/", dict)
-    return ScenarioGenSpec(
-        n=read_field(data, "n", "/", integer, 0),
-        columns=read_field(data, "columns", "/", integer, 0),
-        kind=read_field(dist, "kind", "/distribution", text),
-        seed=read_field(data, "seed", "/", integer, 0),
-        low=read_field(dist, "low", "/distribution", floats, 0.0),
-        high=read_field(dist, "high", "/distribution", floats, 1.0),
-        mean=read_field(dist, "mean", "/distribution", floats, 0.0),
-        std=read_field(dist, "std", "/distribution", floats, 1.0),
-        path=read_field(dist, "path", "/distribution", text, None),
-        output=read_field(data, "output", "/", text, "scenarios.csv"))
+    return ScenarioGenSpec(**top, **read_fields(
+        ScenarioGenSpec, dist, "/distribution", {
+            "kind": text, "low": floats, "high": floats, "mean": floats,
+            "std": floats, "path": text}))
 
 
 def _per_column(value, columns: int, name: str) -> np.ndarray:
@@ -76,10 +76,7 @@ def _per_column(value, columns: int, name: str) -> np.ndarray:
 def generate_scenarios(spec: ScenarioGenSpec,
                        base_dir: Path | None = None) -> SampleSet:
     if spec.kind == "from-file":
-        path = Path(spec.path)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return SampleSet.from_csv(path)
+        return SampleSet.from_csv(Path(base_dir or "", spec.path))
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "uniform":
         low = _per_column(spec.low, spec.columns, "low")

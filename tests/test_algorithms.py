@@ -1,3 +1,4 @@
+import itertools
 import weakref
 from math import comb
 
@@ -40,6 +41,10 @@ def test_z_step_worked_example():
 
 def test_z_step_zero_shortfalls_keep_everything():
     np.testing.assert_array_equal(z_step(np.zeros(6), 0.5), np.ones(6))
+
+
+def test_z_step_of_no_scenarios_is_empty():
+    assert z_step(np.zeros(0), 0.5).shape == (0,)
 
 
 def test_z_step_eps_zero_keeps_everything():
@@ -142,6 +147,22 @@ def test_inner_alternation_tight_level_stays_positive():
     res = inner_alternation(SStepAssembler(interval_toy(0.4)), 0.5)
     assert res.reason in ("delta", "max_inner")  # x=0.5 is inside the polytope
     assert res.gamma > 0.0
+
+
+def test_inner_alternation_stops_after_max_inner(monkeypatch):
+    monkeypatch.setattr(algorithms, "MAX_INNER", 1)
+    res = inner_alternation(SStepAssembler(two_group_toy(0)), 1.0)
+    assert res.reason == "max_inner"
+    assert res.iterations == 1
+    assert res.gamma > algorithms.GAMMA_TOL
+
+
+def test_inner_alternation_raises_when_the_shortfall_rises(monkeypatch):
+    rising = itertools.count(1.0)
+    monkeypatch.setattr(algorithms, "gamma_value", lambda z, s: next(rising))
+    with pytest.raises(NumericError, match=r"^weighted shortfall increased "
+                                           r"\(1\.0 -> 2\.0\)"):
+        inner_alternation(SStepAssembler(interval_toy(0.4)), 8.0)
 
 
 def test_gamma_sequences_nonincreasing():

@@ -12,6 +12,7 @@ from jccopt.cases import bundled_case_path
 from jccopt.cli import main
 from jccopt.dispatch import build_ccp, load_case
 from jccopt.model import SampleSet, evaluate_group, problem_to_dict
+from jccopt.scenarios import ScenarioGenSpec, spec_from_dict
 from jccopt.toys import INTERVAL_SCENARIOS, interval_toy, two_group_toy
 
 from helpers import over_cap_problem
@@ -221,6 +222,19 @@ def test_solve_non_string_field_is_an_input_error(tmp_path, capsys, key, value):
     code, out, err = run(capsys, "solve", str(problem_file))
     assert code == 1 and out == ""
     assert err.startswith(f"error: /groups/0/{key}: expected a string, got ")
+
+
+def test_solve_bound_infinite_on_the_wrong_side_fails_at_load(
+        tmp_path, capsys, monkeypatch):
+    data = problem_to_dict(interval_toy(0.4))
+    data["polytope"]["bounds"] = [{"lower": "INF"}]
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(data).replace('"INF"', "Infinity"))
+    monkeypatch.setattr(algorithms, "solve", None)  # no solve may start
+    code, out, err = run(capsys, "solve", str(problem_file))
+    assert (code, out) == (1, "")
+    assert err == ("error: polytope: a lower bound may not be +inf, nor an "
+                   "upper bound -inf\n")
 
 
 @pytest.mark.parametrize("groups", [[], None], ids=["empty", "missing"])
@@ -575,8 +589,10 @@ def test_generate_deterministic_and_from_file(tmp_path, capsys):
     ({"n": 4, "columns": 2, "output": None, "distribution": {"kind": "uniform"}},
      "/output"),
     ([{"n": 4}], "/"),
+    # bad at both levels: the top-level fields are read first
+    ({"n": 4, "columns": 2, "seed": 1.5, "distribution": {"kind": 7}}, "/seed"),
 ], ids=["n-string", "n-fraction", "columns-boolean", "seed-negative",
-        "low-string", "no-kind", "output-null", "array"])
+        "low-string", "no-kind", "output-null", "array", "both-levels"])
 def test_generate_bad_spec_is_an_input_error(tmp_path, capsys, spec, path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))
@@ -584,6 +600,18 @@ def test_generate_bad_spec_is_an_input_error(tmp_path, capsys, spec, path):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}: ")
     assert not (tmp_path / "scenarios.csv").exists()
+
+
+def test_generate_spec_reads_the_dataclass_defaults(tmp_path, capsys):
+    spec = {"n": 3, "columns": 2, "distribution": {"kind": "uniform"}}
+    assert spec_from_dict(spec) == ScenarioGenSpec(3, 2, "uniform")
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    code, _, _ = run(capsys, "generate", str(spec_file))
+    assert code == 0
+    want = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, 2))
+    got = SampleSet.from_csv(tmp_path / "scenarios.csv").data
+    assert np.array_equal(got, want)
 
 
 def test_missing_input_file_is_usage_error(capsys):

@@ -183,6 +183,12 @@ def test_sample_set_csv_errors(tmp_path):
         SampleSet.from_csv(empty)
 
 
+def test_empty_sample_set_is_a_model_error():
+    # every scored set needs a rate, which an empty one would divide 0 by 0
+    with pytest.raises(ModelError, match="^a scenario set may not be empty$"):
+        SampleSet(np.zeros((0, 2)))
+
+
 def test_sample_set_rejects_non_finite():
     with pytest.raises(ModelError, match="finite"):
         SampleSet(np.array([[1.0, np.nan]]))
@@ -384,6 +390,16 @@ def test_problem_from_dict_pointer_errors():
         problem_from_dict({})
 
 
+def test_group_fields_default_to_the_dataclass():
+    d = problem_to_dict(two_group_toy(3))
+    for gd in d["groups"]:
+        for key in ("rho", "norm", "label"):
+            del gd[key]
+    q = problem_from_dict(d)
+    assert [(g.rho, g.norm, g.label) for g in q.groups] == [
+        (0.0, "l1", "group0"), (0.0, "l1", "group1")]
+
+
 def test_bi_affine_shape_guards():
     with pytest.raises(ModelError, match="a0"):
         BiAffineConstraint(A=np.zeros((2, 1)), a0=[1.0], c=[0.0])
@@ -417,7 +433,12 @@ def test_polytope_validate_shapes():
     ({"A_eq": [[np.inf]], "b_eq": [0.0]},
      "polytope: A_eq: entries must be finite"),
     ({"lower": [np.nan]}, "polytope: bounds may be infinite but not NaN"),
-], ids=["G-nan", "h-inf", "A_eq-inf", "lower-nan"])
+    ({"lower": [np.inf]},
+     "polytope: a lower bound may not be +inf, nor an upper bound -inf"),
+    ({"upper": [-np.inf]},
+     "polytope: a lower bound may not be +inf, nor an upper bound -inf"),
+], ids=["G-nan", "h-inf", "A_eq-inf", "lower-nan", "lower-plus-inf",
+        "upper-minus-inf"])
 def test_polytope_blocks_are_checked_when_the_problem_is_built(blocks, message):
     # the LP block rule, so a bad polytope fails here, not in its first LP
     con = BiAffineConstraint(A=np.zeros((1, 1)), a0=[1.0], c=[-1.0])
