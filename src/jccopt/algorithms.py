@@ -49,6 +49,12 @@ METHODS = (METHOD_ALSO_X, METHOD_ALSO_X_SINGLE, METHOD_INTUITIVE, METHOD_CVAR,
            METHOD_ORACLE)
 
 ORACLE_CAP = 10 ** 6
+# The oracle's screen relaxes a dropped scenario's rows by ORACLE_RELAX
+# times 1 + max|h| of the all-kept hard LP, and confirms cold every
+# keep-set it screens within ORACLE_CONFIRM_RTOL * max(1, |best|) of the
+# best value it trusts.
+ORACLE_RELAX = 1e6
+ORACLE_CONFIRM_RTOL = 1e-6
 # Inner loop: stop when the weighted shortfall Gamma reaches GAMMA_TOL
 # (the level is accepted), moves by less than DELTA2, or after MAX_INNER
 # alternations.  MAX_OUTER caps the bisection midpoints.
@@ -391,19 +397,25 @@ def _point(sol: lp.LpSolution, problem: CcpProblem,
 
 # -- hard-constrained LPs ----------------------------------------------------
 
-def scenario_hard_lp(asm: SStepAssembler, masks: list[np.ndarray]) -> LpProblem:
-    """min objective'x over the polytope with the masked scenarios' rows
-    imposed hard, robustified at each group's radius: cut from the skeleton
-    ``asm`` without its shortfall columns and level row, with the polytope
-    rows, then per group its margin rows and its masked scenarios' rows."""
-    problem, t = asm.problem, asm.lp_template
+def _hard_rows(asm: SStepAssembler, masks: list[np.ndarray]) -> np.ndarray:
+    """The skeleton rows that ``scenario_hard_lp`` keeps, in its order."""
+    problem = asm.problem
     rows = [np.arange(problem.polytope.n_ineq)]
     for gi, g in enumerate(problem.groups):
         mask = np.asarray(masks[gi], dtype=bool)
         if mask.shape != (g.n,):
             raise ModelError(f"mask for group {gi} must have length {g.n}")
         rows += [asm.margin_rows[gi], asm.scenario_rows[gi][:, mask].ravel()]
-    rows, cols = np.concatenate(rows), asm.hard_cols
+    return np.concatenate(rows)
+
+
+def scenario_hard_lp(asm: SStepAssembler, masks: list[np.ndarray]) -> LpProblem:
+    """min objective'x over the polytope with the masked scenarios' rows
+    imposed hard, robustified at each group's radius: cut from the skeleton
+    ``asm`` without its shortfall columns and level row, with the polytope
+    rows, then per group its margin rows and its masked scenarios' rows."""
+    problem, t = asm.problem, asm.lp_template
+    rows, cols = _hard_rows(asm, masks), asm.hard_cols
     obj = np.zeros(cols.size)
     obj[:problem.n_vars] = problem.objective
     G, h = (t.G[np.ix_(rows, cols)], t.h[rows]) if rows.size else (None, None)
@@ -619,6 +631,63 @@ def oracle_enumeration_count(problem: CcpProblem) -> int:
     return total
 
 
+def _keep_sets(problem: CcpProblem):
+    """Each selection of the oracle as per-group keep masks: every group
+    keeps all but floor(eps*n) of its scenarios, in itertools.product
+    order."""
+    pools = [list(itertools.combinations(
+                 range(g.n), g.n - risk_budget(g.epsilon, g.n)))
+             for g in problem.groups]
+    for combo in itertools.product(*pools):
+        masks = []
+        for g, subset in zip(problem.groups, combo):
+            mask = np.zeros(g.n, dtype=bool)
+            mask[list(subset)] = True
+            masks.append(mask)
+        yield masks
+
+
+def _screened_values(asm: SStepAssembler) -> np.ndarray:
+    """Each keep-set's LP value, in ``_keep_sets`` order, from warm rhs
+    restarts of one session over the all-kept hard LP, NaN where the
+    screen cannot be trusted.
+
+    A keep-set's node raises the rhs of its dropped scenarios' rows by a
+    finite offset.  Its value counts only when the node is optimal and
+    every relaxed row stays slack by more than half the offset: an LP
+    optimum stays optimal when inactive rows are removed, so the value
+    is then that of the keep-set's own LP.
+    """
+    problem = asm.problem
+    all_kept = [np.ones(g.n, dtype=bool) for g in problem.groups]
+    full = scenario_hard_lp(asm, all_kept)
+    # Row of ``full`` that each skeleton row became.
+    position = np.zeros(asm.lp_template.h.size, dtype=int)
+    kept = _hard_rows(asm, all_kept)
+    position[kept] = np.arange(kept.size)
+    offset = ORACLE_RELAX * (1.0 + float(np.max(np.abs(full.h))))
+    values = []
+    session = None
+    for masks in _keep_sets(problem):
+        dropped = position[np.concatenate(
+            [r[:, ~m].ravel() for r, m in zip(asm.scenario_rows, masks)])]
+        h = full.h.copy()
+        h[dropped] += offset
+        session = lp.SimplexBackend().start_session(
+            LpProblem(full.c, full.G, h, full.A_eq, full.b_eq, full.lower,
+                      full.upper), warm=session)
+        try:
+            sol = session.solve()
+        except NumericError:
+            session = None  # the next node starts cold
+            values.append(np.nan)
+            continue
+        trusted = sol.status == OPTIMAL and np.all(
+            h[dropped] - full.G[dropped] @ sol.x > 0.5 * offset)
+        values.append(sol.objective if trusted else np.nan)
+    return np.array(values)
+
+
 def solve_oracle(problem: CcpProblem) -> SolveReport:
     """Exhaustive scenario-subset search (exact sample optimum).
 
@@ -626,6 +695,12 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
     rate; larger keep-sets only shrink the feasible region, so minimizing
     over the exact-size subsets equals minimizing over all subsets of at
     least that size.  Guarded by the full enumeration count.
+
+    Warm restarts screen every keep-set (``_screened_values``); only the
+    untrusted ones and those within ORACLE_CONFIRM_RTOL of the best
+    trusted value are solved cold, in enumeration order and under a
+    strict ``<``, so the report is the one a cold solve of every
+    keep-set gives.
     """
     count = oracle_enumeration_count(problem)
     if count > ORACLE_CAP:
@@ -633,17 +708,16 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
             f"oracle enumeration would visit {count} subset combinations "
             f"(cap {ORACLE_CAP})")
     asm = SStepAssembler(problem)
-    pools = [list(itertools.combinations(
-                 range(g.n), g.n - risk_budget(g.epsilon, g.n)))
-             for g in problem.groups]
+    values = _screened_values(asm)
+    confirm = np.isnan(values)
+    if not confirm.all():
+        best = float(np.nanmin(values))
+        confirm |= values <= best + ORACLE_CONFIRM_RTOL * max(1.0, abs(best))
     best_obj = np.inf
     best_x = None
-    for combo in itertools.product(*pools):
-        masks = []
-        for g, subset in zip(problem.groups, combo):
-            mask = np.zeros(g.n, dtype=bool)
-            mask[list(subset)] = True
-            masks.append(mask)
+    for masks, cold in zip(_keep_sets(problem), confirm):
+        if not cold:
+            continue
         sol = lp.solve_lp(scenario_hard_lp(asm, masks))
         x = _point(sol, problem, "oracle subproblem")
         if x is not None and sol.objective < best_obj:

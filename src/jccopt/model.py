@@ -62,11 +62,14 @@ class SampleSet:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
+        data = np.asarray(self.data, dtype=float)
+        # Before atleast_2d, which reads an empty vector as one scenario
+        # of dimension 0.
+        if data.ndim and data.shape[0] == 0:
+            raise ModelError("a scenario set may not be empty")
+        self.data = np.atleast_2d(data)
         if self.data.ndim != 2:
             raise ModelError("samples must form a 2-d array (scenarios x dim)")
-        if self.data.shape[0] == 0:
-            raise ModelError("a scenario set may not be empty")
         if not np.all(np.isfinite(self.data)):
             raise ModelError("samples must be finite")
 
@@ -616,9 +619,14 @@ def problem_from_dict(data: dict, path: str = "/") -> CcpProblem:
         constraints = [
             _constraint_from_json(cd, f"{where}/constraints/{ci}")
             for ci, cd in enumerate(read_field(gd, "constraints", where, list))]
+        scenarios = read_field(gd, "samples", where, floats)
+        try:
+            samples = SampleSet(scenarios)
+        except ModelError as exc:
+            raise ModelError(f"{where}/samples: {exc}") from None
         groups.append(JccGroup(
             constraints=constraints,
-            samples=SampleSet(read_field(gd, "samples", where, floats)),
+            samples=samples,
             **read_fields(JccGroup, gd, where, {
                 "epsilon": number, "rho": number, "norm": text, "label": text},
                 label=f"group{gi}")))

@@ -1,10 +1,14 @@
 """Shared fixtures-by-construction for the solver tests."""
 
+import itertools
+
 import numpy as np
 
 from jccopt import (OPTIMAL, UNBOUNDED, BiAffineConstraint, CcpProblem,
                     JccGroup, LpProblem, NumericError, Polytope, SampleSet,
-                    SStepAssembler, shortfalls, solve_lp)
+                    SStepAssembler, algorithms, lp, shortfalls, solve_lp)
+from jccopt.algorithms import _point, _report, scenario_hard_lp
+from jccopt.model import risk_budget
 
 
 def s_step(problem: CcpProblem, z: list[np.ndarray], f: float):
@@ -40,6 +44,29 @@ def z_step_lp(s: np.ndarray, epsilon: float) -> np.ndarray:
     if sol.status != OPTIMAL:
         raise NumericError(f"activation LP came back {sol.status}")
     return sol.x
+
+
+def cold_oracle(problem: CcpProblem):
+    """The oracle as one cold LP per keep-set, in enumeration order under
+    a strict ``<``: the reference that the screened ``solve_oracle`` must
+    reproduce bit for bit."""
+    asm = SStepAssembler(problem)
+    pools = [list(itertools.combinations(
+                 range(g.n), g.n - risk_budget(g.epsilon, g.n)))
+             for g in problem.groups]
+    best_obj = np.inf
+    best_x = None
+    for combo in itertools.product(*pools):
+        masks = []
+        for g, subset in zip(problem.groups, combo):
+            mask = np.zeros(g.n, dtype=bool)
+            mask[list(subset)] = True
+            masks.append(mask)
+        sol = lp.solve_lp(scenario_hard_lp(asm, masks))
+        x = _point(sol, problem, "oracle subproblem")
+        if x is not None and sol.objective < best_obj:
+            best_obj, best_x = sol.objective, x
+    return _report(problem, algorithms.METHOD_ORACLE, best_x)
 
 
 def over_cap_problem() -> CcpProblem:

@@ -189,6 +189,21 @@ def test_empty_sample_set_is_a_model_error():
         SampleSet(np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("data", [[], np.zeros(0)], ids=["list", "vector"])
+def test_an_empty_vector_is_no_scenario(data):
+    # atleast_2d alone would read an empty vector as one scenario of dim 0
+    with pytest.raises(ModelError, match="^a scenario set may not be empty$"):
+        SampleSet(data)
+
+
+def test_empty_problem_samples_name_their_path():
+    d = problem_to_dict(interval_toy(0.4))
+    d["groups"][0]["samples"] = []
+    with pytest.raises(ModelError, match="^/groups/0/samples: a scenario set "
+                       "may not be empty$"):
+        problem_from_dict(d)
+
+
 def test_sample_set_rejects_non_finite():
     with pytest.raises(ModelError, match="finite"):
         SampleSet(np.array([[1.0, np.nan]]))

@@ -31,3 +31,21 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
         tracer.uninstall()
     assert all(vars(owner).get(name) is value
                for (owner, name), value in before.items())
+
+
+def test_oracle_sessions_are_traced(monkeypatch):
+    # The tracer looks each session up by the id that start_session
+    # recorded, so a session started around it fails here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    tracer = tracing.Tracer().install()
+    try:
+        algorithms.solve_oracle(interval_toy(0.4))
+    finally:
+        tracer.uninstall()
+    names = [span.name for span in tracer.spans]
+    assert names.count("lp.session_solve") == names.count("lp.start_session") > 0
