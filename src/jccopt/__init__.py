@@ -8,9 +8,8 @@ ships a reserve-dispatch front end and CLI on top.
 
 from .algorithms import (METHODS, BisectionConfig, InnerResult, OuterRecord,
                          SolveReport, SStepAssembler, gamma_value, init_bounds,
-                         inner_alternation, out_of_sample_reliability,
-                         shortfalls, solve, solve_also_x_multi,
-                         solve_also_x_single, solve_cvar,
+                         inner_alternation, shortfalls, solve,
+                         solve_also_x_multi, solve_also_x_single, solve_cvar,
                          solve_intuitive_extension, solve_oracle, z_step)
 from .dispatch import (Adn, Bus, DispatchCase, DispatchModel, Generator, Line,
                        Network, Segment, WindFarm, WindScenarioSet,
@@ -36,7 +35,7 @@ __all__ = [
     "problem_to_dict", "problem_from_dict",
     "BisectionConfig", "SolveReport", "OuterRecord",
     "InnerResult", "SStepAssembler", "z_step", "shortfalls", "gamma_value",
-    "inner_alternation", "init_bounds", "out_of_sample_reliability",
+    "inner_alternation", "init_bounds",
     "METHODS", "solve", "solve_also_x_multi", "solve_also_x_single",
     "solve_intuitive_extension", "solve_cvar", "solve_oracle",
     "Segment", "Generator", "Adn", "WindFarm", "WindScenarioSet", "Bus",

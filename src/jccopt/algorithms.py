@@ -33,8 +33,8 @@ import numpy as np
 from . import lp
 from .errors import CapacityError, ModelError, NumericError
 from .lp import OPTIMAL, UNBOUNDED, LpProblem
-from .model import (TOL_ZERO, CcpProblem, JccGroup, SampleSet, ViolationReport,
-                    evaluate_group, risk_budget)
+from .model import (CcpProblem, JccGroup, ViolationReport, evaluate_group,
+                    risk_budget)
 
 FEASIBLE = "feasible"
 INFEASIBLE_STATUS = "infeasible"
@@ -479,18 +479,23 @@ def _report(problem: CcpProblem, method: str, x: np.ndarray | None,
                        [evaluate_group(g, x) for g in problem.groups], **extra)
 
 
-def _level_record(problem, f, x, s, gamma, delta, inner_iterations, accepted):
-    """The level's record from its point x and shortfalls s (None when the
-    level LP was infeasible).  A scenario counts as violated when its
-    shortfall exceeds TOL_ZERO, the count that evaluate_group makes on the
-    same values, since s = max(worst, 0) and TOL_ZERO > 0."""
+def _level_reports(problem: CcpProblem,
+                   s: list[np.ndarray]) -> list[ViolationReport]:
+    """Each group's verdict at a level, read from its shortfalls s: the
+    verdict evaluate_group gives at the level's point."""
+    return [ViolationReport.of(g, si) for g, si in zip(problem.groups, s)]
+
+
+def _level_record(problem, f, x, reports, gamma, delta, inner_iterations,
+                  accepted):
+    """The level's record from its point x and per-group reports (None
+    when the level LP was infeasible)."""
     return OuterRecord(
         f=f, gamma=gamma, delta=delta, inner_iterations=inner_iterations,
         accepted=accepted,
         objective=None if x is None else float(problem.objective @ x),
-        violation_rates=None if s is None else [
-            (si.size - int(np.count_nonzero(si <= TOL_ZERO))) / si.size
-            for si in s])
+        violation_rates=None if reports is None else [
+            r.violation_rate for r in reports])
 
 
 # -- main solvers ------------------------------------------------------------
@@ -546,7 +551,8 @@ def _alternation_level(asm: SStepAssembler, f: float):
     the polish keeps the scenarios with positive final weight."""
     inner = inner_alternation(asm, f)
     ok = inner.gamma is not None and inner.gamma <= GAMMA_TOL
-    record = _level_record(asm.problem, f, inner.x, inner.s, inner.gamma,
+    reports = None if inner.s is None else _level_reports(asm.problem, inner.s)
+    record = _level_record(asm.problem, f, inner.x, reports, inner.gamma,
                            inner.delta, inner.iterations, ok)
     return record, ((inner.x, [zi > 0.0 for zi in inner.z]) if ok else None)
 
@@ -557,15 +563,15 @@ def _full_activation_level(asm: SStepAssembler, f: float):
     polish keeps those satisfied scenarios."""
     problem = asm.problem
     x = _point(asm.session_at(f).solve(), problem, "shortfall LP")
-    s = gamma = None
+    reports = gamma = None
     ok = False
     if x is not None:
         s = shortfalls(problem, x)
         gamma = gamma_value([np.ones(g.n) for g in problem.groups], s)
-        ok = all(np.count_nonzero(si > TOL_ZERO) <= risk_budget(g.epsilon, g.n)
-                 for si, g in zip(s, problem.groups))
-    record = _level_record(problem, f, x, s, gamma, None, 1, ok)
-    return record, ((x, [si <= TOL_ZERO for si in s]) if ok else None)
+        reports = _level_reports(problem, s)
+        ok = all(r.satisfied for r in reports)
+    record = _level_record(problem, f, x, reports, gamma, None, 1, ok)
+    return record, ((x, [r.kept for r in reports]) if ok else None)
 
 
 def solve_also_x_multi(problem: CcpProblem,
@@ -623,12 +629,10 @@ def solve_cvar(problem: CcpProblem) -> SolveReport:
 
 
 def oracle_enumeration_count(problem: CcpProblem) -> int:
-    """Scenario selections that keep each group within its risk budget."""
-    total = 1
-    for g in problem.groups:
-        total *= sum(math.comb(g.n, v)
-                     for v in range(risk_budget(g.epsilon, g.n) + 1))
-    return total
+    """The keep-sets the oracle walks (``_keep_sets``): the product over
+    groups of C(n, floor(eps*n))."""
+    return math.prod(math.comb(g.n, risk_budget(g.epsilon, g.n))
+                     for g in problem.groups)
 
 
 def _keep_sets(problem: CcpProblem):
@@ -694,7 +698,7 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
     Per group, any keep-set of all but floor(eps*n) scenarios certifies the
     rate; larger keep-sets only shrink the feasible region, so minimizing
     over the exact-size subsets equals minimizing over all subsets of at
-    least that size.  Guarded by the full enumeration count.
+    least that size.  Refuses more than ORACLE_CAP keep-sets.
 
     Warm restarts screen every keep-set (``_screened_values``); only the
     untrusted ones and those within ORACLE_CONFIRM_RTOL of the best
@@ -705,7 +709,7 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
     count = oracle_enumeration_count(problem)
     if count > ORACLE_CAP:
         raise CapacityError(
-            f"oracle enumeration would visit {count} subset combinations "
+            f"oracle enumeration would visit {count} keep-sets "
             f"(cap {ORACLE_CAP})")
     asm = SStepAssembler(problem)
     values = _screened_values(asm)
@@ -725,18 +729,9 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
     return _report(problem, METHOD_ORACLE, best_x)
 
 
-def out_of_sample_reliability(x: np.ndarray, groups: list[JccGroup],
-                              test_sets: list[SampleSet]) -> list[float]:
-    """Per-group fraction of held-out scenarios fully satisfied at x, at
-    radius 0 (see ``evaluate_group``)."""
-    if len(groups) != len(test_sets):
-        raise ModelError("one test set per group required")
-    return [evaluate_group(g, x, ts).rate for g, ts in zip(groups, test_sets)]
-
-
 def applicable_methods(problem: CcpProblem) -> list[str]:
     """METHODS in order, less also-x-single on several groups and the
-    oracle above ORACLE_CAP subset combinations."""
+    oracle above ORACLE_CAP keep-sets."""
     return [m for m in METHODS
             if (m != METHOD_ALSO_X_SINGLE or problem.n_groups == 1)
             and (m != METHOD_ORACLE

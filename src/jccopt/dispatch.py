@@ -22,8 +22,8 @@ import numpy as np
 from . import algorithms, lp
 from .errors import ModelError
 from .model import (REQUIRED, BiAffineConstraint, CcpProblem, JccGroup,
-                    Polytope, SampleSet, check_risk, floats, integer, load_json,
-                    number, read_field, read_fields, text)
+                    Polytope, SampleSet, check_risk, evaluate_group, floats,
+                    integer, load_json, number, read_field, read_fields, text)
 
 VARIANTS = {"day-ahead": (24, 1.0), "intraday": (4, 0.25)}
 
@@ -749,14 +749,13 @@ def rho_sweep(case: DispatchCase, rho_grid, methods=(
         test_sets = model.test_sample_sets()
         for method in methods:
             report = algorithms.solve(model.problem, method)
-            if report.is_feasible:
-                if test_sets is not None:
-                    rel = algorithms.out_of_sample_reliability(
-                        report.x, model.problem.groups, test_sets)
-                else:
-                    rel = [g.rate for g in report.per_group]
-            else:
+            if not report.is_feasible:
                 rel = None
+            elif test_sets is not None:
+                rel = [evaluate_group(g, report.x, ts).rate
+                       for g, ts in zip(model.problem.groups, test_sets)]
+            else:
+                rel = [g.rate for g in report.per_group]
             rows.append({
                 "rho": float(rho), "method": method, "status": report.status,
                 "objective": report.objective,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -249,24 +249,14 @@ class JccGroup:
     def x_dim(self) -> int:
         return self.constraints[0].x_dim
 
-    def values(self, x: np.ndarray, scenarios: np.ndarray | None = None,
-               rho: float | None = None) -> np.ndarray:
+    def values(self, x: np.ndarray) -> np.ndarray:
         """Worst-case values gbar_j(x, xi_i) = rho*||A_j x + a0_j||_dual +
-        g_j(x, xi_i): one row per scenario, one column per constraint.
-
-        Uses the group's own samples unless ``scenarios`` (rows of xi) is
-        given, and the group's radius unless ``rho`` is; rho = 0 gives the
-        plain constraint values.  Point evaluation works for any of {l1, l2,
+        g_j(x, xi_i) on the group's samples at its radius: one row per
+        scenario, one column per constraint; rho = 0 gives the plain
+        constraint values.  Point evaluation works for any of {l1, l2,
         linf}; the LP assemblers reject l2 margins.
         """
-        data = (self.samples.data if scenarios is None
-                else np.asarray(scenarios, dtype=float))
-        if data.shape[1] != self.samples.dim:
-            raise ModelError(
-                f"group {self.label!r}: test scenarios have dim {data.shape[1]}, "
-                f"expected {self.samples.dim}")
-        rho = (self.rho if rho is None
-               else check_risk(f"group {self.label!r}", self.epsilon, rho)[1])
+        data, rho = self.samples.data, self.rho
         x = np.asarray(x, dtype=float)
         out = np.empty((data.shape[0], len(self.constraints)))
         for j, con in enumerate(self.constraints):
@@ -315,7 +305,8 @@ class CcpProblem:
 @dataclass
 class ViolationReport:
     """In-sample (or test-set) evaluation of one group at a point, at
-    radius ``rho``: the per-group result of every solve report.
+    radius ``rho``: the per-group result of every solve report and the
+    verdict of every bisection level.  Build it with ``of``.
 
     Rates are formed by a single integer-count division so that, e.g.,
     16 violations out of 20 compares bit-equal to 16/20."""
@@ -326,6 +317,20 @@ class ViolationReport:
     n_satisfied: int
     n: int
     worst: np.ndarray            # per-scenario max constraint value
+
+    @classmethod
+    def of(cls, group: JccGroup, worst: np.ndarray) -> "ViolationReport":
+        """The group's verdict on its per-scenario worst values: a scenario
+        is satisfied when its worst value is at most TOL_ZERO.  Shortfalls
+        max(worst, 0) give the same verdict, since TOL_ZERO > 0."""
+        n_sat = int(np.count_nonzero(worst <= TOL_ZERO))
+        return cls(group.label, group.epsilon, group.rho, n_sat, worst.size,
+                   worst)
+
+    @property
+    def kept(self) -> np.ndarray:
+        """Mask of the satisfied scenarios."""
+        return self.worst <= TOL_ZERO
 
     @property
     def rate(self) -> float:
@@ -353,11 +358,9 @@ def evaluate_group(group: JccGroup, x: np.ndarray,
     ``scenarios`` at radius 0: the Wasserstein margin hedges training
     only, so held-out scenarios are measured on the raw constraints.
     """
-    data, rho = (None, group.rho) if scenarios is None else (scenarios.data, 0.0)
-    worst = group.values(x, data, rho).max(axis=1)
-    n_sat = int(np.count_nonzero(worst <= TOL_ZERO))
-    return ViolationReport(group.label, group.epsilon, rho, n_sat, worst.size,
-                           worst)
+    if scenarios is not None:
+        group = replace(group, samples=scenarios, rho=0.0)
+    return ViolationReport.of(group, group.values(x).max(axis=1))
 
 
 # -- serialization -----------------------------------------------------------

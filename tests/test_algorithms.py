@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from jccopt import (METHODS, BiAffineConstraint, BisectionConfig,
                     CapacityError, CcpProblem, JccGroup, ModelError,
                     NumericError, Polytope, SampleSet, SStepAssembler,
-                    init_bounds, inner_alternation,
-                    out_of_sample_reliability, solve, solve_also_x_multi,
-                    solve_also_x_single, solve_cvar, solve_intuitive_extension,
-                    solve_oracle, z_step)
+                    init_bounds, inner_alternation, solve,
+                    solve_also_x_multi, solve_also_x_single, solve_cvar,
+                    solve_intuitive_extension, solve_oracle, z_step)
 from jccopt.algorithms import (applicable_methods, gamma_value, mean_value_lp,
                                oracle_enumeration_count)
 from jccopt.cases import overlap_case, three_bus_case
 from jccopt.dispatch import build_ccp, rho_sweep
 from jccopt import algorithms, lp
-from jccopt.model import evaluate_group
+from jccopt.model import TOL_ZERO, evaluate_group
 from jccopt.toys import (INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy,
                          two_group_toy)
 
@@ -358,12 +357,10 @@ def test_unbounded_lps_raise_numeric_errors_naming_the_lp():
 
 
 def test_oracle_counts_the_selections_within_the_risk_budget():
-    # eps 0.4 of 5 scenarios: drop at most 2, C(5,0) + C(5,1) + C(5,2)
-    assert oracle_enumeration_count(interval_toy(0.4)) == 16
+    # eps 0.4 of 5 scenarios: keep-sets that drop exactly 2, C(5, 2)
+    assert oracle_enumeration_count(interval_toy(0.4)) == 10
     # 0.2 * 20 drops 4 of the tight group, 0.8 * 20 drops 16 of the loose
-    loose = sum(comb(20, v) for v in range(17))
-    tight = sum(comb(20, v) for v in range(5))
-    assert oracle_enumeration_count(two_group_toy(0)) == loose * tight
+    assert oracle_enumeration_count(two_group_toy(0)) == comb(20, 16) * comb(20, 4)
 
 
 @pytest.mark.parametrize("method", ["also-x", "intuitive"])
@@ -410,24 +407,47 @@ LEVEL_CASES = (
                          ids=[name for name, _ in LEVEL_CASES])
 def test_level_rates_match_evaluate_group(monkeypatch, method, make):
     """Each level's violation rates, counted from the level's shortfalls,
-    equal a fresh evaluate_group at the level's point; the report's
-    per_group entries are evaluate_group's at the final point."""
+    equal a fresh evaluate_group at the level's point; so do a
+    full-activation level's acceptance and the scenarios its polish
+    keeps.  The report's per_group entries are evaluate_group's at the
+    final point."""
     problem, cfg = make()
-    points = []
+    points, found_at = [], {}
     real = algorithms._level_record
+    real_full = algorithms._full_activation_level
 
     def level_record(problem, f, x, *rest):
         record = real(problem, f, x, *rest)
         points.append((record, x))
         return record
 
+    def full_activation_level(asm, f):
+        record, found = real_full(asm, f)
+        found_at[id(record)] = found
+        return record, found
+
     monkeypatch.setattr(algorithms, "_level_record", level_record)
+    monkeypatch.setattr(algorithms, "_full_activation_level",
+                        full_activation_level)
     report = solve(problem, method, cfg)
     assert [r for r, _ in points] == report.trace
+    assert len(found_at) == (len(points) if method == "intuitive" else 0)
     for record, x in points:
         expected = (None if x is None else
                     [evaluate_group(g, x).violation_rate for g in problem.groups])
         assert record.violation_rates == expected
+        if method != "intuitive":
+            continue
+        found = found_at[id(record)]
+        refs = ([] if x is None else
+                [evaluate_group(g, x) for g in problem.groups])
+        assert record.accepted == (x is not None and all(r.satisfied for r in refs))
+        assert (found is not None) == record.accepted
+        if found is not None:
+            assert found[0] is x
+            for mask, ref in zip(found[1], refs, strict=True):
+                assert np.array_equal(mask, ref.worst <= TOL_ZERO)
+                assert np.count_nonzero(mask) == ref.n_satisfied
     if report.is_feasible:
         refs = [evaluate_group(g, report.x) for g in problem.groups]
         assert report.to_dict()["per_group"] == [
@@ -485,18 +505,6 @@ def test_init_bounds_upper_end_never_below_lower_end(monkeypatch):
     monkeypatch.setattr(algorithms, "solve_cvar", lambda problem: below)
     assert init_bounds(p) == (f_lo, f_lo)
     assert BisectionConfig.from_problem(p).f_upper == f_lo
-
-
-def test_out_of_sample_reliability_interval():
-    p = interval_toy(0.4)
-    rates = out_of_sample_reliability(np.array([3.0]), p.groups,
-                                      [p.groups[0].samples])
-    assert rates == [0.6]
-    with pytest.raises(ModelError, match="one test set"):
-        out_of_sample_reliability(np.array([3.0]), p.groups, [])
-    with pytest.raises(ModelError, match="empty"):
-        out_of_sample_reliability(np.array([3.0]), p.groups,
-                                  [SampleSet(np.zeros((0, 2)))])
 
 
 def test_multi_rejects_l2_groups():

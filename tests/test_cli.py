@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jccopt import algorithms
+from jccopt import algorithms, cli
 from jccopt.algorithms import applicable_methods
 from jccopt.cases import bundled_case_path
 from jccopt.cli import main
@@ -554,6 +554,25 @@ def test_evaluate_dimension_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "evaluate", str(report_file), str(bad_csv))
     assert code == 1
     assert "match no group" in err
+
+
+def test_evaluate_drops_groups_of_another_dimension_before_scoring(
+        tmp_path, capsys, monkeypatch):
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(problem_to_dict(interval_toy(0.4))))
+    report_file = tmp_path / "r.json"
+    run(capsys, "solve", str(problem_file), "--method", "also-x",
+        "--f-lower", "0", "--f-upper", "8", "--out", str(report_file))
+    bad_csv = tmp_path / "bad.csv"
+    SampleSet(np.ones((3, 5))).to_csv(bad_csv)
+
+    def score(*args):
+        raise AssertionError("a group of another dimension was scored")
+
+    monkeypatch.setattr(cli, "evaluate_group", score)
+    assert run(capsys, "evaluate", str(report_file), str(bad_csv)) == (
+        1, "", f"error: {bad_csv}: 5 columns match no group's uncertainty "
+        "dimension\n")
 
 
 def test_generate_deterministic_and_from_file(tmp_path, capsys):

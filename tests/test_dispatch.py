@@ -1,5 +1,6 @@
 """Dispatch compilation: PTDF, builder semantics, audits, case files."""
 
+import dataclasses
 import json
 import re
 
@@ -12,8 +13,7 @@ from jccopt import (Adn, BiAffineConstraint, Bus, DispatchCase, Generator,
                     WindScenarioSet, aggregate_errors, algorithms,
                     audit_dispatch, build_ccp, case_from_dict, case_to_dict,
                     compute_ptdf, deterministic_dispatch, evaluate_group,
-                    load_case, lp, out_of_sample_reliability, rho_sweep,
-                    solve_also_x_multi)
+                    load_case, lp, rho_sweep, solve_also_x_multi)
 from jccopt.cases import overlap_case, render_case, three_bus_case
 from jccopt.model import problem_to_dict
 
@@ -392,7 +392,8 @@ def test_bi_affine_encoding_matches_direct_formulas(compiled, request):
         for group in model.problem.groups:
             xi = rng.uniform(-2.0, 2.0, size=group.constraints[0].xi_dim)
             direct = direct_constraint_values(model, group.label, x, xi)
-            encoded = group.values(x, xi[None, :], rho=0.0)[0]
+            encoded = dataclasses.replace(
+                group, samples=SampleSet(xi[None, :]), rho=0.0).values(x)[0]
             np.testing.assert_allclose(encoded, direct, atol=1e-10)
             n_pairs += 1
 
@@ -460,10 +461,9 @@ def test_held_out_sets_are_scored_at_radius_zero():
     groups, tests = model.problem.groups, model.test_sample_sets()
     held_out = [evaluate_group(g, x, ts) for g, ts in zip(groups, tests)]
     assert [r.rho for r in held_out] == [0.0] * len(groups)
-    assert [r.rate for r in held_out] == out_of_sample_reliability(x, groups, tests)
     adn2 = groups[2]
     assert adn2.label == "adn2" and held_out[2].rate == 0.77
-    margin = adn2.values(x, tests[2].data).max(axis=1)
+    margin = dataclasses.replace(adn2, samples=tests[2]).values(x).max(axis=1)
     assert np.count_nonzero(margin <= 1e-6) == 38
     assert evaluate_group(adn2, x).rho == 0.05  # training rows: its radius
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -63,10 +64,15 @@ def _reference_values(group, x, data, rho):
 
 
 def _assert_values_match_reference(group, x, data=None, rho=None):
-    got = group.values(x, data, rho)
+    """``group`` scored on ``data`` at radius ``rho`` where given: its copy
+    with those samples and that radius."""
+    if data is not None:
+        group = dataclasses.replace(group, samples=SampleSet(data))
+    if rho is not None:
+        group = dataclasses.replace(group, rho=rho)
+    got = group.values(x)
     ref = _reference_values(group, np.asarray(x, dtype=float),
-                            group.samples.data if data is None else data,
-                            group.rho if rho is None else rho)
+                            group.samples.data, group.rho)
     assert got.shape == (ref.shape[0], len(group.constraints))
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -108,7 +114,8 @@ def test_robustification_monotone_in_rho():
     x = rng.normal(size=2)
     xi = rng.normal(size=3)
     group = JccGroup([g], SampleSet(xi[None, :]), epsilon=0.0, norm="l1")
-    vals = [group.values(x, rho=rho)[0, 0] for rho in (0.0, 0.01, 0.1, 0.5, 2.0)]
+    vals = [dataclasses.replace(group, rho=rho).values(x)[0, 0]
+            for rho in (0.0, 0.01, 0.1, 0.5, 2.0)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # rho=0 is bit-equal to the raw constraint
     assert vals[0] == (xi[None, :] @ (g.A @ x + g.a0) + float(g.c @ x + g.d))[0]
@@ -132,6 +139,16 @@ def test_evaluate_group_interval_toy():
     lo, hi = p.groups[0].samples.data.T
     np.testing.assert_allclose(rep.worst, np.maximum(lo - 3.0, 3.0 - hi))
     assert rep.satisfied  # 0.4 <= eps
+
+
+def test_held_out_set_of_the_wrong_dimension_is_a_model_error():
+    # Held-out scoring builds the group's copy on the held-out set, whose
+    # own check names the constraint and both dimensions.
+    group = interval_toy(0.4).groups[0]
+    with pytest.raises(ModelError, match=re.escape(
+            "group 'interval': constraint 0 expects xi of dim 2, samples "
+            "have dim 3")):
+        evaluate_group(group, np.array([3.0]), SampleSet(np.zeros((4, 3))))
 
 
 @pytest.mark.parametrize("epsilon, n, budget", [
@@ -216,12 +233,9 @@ def test_group_constructor_guards():
         JccGroup(constraints=[], samples=samples, epsilon=0.1)
     with pytest.raises(ModelError, match=r"\[0, 1\)"):
         JccGroup(constraints=[con], samples=samples, epsilon=1.0)
-    group = JccGroup(constraints=[con], samples=samples, epsilon=0.1)
     for rho in (-1.0, np.nan, np.inf):
         with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
             JccGroup(constraints=[con], samples=samples, epsilon=0.1, rho=rho)
-        with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
-            group.values([0.0], rho=rho)
     with pytest.raises(ModelError, match="rho must be finite and nonnegative"):
         interval_toy(0.4, rho=np.nan)
     with pytest.raises(ModelError, match="dim"):

@@ -11,8 +11,9 @@ import pytest
 
 from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, NumericError,
                     Polytope, SampleSet, algorithms, lp)
-from jccopt.algorithms import SStepAssembler, solve_oracle
-from jccopt.toys import interval_toy
+from jccopt.algorithms import (SStepAssembler, applicable_methods,
+                               oracle_enumeration_count, solve_oracle)
+from jccopt.toys import interval_toy, two_group_toy
 
 from helpers import cold_oracle, random_instance
 
@@ -136,3 +137,28 @@ def test_a_failed_node_is_confirmed_cold_and_the_next_starts_cold(monkeypatch):
     assert_same_report(random_instance(1))
     assert [warm is None for warm in starts] == [
         k % 3 == 0 for k in range(len(starts))]
+
+
+def test_the_cap_counts_the_keep_sets_walked():
+    problems = ([interval_toy(eps) for eps in EPS_GRID]
+                + [random_instance(seed) for seed in range(50)])
+    for problem in problems:
+        assert oracle_enumeration_count(problem) == sum(
+            1 for _ in algorithms._keep_sets(problem))
+
+
+def test_a_small_walk_under_a_large_selection_count_runs():
+    # The loose group of the two-group toy alone: C(20, 16) = 4,845
+    # keep-sets, though 1,047,225 selections drop at most 16 scenarios.
+    toy = two_group_toy(0)
+    loose = CcpProblem(objective=toy.objective, polytope=toy.polytope,
+                       groups=toy.groups[:1])
+    assert oracle_enumeration_count(loose) == 4845
+    assert "oracle" in applicable_methods(loose)
+    assert solve_oracle(loose).is_feasible
+
+
+def test_the_cap_admits_a_walk_of_exactly_its_size(monkeypatch):
+    # random_instance(1) walks C(6, 3) * C(5, 2) = 200 keep-sets.
+    monkeypatch.setattr(algorithms, "ORACLE_CAP", 200)
+    assert_same_report(random_instance(1))
