@@ -33,8 +33,8 @@ import numpy as np
 from . import lp
 from .errors import CapacityError, ModelError, NumericError
 from .lp import OPTIMAL, UNBOUNDED, LpProblem
-from .model import (CcpProblem, JccGroup, ViolationReport, evaluate_group,
-                    risk_budget)
+from .model import (TOL_ZERO, CcpProblem, JccGroup, ViolationReport,
+                    evaluate_group, risk_budget)
 
 FEASIBLE = "feasible"
 INFEASIBLE_STATUS = "infeasible"
@@ -82,7 +82,7 @@ class BisectionConfig:
 
     @classmethod
     def from_problem(cls, problem: CcpProblem):
-        return cls(*init_bounds(problem))
+        return cls(*init_bounds(problem)[:2])
 
 
 @dataclass
@@ -246,56 +246,76 @@ class _ScenarioLpBuilder:
 
 
 class SStepAssembler:
-    """Reusable skeleton of the shortfall-step LP.
+    """Reusable skeleton of the shortfall-step LP over a working set of
+    chance groups (``groups``, ascending; every group by default).
 
     The constraint matrix is identical across bisection levels and inner
     iterations; only the level row's rhs and the shortfall weights in the
     objective change.  Build once per solve, stamp cheap copies after.
     ``session`` is the latest level's solver; the next level restarts
-    from its basis.  Columns: x, shortfalls, margin bounds.  Rows: the
-    polytope, each group's margin rows (``margin_rows[g]``), the level
-    row, each group's scenario rows (``scenario_rows[g][j, i]``: constraint
+    from its basis.  Columns: x, the working groups' shortfalls (
+    ``s_blocks[g]``), their margin bounds.  Rows: the polytope, each
+    working group's margin rows (``margin_rows[g]``), the level row, each
+    working group's scenario rows (``scenario_rows[g][j, i]``: constraint
     j, scenario i); ``scenario_hard_lp`` cuts the hard LPs from them.
+    ``problem`` stays the whole problem: shortfalls, weights and reports
+    run over every group.
     """
 
-    def __init__(self, problem: CcpProblem):
+    def __init__(self, problem: CcpProblem, groups=None):
         self.problem = problem
+        self.groups = tuple(range(problem.n_groups) if groups is None
+                            else sorted(set(groups)))
+        members = [(gi, problem.groups[gi]) for gi in self.groups]
         builder = _ScenarioLpBuilder(problem)
-        self.s_blocks = [builder.add_block(g.n) for g in problem.groups]
-        margins, self.margin_rows = [], []
-        for g in problem.groups:
+        self.s_blocks = {gi: builder.add_block(g.n) for gi, g in members}
+        s_end = builder.cols
+        margins, self.margin_rows = {}, {}
+        for gi, g in members:
             first = builder.n_rows
-            margins.append(builder.add_margins(g))
-            self.margin_rows.append(np.arange(first, builder.n_rows))
+            margins[gi] = builder.add_margins(g)
+            self.margin_rows[gi] = np.arange(first, builder.n_rows)
         # level row c'x <= f (rhs patched per level)
         self.level_row = builder.n_rows
         builder.append_rows(builder.cost()[None, :], np.array([0.0]))
-        self.scenario_rows = []
-        for g, terms, blk in zip(problem.groups, margins, self.s_blocks):
+        self.scenario_rows = {}
+        for gi, g in members:
             first = builder.n_rows
-            builder.scenario_rows(g, terms, blk.start)
-            self.scenario_rows.append(
-                np.arange(first, builder.n_rows).reshape(-1, g.n))
+            builder.scenario_rows(g, margins[gi], self.s_blocks[gi].start)
+            self.scenario_rows[gi] = np.arange(
+                first, builder.n_rows).reshape(-1, g.n)
         self.lp_template = builder.finish(np.zeros(builder.cols))
         self.cols = builder.cols
-        self.hard_cols = np.r_[:problem.n_vars, self.s_blocks[-1].stop:self.cols]
+        self.hard_cols = np.r_[:problem.n_vars, s_end:self.cols]
         self.session: lp.SimplexSession | None = None
+
+    def omitted(self) -> list[int]:
+        """The groups outside the working set."""
+        return [gi for gi in range(self.problem.n_groups)
+                if gi not in self.s_blocks]
+
+    def include(self, groups) -> None:
+        """Rebuild the skeleton with ``groups`` added to the working set;
+        the next level starts cold."""
+        self.__init__(self.problem, self.groups + tuple(groups))
 
     def lp_at(self, f: float, z: list[np.ndarray]) -> LpProblem:
         t = self.lp_template
         h = t.h.copy()
         h[self.level_row] = f
-        return LpProblem(self.objective_for(z), t.G, h, t.A_eq, t.b_eq,
-                         t.lower, t.upper)
+        return t.derive(self.objective_for(z), h=h)
 
     def objective_for(self, z: list[np.ndarray]) -> np.ndarray:
+        """Shortfall weights z/(m*n_g) of the working groups, m counting
+        every group."""
         c = np.zeros(self.cols)
         m = len(self.problem.groups)
         for gi, g in enumerate(self.problem.groups):
             zi = np.asarray(z[gi], dtype=float)
             if zi.shape != (g.n,):
                 raise ModelError(f"weights for group {gi} must have length {g.n}")
-            c[self.s_blocks[gi]] = zi / (m * g.n)
+            if gi in self.s_blocks:
+                c[self.s_blocks[gi]] = zi / (m * g.n)
         return c
 
     def session_at(self, f: float) -> lp.SimplexSession:
@@ -356,20 +376,46 @@ class InnerResult:
     gammas: list[float] = field(default_factory=list)
 
 
+def _level_point(asm: SStepAssembler, f: float, z: list[np.ndarray]):
+    """The level-f LP's point x under weights z, solved on the working
+    skeleton ``asm`` (whose session is at level f), and every group's
+    shortfalls s there; (None, None) when the level is infeasible.
+
+    The working LP is a relaxation of the all-groups LP: it drops the
+    omitted groups' rows with their shortfall columns, whose costs
+    z/(m*n_g) are nonnegative.  When no omitted scenario of positive
+    weight has a positive shortfall at x, x with those shortfalls at zero
+    is feasible for the all-groups LP at the same value, so optimal
+    there.  Otherwise the violated groups join the working set and the
+    level is solved again, cold.
+    """
+    problem = asm.problem
+    while True:
+        x = _point(asm.session.solve(asm.objective_for(z)), problem,
+                   "shortfall LP")
+        if x is None:
+            return None, None
+        s = shortfalls(problem, x)
+        grow = [gi for gi in asm.omitted() if np.any(s[gi][z[gi] > 0.0] > 0.0)]
+        if not grow:
+            return x, s
+        asm.include(grow)
+        asm.session_at(f)
+
+
 def inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
     """Alternate shortfall and activation steps at a fixed level f on the
     shortfall-LP skeleton ``asm``."""
     problem = asm.problem
-    session = asm.session_at(f)
+    asm.session_at(f)
     z = [np.ones(g.n) for g in problem.groups]
     gamma_prev = None
     delta = None
     gammas: list[float] = []
     for k in range(MAX_INNER):
-        x = _point(session.solve(asm.objective_for(z)), problem, "shortfall LP")
+        x, s = _level_point(asm, f, z)
         if x is None:
             return InnerResult(None, None, None, None, None, k, "lp-infeasible")
-        s = shortfalls(problem, x)
         z = [z_step(s[gi], g.epsilon) for gi, g in enumerate(problem.groups)]
         gamma = gamma_value(z, s)
         if gamma_prev is not None and gamma > gamma_prev + 1e-9 * max(1.0, gamma_prev):
@@ -405,7 +451,8 @@ def _hard_rows(asm: SStepAssembler, masks: list[np.ndarray]) -> np.ndarray:
         mask = np.asarray(masks[gi], dtype=bool)
         if mask.shape != (g.n,):
             raise ModelError(f"mask for group {gi} must have length {g.n}")
-        rows += [asm.margin_rows[gi], asm.scenario_rows[gi][:, mask].ravel()]
+        if gi in asm.s_blocks:
+            rows += [asm.margin_rows[gi], asm.scenario_rows[gi][:, mask].ravel()]
     return np.concatenate(rows)
 
 
@@ -413,14 +460,13 @@ def scenario_hard_lp(asm: SStepAssembler, masks: list[np.ndarray]) -> LpProblem:
     """min objective'x over the polytope with the masked scenarios' rows
     imposed hard, robustified at each group's radius: cut from the skeleton
     ``asm`` without its shortfall columns and level row, with the polytope
-    rows, then per group its margin rows and its masked scenarios' rows."""
-    problem, t = asm.problem, asm.lp_template
-    rows, cols = _hard_rows(asm, masks), asm.hard_cols
+    rows, then per working group its margin rows and its masked scenarios'
+    rows (every group's mask is checked; an omitted group's is unused)."""
+    problem = asm.problem
+    cols = asm.hard_cols
     obj = np.zeros(cols.size)
     obj[:problem.n_vars] = problem.objective
-    G, h = (t.G[np.ix_(rows, cols)], t.h[rows]) if rows.size else (None, None)
-    A_eq = None if t.A_eq is None else t.A_eq[:, cols]
-    return LpProblem(obj, G, h, A_eq, t.b_eq, t.lower[cols], t.upper[cols])
+    return asm.lp_template.derive(obj, rows=_hard_rows(asm, masks), cols=cols)
 
 
 def mean_value_lp(problem: CcpProblem) -> LpProblem:
@@ -439,20 +485,36 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
 def _polish(asm: SStepAssembler, masks, fallback_x):
     """Re-minimize the true cost subject to the accepted scenario selection
     imposed hard.  Falls back to the raw accepted point if the cleanup LP
-    stumbles numerically (it is feasible by construction)."""
-    try:
-        x = _point(lp.solve_lp(scenario_hard_lp(asm, masks)), asm.problem,
-                   "polish LP")
-    except NumericError:
-        return fallback_x
-    return fallback_x if x is None else x
+    stumbles numerically (it is feasible by construction).
+
+    The LP is cut from the working skeleton ``asm``, a relaxation of the
+    all-groups one (fewer rows; the dropped margin bounds cost nothing).
+    Its point x is optimal for the all-groups LP when every omitted
+    group's kept scenarios hold there; otherwise the groups with a kept
+    scenario above 0 join the working set and the polish runs again.
+    """
+    problem = asm.problem
+    while True:
+        try:
+            x = _point(lp.solve_lp(scenario_hard_lp(asm, masks)), problem,
+                       "polish LP")
+        except NumericError:
+            return fallback_x
+        if x is None:
+            return fallback_x
+        grow = [gi for gi in asm.omitted() if np.any(
+            problem.groups[gi].values(x).max(axis=1)[masks[gi]] > 0.0)]
+        if not grow:
+            return x
+        asm.include(grow)
 
 
 # -- bound initialization ----------------------------------------------------
 
-def init_bounds(problem: CcpProblem) -> tuple[float, float]:
-    """Level bracket: lower from the mean-value LP, upper from the CVaR
-    restriction if feasible (no lower than f_lo), else a multiplicative guess."""
+def init_bounds(problem: CcpProblem) -> tuple[float, float, np.ndarray]:
+    """Level bracket and the mean-value point: lower from the mean-value
+    LP, upper from the CVaR restriction if feasible (no lower than f_lo),
+    else a multiplicative guess; then the mean-value LP's x."""
     sol = lp.solve_lp(mean_value_lp(problem))
     if sol.status != OPTIMAL:
         raise ModelError(
@@ -461,10 +523,17 @@ def init_bounds(problem: CcpProblem) -> tuple[float, float]:
     f_lo = float(sol.objective)
     cvar = solve_cvar(problem)
     if cvar.is_feasible:
-        return f_lo, max(float(cvar.objective), f_lo)
+        return f_lo, max(float(cvar.objective), f_lo), sol.x
     if f_lo > 0:
-        return f_lo, 2.0 * f_lo
-    return f_lo, f_lo + max(1.0, abs(f_lo))
+        return f_lo, 2.0 * f_lo, sol.x
+    return f_lo, f_lo + max(1.0, abs(f_lo)), sol.x
+
+
+def _binding_groups(problem: CcpProblem, x: np.ndarray) -> list[int]:
+    """The groups with a scenario whose worst value at x is above
+    -TOL_ZERO: the working set a default-bracket bisection starts from."""
+    return [gi for gi, g in enumerate(problem.groups)
+            if np.any(g.values(x).max(axis=1) > -TOL_ZERO)]
 
 
 # -- reports -----------------------------------------------------------------
@@ -510,9 +579,19 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
     scenario selection that the polish re-imposes hard.  If no midpoint
     is ever accepted the initial upper level gets one direct test before
     the report declares Infeasible.
+
+    Without ``cfg`` the bracket comes from ``init_bounds``, and the
+    skeleton starts from the groups that bind at its mean-value point
+    (``_binding_groups``); the level and polish LPs add a group when it
+    is violated (``_level_point``, ``_polish``).  An explicit bracket
+    keeps every group.
     """
-    cfg = cfg or BisectionConfig.from_problem(problem)
-    asm = SStepAssembler(problem)
+    if cfg is None:
+        f_lower, f_upper, x_mean = init_bounds(problem)
+        cfg = BisectionConfig(f_lower, f_upper)
+        asm = SStepAssembler(problem, _binding_groups(problem, x_mean))
+    else:
+        asm = SStepAssembler(problem)
     f_lo, f_hi = float(cfg.f_lower), float(cfg.f_upper)
     best = None
     trace = []
@@ -562,12 +641,13 @@ def _full_activation_level(asm: SStepAssembler, f: float):
     fraction of exactly-satisfied scenarios reaches 1 - epsilon.  The
     polish keeps those satisfied scenarios."""
     problem = asm.problem
-    x = _point(asm.session_at(f).solve(), problem, "shortfall LP")
+    ones = [np.ones(g.n) for g in problem.groups]
+    asm.session_at(f)
+    x, s = _level_point(asm, f, ones)
     reports = gamma = None
     ok = False
     if x is not None:
-        s = shortfalls(problem, x)
-        gamma = gamma_value([np.ones(g.n) for g in problem.groups], s)
+        gamma = gamma_value(ones, s)
         reports = _level_reports(problem, s)
         ok = all(r.satisfied for r in reports)
     record = _level_record(problem, f, x, reports, gamma, None, 1, ok)
@@ -674,12 +754,12 @@ def _screened_values(asm: SStepAssembler) -> np.ndarray:
     session = None
     for masks in _keep_sets(problem):
         dropped = position[np.concatenate(
-            [r[:, ~m].ravel() for r, m in zip(asm.scenario_rows, masks)])]
+            [asm.scenario_rows[gi][:, ~m].ravel()
+             for gi, m in enumerate(masks)])]
         h = full.h.copy()
         h[dropped] += offset
-        session = lp.SimplexBackend().start_session(
-            LpProblem(full.c, full.G, h, full.A_eq, full.b_eq, full.lower,
-                      full.upper), warm=session)
+        session = lp.SimplexBackend().start_session(full.derive(full.c, h=h),
+                                                    warm=session)
         try:
             sol = session.solve()
         except NumericError:

@@ -37,6 +37,7 @@ session to the next, it is never copied.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,35 @@ class LpProblem:
         if not np.all(np.isfinite(self.c)):
             raise ModelError("c: entries must be finite")
         check_blocks(self, self.c.size)
+
+    def derive(self, c, h=None, rows=None, cols=None) -> "LpProblem":
+        """This LP with objective ``c`` and, when given, inequality rhs
+        ``h``; with ``rows`` and ``cols`` (given together) cut to those
+        inequality rows and variables, where no rows leave no inequality
+        block.
+
+        The blocks this LP checked when it was built are reused or sliced
+        without a second check.  Only ``c`` and ``h`` are checked; when one
+        has the wrong length or a non-finite entry, the LP is built through
+        the constructor, which raises its message."""
+        G, b, A_eq, lower, upper = (self.G, self.h, self.A_eq, self.lower,
+                                    self.upper)
+        if rows is not None:
+            G, b = (G[np.ix_(rows, cols)], b[rows]) if len(rows) else (None, None)
+            A_eq = None if A_eq is None else A_eq[:, cols]
+            lower, upper = lower[cols], upper[cols]
+        c = np.atleast_1d(np.asarray(c, dtype=float))
+        if h is not None:
+            b = np.atleast_1d(np.asarray(h, dtype=float))
+        checked = (c.shape == lower.shape and bool(np.all(np.isfinite(c)))
+                   and (b is None if G is None else
+                        b.shape == G.shape[:1] and bool(np.all(np.isfinite(b)))))
+        if not checked:
+            return LpProblem(c, G, b, A_eq, self.b_eq, lower, upper)
+        out = copy.copy(self)
+        out.c, out.G, out.h, out.A_eq, out.lower, out.upper = (
+            c, G, b, A_eq, lower, upper)
+        return out
 
     @property
     def n_vars(self) -> int:

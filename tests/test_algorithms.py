@@ -176,12 +176,12 @@ def test_gamma_sequences_nonincreasing():
 # -- bounds -------------------------------------------------------------------
 
 def test_init_bounds_interval_toy():
-    assert init_bounds(interval_toy(0.4)) == (3.0, 6.0)
+    assert init_bounds(interval_toy(0.4))[:2] == (3.0, 6.0)
 
 
 def test_init_bounds_uses_cvar_when_feasible():
     p = random_instance(11)
-    f_lo, f_hi = init_bounds(p)
+    f_lo, f_hi, _ = init_bounds(p)
     cvar = solve_cvar(p)
     assert cvar.is_feasible
     assert f_hi == pytest.approx(cvar.objective)
@@ -193,7 +193,7 @@ def test_init_bounds_zero_lower_guard():
     # interval toy at eps=0.2 -> guard upper bound 1
     p = interval_toy(0.2)
     q = CcpProblem(objective=[0.0], polytope=p.polytope, groups=p.groups)
-    assert init_bounds(q) == (0.0, 1.0)
+    assert init_bounds(q)[:2] == (0.0, 1.0)
 
 
 def test_mean_value_lp_is_deterministic_counterpart():
@@ -499,11 +499,11 @@ def test_init_bounds_upper_end_never_below_lower_end(monkeypatch):
     """A CVaR optimum that round-off puts just below the mean-value one
     still gives an ordered bracket."""
     p = interval_toy(0.4)
-    f_lo, _ = init_bounds(p)
+    f_lo = init_bounds(p)[0]
     below = algorithms.SolveReport("cvar", "feasible", np.array([f_lo]),
                                    f_lo - 1e-12, [])
     monkeypatch.setattr(algorithms, "solve_cvar", lambda problem: below)
-    assert init_bounds(p) == (f_lo, f_lo)
+    assert init_bounds(p)[:2] == (f_lo, f_lo)
     assert BisectionConfig.from_problem(p).f_upper == f_lo
 
 
@@ -522,6 +522,127 @@ def test_gamma_value_weighs_groups_equally():
     assert gamma_value(z, s) == pytest.approx(0.5)
 
 
+# -- working set of groups --------------------------------------------------------
+
+WORKING_SET_CASES = (
+    [(f"random-{s}", lambda s=s: random_instance(s)) for s in range(50)]
+    + [(f"two-group-{s}", lambda s=s: two_group_toy(s)) for s in range(16)]
+    + [(f"three-bus-n{n}", lambda n=n: build_ccp(
+        three_bus_case(n_train=n), rho_override=0.0).problem) for n in (10, 20)])
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+@pytest.mark.parametrize("make", [m for _, m in WORKING_SET_CASES],
+                         ids=[name for name, _ in WORKING_SET_CASES])
+def test_the_working_set_agrees_with_all_groups(method, make):
+    """The default bracket solves on the groups that bind at the
+    mean-value point; the same bracket given explicitly keeps every
+    group.  Both reach the same status and objective."""
+    problem = make()
+    f_lower, f_upper, x_mean = init_bounds(problem)
+    if problem.n_groups == 6:  # three-bus: its line groups start out
+        assert len(algorithms._binding_groups(problem, x_mean)) < 6
+    seeded = solve(problem, method)
+    every = solve(problem, method, BisectionConfig(f_lower, f_upper))
+    assert seeded.status == every.status
+    if every.is_feasible:
+        assert abs(seeded.objective - every.objective) <= \
+            1e-9 * max(1.0, abs(every.objective))
+
+
+def _bound_group(sign, xi, epsilon, label):
+    """One scenario row per xi: xi <= x for sign 1, x <= xi for sign -1."""
+    con = BiAffineConstraint(A=np.zeros((1, 1)), a0=[float(sign)], c=[-float(sign)])
+    return JccGroup(constraints=[con],
+                    samples=SampleSet(np.asarray(xi, dtype=float)[:, None]),
+                    epsilon=epsilon, label=label)
+
+
+def _on_a_line(*groups):
+    """min x over [0, 10] under the given groups."""
+    return CcpProblem(objective=[1.0], polytope=Polytope(lower=[0.0], upper=[10.0]),
+                      groups=list(groups))
+
+
+def _watch_growth(monkeypatch):
+    """Log (where, f, working set before, after) of every level solve
+    and polish."""
+    log = []
+    real_level, real_polish = algorithms._level_point, algorithms._polish
+
+    def level_point(asm, f, z):
+        before = asm.groups
+        out = real_level(asm, f, z)
+        log.append(("level", f, before, asm.groups))
+        return out
+
+    def polish(asm, masks, fallback_x):
+        before = asm.groups
+        out = real_polish(asm, masks, fallback_x)
+        log.append(("polish", None, before, asm.groups))
+        return out
+
+    monkeypatch.setattr(algorithms, "_level_point", level_point)
+    monkeypatch.setattr(algorithms, "_polish", polish)
+    return log
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+def test_a_group_violated_at_a_level_joins_there(monkeypatch, method):
+    # The cap x <= xi holds at the mean-value point x = 3 (bracket [3, 6],
+    # the CVaR LP is infeasible) but not at the first midpoint, where the
+    # cover alone puts x at the level, 4.5 > 3.5.
+    p = _on_a_line(_bound_group(1, [1.0, 2.0, 3.0, 4.2, 4.8], 0.2, "cover"),
+                   _bound_group(-1, [3.5, 7.0, 8.0, 9.0], 0.25, "cap"))
+    f_lower, f_upper, x_mean = init_bounds(p)
+    assert (f_lower, f_upper) == (3.0, 6.0)
+    assert algorithms._binding_groups(p, x_mean) == [0]
+    every = solve(p, method, BisectionConfig(f_lower, f_upper))
+    log = _watch_growth(monkeypatch)
+    report = solve(p, method)
+    assert log[0] == ("level", 4.5, (0,), (0, 1))
+    assert all(before == (0, 1) for _, _, before, _ in log[1:])
+    assert report.to_dict() == every.to_dict()
+    assert report.objective == 4.2
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+def test_a_group_violated_only_by_the_polish_joins_there(monkeypatch, method):
+    # The levels never go below the mean-value cost 2.6, where the floor
+    # 2 <= x holds; the polish drops the cover's 9 and reaches x = 1,
+    # which breaks the floor, so the floor joins and the polish ends at 2.
+    p = _on_a_line(_bound_group(1, [1.0, 1.0, 1.0, 1.0, 9.0], 0.2, "cover"),
+                   _bound_group(1, [2.0, 0.0, 0.0, 0.0], 0.25, "floor"))
+    f_lower, f_upper, x_mean = init_bounds(p)
+    assert algorithms._binding_groups(p, x_mean) == [0]
+    every = solve(p, method, BisectionConfig(f_lower, f_upper))
+    log = _watch_growth(monkeypatch)
+    report = solve(p, method)
+    assert all(entry[2:] == ((0,), (0,)) for entry in log[:-1])
+    assert log[-1] == ("polish", None, (0,), (0, 1))
+    assert report.to_dict() == every.to_dict()
+    assert report.objective == 2.0
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+def test_an_explicit_bracket_keeps_every_group(monkeypatch, method):
+    built = []
+    real_init = SStepAssembler.__init__
+
+    def init(asm, problem, groups=None):
+        real_init(asm, problem, groups)
+        built.append((asm.groups, problem.n_groups))
+
+    monkeypatch.setattr(SStepAssembler, "__init__", init)
+    three_bus = build_ccp(three_bus_case(), rho_override=0.01).problem
+    for problem, cfg in ((two_group_toy(0), BisectionConfig(*TWO_GROUP_BOUNDS)),
+                         (interval_toy(0.4), interval_cfg()),
+                         (three_bus, BisectionConfig(*init_bounds(three_bus)[:2]))):
+        built.clear()
+        assert solve(problem, method, cfg).is_feasible
+        assert built == [(tuple(range(problem.n_groups)), problem.n_groups)]
+
+
 # -- sandwich spot-check (full 50-instance sweep lives in test_acceptance) -----
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -531,7 +652,7 @@ def test_sandwich_spot(seed):
     multi = solve_also_x_multi(p)
     intuitive = solve_intuitive_extension(p)
     cvar = solve_cvar(p)
-    d1 = 1e-4 * max(1.0, sum(init_bounds(p)))
+    d1 = 1e-4 * max(1.0, sum(init_bounds(p)[:2]))
     if cvar.is_feasible:
         assert multi.is_feasible
         assert multi.objective <= cvar.objective + d1

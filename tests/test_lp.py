@@ -80,6 +80,53 @@ def test_bounds_infinite_on_the_wrong_side_raise_model_error():
         problem_from_dict(json.loads(json.dumps(d).replace('"INF"', "Infinity")))
 
 
+def test_derived_lps_equal_checked_ones_and_check_what_they_replace(monkeypatch):
+    rng = np.random.default_rng(3)
+    p = LpProblem(rng.normal(size=4), G=rng.normal(size=(5, 4)),
+                  h=rng.normal(size=5), A_eq=rng.normal(size=(1, 4)), b_eq=[0.5],
+                  lower=[0.0, -1.0, -np.inf, 0.0], upper=[1.0, np.inf, 2.0, 3.0])
+    c, h = rng.normal(size=4), rng.normal(size=5)
+    rows, cols = np.array([4, 0, 2]), np.array([0, 2, 3])
+    pairs = [
+        (lambda: p.derive(c, h=h),
+         lambda: LpProblem(c, p.G, h, p.A_eq, p.b_eq, p.lower, p.upper)),
+        (lambda: p.derive(c[cols], rows=rows, cols=cols),
+         lambda: LpProblem(c[cols], p.G[np.ix_(rows, cols)], p.h[rows],
+                           p.A_eq[:, cols], p.b_eq, p.lower[cols], p.upper[cols])),
+        (lambda: p.derive(c[cols], rows=rows[:0], cols=cols),
+         lambda: LpProblem(c[cols], None, None, p.A_eq[:, cols], p.b_eq,
+                           p.lower[cols], p.upper[cols])),
+    ]
+    for derive, build in pairs:
+        want = build()
+        with monkeypatch.context() as m:
+            # The blocks were checked once, when p was built.
+            m.setattr(lp, "check_blocks", lambda *a: pytest.fail("checked again"))
+            got = derive()
+        for name in ("c", "G", "h", "A_eq", "b_eq", "lower", "upper"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+    assert p.derive(c).G is p.G
+    # A replaced vector of the wrong length or with a NaN raises the
+    # message a user-built LP raises.
+    nan_c, nan_h = c.copy(), h.copy()
+    nan_c[1] = nan_h[3] = np.nan
+    for bad_c, bad_h, message in ((c[:3], None, "G must be (5, 3)"),
+                                  (nan_c, None, "c: entries must be finite"),
+                                  (c, h[:4], "G must be (4, 4)"),
+                                  (c, nan_h, "h: entries must be finite")):
+        with pytest.raises(ModelError) as built:
+            LpProblem(bad_c, p.G, p.h if bad_h is None else bad_h, p.A_eq,
+                      p.b_eq, p.lower, p.upper)
+        with pytest.raises(ModelError) as derived:
+            p.derive(bad_c, h=bad_h)
+        assert str(derived.value) == str(built.value)
+        assert str(built.value).startswith(message)
+
+
 def test_iteration_cap_raises_numeric_error(monkeypatch):
     import jccopt.lp as lpmod
     monkeypatch.setattr(lpmod, "ITER_FACTOR", 0)
