@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -99,10 +99,7 @@ class OuterRecord:
     violation_rates: list[float] | None
 
     def to_dict(self):
-        return {"f": self.f, "gamma": self.gamma, "delta": self.delta,
-                "inner_iterations": self.inner_iterations,
-                "accepted": self.accepted, "objective": self.objective,
-                "violation_rates": self.violation_rates}
+        return asdict(self)
 
 
 @dataclass
@@ -252,14 +249,15 @@ class SStepAssembler:
     The constraint matrix is identical across bisection levels and inner
     iterations; only the level row's rhs and the shortfall weights in the
     objective change.  Build once per solve, stamp cheap copies after.
-    ``session`` is the latest level's solver; the next level restarts
-    from its basis.  Columns: x, the working groups' shortfalls (
-    ``s_blocks[g]``), their margin bounds.  Rows: the polytope, each
-    working group's margin rows (``margin_rows[g]``), the level row, each
-    working group's scenario rows (``scenario_rows[g][j, i]``: constraint
-    j, scenario i); ``scenario_hard_lp`` cuts the hard LPs from them.
-    ``problem`` stays the whole problem: shortfalls, weights and reports
-    run over every group.
+    ``session`` is the solver of the latest level, ``level``; the next
+    level restarts from its basis (``level_point``).  Columns: x, the
+    working groups' shortfalls (``s_blocks[g]``), their margin bounds.
+    Rows: the polytope, each working group's margin rows
+    (``margin_rows[g]``), the level row, each working group's scenario
+    rows (``scenario_rows[g][j, i]``: constraint j, scenario i);
+    ``scenario_hard_lp`` cuts the hard LPs from them.  ``problem`` stays
+    the whole problem: shortfalls, weights and reports run over every
+    group; ``grow`` adds the omitted groups a point violates.
     """
 
     def __init__(self, problem: CcpProblem, groups=None):
@@ -288,16 +286,7 @@ class SStepAssembler:
         self.cols = builder.cols
         self.hard_cols = np.r_[:problem.n_vars, s_end:self.cols]
         self.session: lp.SimplexSession | None = None
-
-    def omitted(self) -> list[int]:
-        """The groups outside the working set."""
-        return [gi for gi in range(self.problem.n_groups)
-                if gi not in self.s_blocks]
-
-    def include(self, groups) -> None:
-        """Rebuild the skeleton with ``groups`` added to the working set;
-        the next level starts cold."""
-        self.__init__(self.problem, self.groups + tuple(groups))
+        self.level: float | None = None
 
     def lp_at(self, f: float, z: list[np.ndarray]) -> LpProblem:
         t = self.lp_template
@@ -318,14 +307,52 @@ class SStepAssembler:
                 c[self.s_blocks[gi]] = zi / (m * g.n)
         return c
 
-    def session_at(self, f: float) -> lp.SimplexSession:
-        """Warm-restartable solver of the full-activation LP at level f;
-        it starts from the previous level's basis, and later objectives
-        reuse its own."""
-        ones = [np.ones(g.n) for g in self.problem.groups]
-        self.session = lp.SimplexBackend().start_session(self.lp_at(f, ones),
-                                                         warm=self.session)
-        return self.session
+    def grow(self, worst, keep) -> bool:
+        """Add every omitted group with a kept scenario above 0, that is
+        a set entry of ``keep[gi]`` whose ``worst(gi)`` (the scenario's
+        worst robustified value, or its shortfall) is positive, and
+        rebuild the skeleton without a session.  Returns whether the
+        working set grew; the caller then solves its LP again.
+
+        This stop is exact.  A working LP drops the omitted groups' rows
+        with the columns only they use: shortfalls, of cost
+        z/(m*n_g) >= 0, and margin bounds, of cost 0.  So it relaxes the
+        all-groups LP, and when no omitted kept scenario is above 0 at
+        its point x, x with those columns at their least values meets
+        the dropped rows at the same cost: x is optimal there too.
+        """
+        joined = [gi for gi in range(self.problem.n_groups)
+                  if gi not in self.s_blocks
+                  and np.any(worst(gi)[keep[gi]] > 0.0)]
+        if joined:
+            self.__init__(self.problem, self.groups + tuple(joined))
+        return bool(joined)
+
+    def level_point(self, f: float, z: list[np.ndarray]):
+        """The level-f LP's point x under weights z and every group's
+        shortfalls s there; (None, None) when the level is infeasible.
+
+        A call at another level than the last starts a session of the
+        level's full-activation LP from the previous level's basis; calls
+        at the same level (the inner iterations) re-solve that session.
+        The scenarios of positive weight are the kept ones; when the
+        point makes the working set ``grow``, the level is solved again,
+        cold.
+        """
+        problem = self.problem
+        while True:
+            if self.session is None or self.level != f:
+                ones = [np.ones(g.n) for g in problem.groups]
+                self.session = lp.SimplexBackend().start_session(
+                    self.lp_at(f, ones), warm=self.session)
+                self.level = f
+            x = _point(self.session.solve(self.objective_for(z)), problem,
+                       "shortfall LP")
+            if x is None:
+                return None, None
+            s = shortfalls(problem, x)
+            if not self.grow(lambda gi: s[gi], [zi > 0.0 for zi in z]):
+                return x, s
 
 
 def shortfalls(problem: CcpProblem, x: np.ndarray) -> list[np.ndarray]:
@@ -376,44 +403,16 @@ class InnerResult:
     gammas: list[float] = field(default_factory=list)
 
 
-def _level_point(asm: SStepAssembler, f: float, z: list[np.ndarray]):
-    """The level-f LP's point x under weights z, solved on the working
-    skeleton ``asm`` (whose session is at level f), and every group's
-    shortfalls s there; (None, None) when the level is infeasible.
-
-    The working LP is a relaxation of the all-groups LP: it drops the
-    omitted groups' rows with their shortfall columns, whose costs
-    z/(m*n_g) are nonnegative.  When no omitted scenario of positive
-    weight has a positive shortfall at x, x with those shortfalls at zero
-    is feasible for the all-groups LP at the same value, so optimal
-    there.  Otherwise the violated groups join the working set and the
-    level is solved again, cold.
-    """
-    problem = asm.problem
-    while True:
-        x = _point(asm.session.solve(asm.objective_for(z)), problem,
-                   "shortfall LP")
-        if x is None:
-            return None, None
-        s = shortfalls(problem, x)
-        grow = [gi for gi in asm.omitted() if np.any(s[gi][z[gi] > 0.0] > 0.0)]
-        if not grow:
-            return x, s
-        asm.include(grow)
-        asm.session_at(f)
-
-
 def inner_alternation(asm: SStepAssembler, f: float) -> InnerResult:
     """Alternate shortfall and activation steps at a fixed level f on the
     shortfall-LP skeleton ``asm``."""
     problem = asm.problem
-    asm.session_at(f)
     z = [np.ones(g.n) for g in problem.groups]
     gamma_prev = None
     delta = None
     gammas: list[float] = []
     for k in range(MAX_INNER):
-        x, s = _level_point(asm, f, z)
+        x, s = asm.level_point(f, z)
         if x is None:
             return InnerResult(None, None, None, None, None, k, "lp-infeasible")
         z = [z_step(s[gi], g.epsilon) for gi, g in enumerate(problem.groups)]
@@ -484,15 +483,10 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
 
 def _polish(asm: SStepAssembler, masks, fallback_x):
     """Re-minimize the true cost subject to the accepted scenario selection
-    imposed hard.  Falls back to the raw accepted point if the cleanup LP
-    stumbles numerically (it is feasible by construction).
-
-    The LP is cut from the working skeleton ``asm``, a relaxation of the
-    all-groups one (fewer rows; the dropped margin bounds cost nothing).
-    Its point x is optimal for the all-groups LP when every omitted
-    group's kept scenarios hold there; otherwise the groups with a kept
-    scenario above 0 join the working set and the polish runs again.
-    """
+    imposed hard, on the working skeleton ``asm``; the polish runs again
+    after the polished point makes the set ``grow``.  Falls back to the
+    raw accepted point if the cleanup LP stumbles numerically (it is
+    feasible by construction)."""
     problem = asm.problem
     while True:
         try:
@@ -502,11 +496,9 @@ def _polish(asm: SStepAssembler, masks, fallback_x):
             return fallback_x
         if x is None:
             return fallback_x
-        grow = [gi for gi in asm.omitted() if np.any(
-            problem.groups[gi].values(x).max(axis=1)[masks[gi]] > 0.0)]
-        if not grow:
+        if not asm.grow(lambda gi: problem.groups[gi].values(x).max(axis=1),
+                        masks):
             return x
-        asm.include(grow)
 
 
 # -- bound initialization ----------------------------------------------------
@@ -583,8 +575,8 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
     Without ``cfg`` the bracket comes from ``init_bounds``, and the
     skeleton starts from the groups that bind at its mean-value point
     (``_binding_groups``); the level and polish LPs add a group when it
-    is violated (``_level_point``, ``_polish``).  An explicit bracket
-    keeps every group.
+    is violated (``SStepAssembler.grow``).  An explicit bracket keeps
+    every group.
     """
     if cfg is None:
         f_lower, f_upper, x_mean = init_bounds(problem)
@@ -642,8 +634,7 @@ def _full_activation_level(asm: SStepAssembler, f: float):
     polish keeps those satisfied scenarios."""
     problem = asm.problem
     ones = [np.ones(g.n) for g in problem.groups]
-    asm.session_at(f)
-    x, s = _level_point(asm, f, ones)
+    x, s = asm.level_point(f, ones)
     reports = gamma = None
     ok = False
     if x is not None:

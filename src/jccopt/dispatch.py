@@ -263,6 +263,9 @@ class Network:
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise ModelError("duplicate bus ids")
+        for ln in self.lines:
+            self.bus_pos(ln.from_bus)
+            self.bus_pos(ln.to_bus)
         if self.ptdf is not None:
             self.ptdf = np.atleast_2d(np.asarray(self.ptdf, dtype=float))
             if self.ptdf.shape != (len(self.lines), len(self.buses)):

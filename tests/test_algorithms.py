@@ -568,7 +568,7 @@ def _watch_growth(monkeypatch):
     """Log (where, f, working set before, after) of every level solve
     and polish."""
     log = []
-    real_level, real_polish = algorithms._level_point, algorithms._polish
+    real_level, real_polish = SStepAssembler.level_point, algorithms._polish
 
     def level_point(asm, f, z):
         before = asm.groups
@@ -582,7 +582,7 @@ def _watch_growth(monkeypatch):
         log.append(("polish", None, before, asm.groups))
         return out
 
-    monkeypatch.setattr(algorithms, "_level_point", level_point)
+    monkeypatch.setattr(SStepAssembler, "level_point", level_point)
     monkeypatch.setattr(algorithms, "_polish", polish)
     return log
 
@@ -599,11 +599,37 @@ def test_a_group_violated_at_a_level_joins_there(monkeypatch, method):
     assert algorithms._binding_groups(p, x_mean) == [0]
     every = solve(p, method, BisectionConfig(f_lower, f_upper))
     log = _watch_growth(monkeypatch)
+    starts = []  # (level solves before it, id of its warm session, its id)
+    real_start = lp.SimplexBackend.start_session
+
+    def start(backend, problem, warm=None):
+        session = real_start(backend, problem, warm=warm)
+        starts.append((len(log), None if warm is None else id(warm), id(session)))
+        return session
+
+    monkeypatch.setattr(lp.SimplexBackend, "start_session", start)
     report = solve(p, method)
     assert log[0] == ("level", 4.5, (0,), (0, 1))
     assert all(before == (0, 1) for _, _, before, _ in log[1:])
     assert report.to_dict() == every.to_dict()
     assert report.objective == 4.2
+    # The grown level starts cold, then cold again on the grown skeleton;
+    # each later level starts one session, warm from the previous level's,
+    # and the inner iterations at a level start none.
+    levels = [f for where, f, _, _ in log if where == "level"]
+    started = [[(warm, sid) for call, warm, sid in starts if call == i]
+               for i in range(len(levels))]
+    assert [warm for warm, _ in started[0]] == [None, None]
+    assert len(starts) == sum(map(len, started))
+    previous = started[0][-1][1]
+    for i in range(1, len(levels)):
+        if levels[i] == levels[i - 1]:
+            assert started[i] == []
+        else:
+            [(warm, sid)] = started[i]
+            assert warm == previous
+            previous = sid
+    assert len(set(levels)) == len(report.trace) > 1
 
 
 @pytest.mark.parametrize("method", ["also-x", "intuitive"])

@@ -514,6 +514,17 @@ def test_dispatch_malformed_held_out_rows_fail_at_load(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_dispatch_line_to_an_unknown_bus_exits_one(tmp_path, capsys):
+    data = json.loads(Path(THREE_BUS).read_text())
+    data["network"]["lines"][0]["to_bus"] = 7
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, "dispatch", str(case), "--rho", "0",
+                         "--method", "cvar", "--out", str(tmp_path / "d"))
+    assert (code, out, err) == (1, "", "error: unknown bus id 7\n")
+    assert not (tmp_path / "d").exists()
+
+
 def test_dispatch_rho_grid_that_is_not_numbers_is_an_input_error(tmp_path,
                                                                   capsys):
     code, out, err = run(capsys, "dispatch", OVERLAP, "--rho-grid", "a,b",

@@ -110,6 +110,14 @@ def test_supplied_ptdf_must_be_lines_by_buses():
         case_from_dict(data)
 
 
+@pytest.mark.parametrize("end", ["from_bus", "to_bus"])
+def test_a_line_to_an_unknown_bus_is_a_model_error(end):
+    net = triangle_network()
+    setattr(net.lines[1], end, 7)
+    with pytest.raises(ModelError, match="^unknown bus id 7$"):
+        compute_ptdf(Network(net.buses, net.lines))
+
+
 def test_aggregate_errors_split_is_complementary():
     rng = np.random.default_rng(3)
     wind = WindScenarioSet(
