@@ -9,7 +9,7 @@ ships a reserve-dispatch front end and CLI on top.
 from .algorithms import (METHODS, BisectionConfig, InnerResult, OuterRecord,
                          SolveReport, SStepAssembler, gamma_value, init_bounds,
                          inner_alternation, shortfalls, solve,
-                         solve_also_x_multi, solve_also_x_single, solve_cvar,
+                         solve_also_x_multi, solve_cvar,
                          solve_intuitive_extension, solve_oracle, z_step)
 from .dispatch import (Adn, Bus, DispatchCase, DispatchModel, Generator, Line,
                        Network, Segment, WindFarm, WindScenarioSet,
@@ -36,8 +36,8 @@ __all__ = [
     "BisectionConfig", "SolveReport", "OuterRecord",
     "InnerResult", "SStepAssembler", "z_step", "shortfalls", "gamma_value",
     "inner_alternation", "init_bounds",
-    "METHODS", "solve", "solve_also_x_multi", "solve_also_x_single",
-    "solve_intuitive_extension", "solve_cvar", "solve_oracle",
+    "METHODS", "solve", "solve_also_x_multi", "solve_intuitive_extension",
+    "solve_cvar", "solve_oracle",
     "Segment", "Generator", "Adn", "WindFarm", "WindScenarioSet", "Bus",
     "Line", "Network", "DispatchCase", "DispatchModel", "aggregate_errors",
     "compute_ptdf", "build_ccp", "audit_dispatch", "deterministic_dispatch",

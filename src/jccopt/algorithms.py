@@ -13,9 +13,9 @@ level f:
 
 A level f is accepted when the weighted shortfall mass Gamma hits zero
 (all activated scenarios exactly satisfied); bisection then tightens the
-level from above.  Baselines: a single-group variant, a pooled variant
-that cannot re-weight scenarios, a CVaR restriction, and an exhaustive
-scenario-subset oracle for small instances.
+level from above.  Baselines: a pooled variant that cannot re-weight
+scenarios (on one group, the single-JCC ALSO-X), a CVaR restriction, and
+an exhaustive scenario-subset oracle for small instances.
 
 All subproblems are plain LPs; Wasserstein margins enter through dual-norm
 bound variables (``_ScenarioLpBuilder.add_margins``); point evaluation of
@@ -40,13 +40,11 @@ FEASIBLE = "feasible"
 INFEASIBLE_STATUS = "infeasible"
 
 METHOD_ALSO_X = "also-x"
-METHOD_ALSO_X_SINGLE = "also-x-single"
 METHOD_INTUITIVE = "intuitive"
 METHOD_CVAR = "cvar"
 METHOD_ORACLE = "oracle"
 
-METHODS = (METHOD_ALSO_X, METHOD_ALSO_X_SINGLE, METHOD_INTUITIVE, METHOD_CVAR,
-           METHOD_ORACLE)
+METHODS = (METHOD_ALSO_X, METHOD_INTUITIVE, METHOD_CVAR, METHOD_ORACLE)
 
 ORACLE_CAP = 10 ** 6
 # The oracle's screen relaxes a dropped scenario's rows by ORACLE_RELAX
@@ -67,7 +65,8 @@ MAX_OUTER = 100
 @dataclass
 class BisectionConfig:
     """Level bracket f_lower <= f_upper, both finite, and terminal gap
-    delta1; None resolves here to 1e-4 * max(1, f_upper + f_lower)."""
+    delta1 > 0, finite; None resolves here to 1e-4 * max(1, f_upper +
+    f_lower)."""
 
     f_lower: float
     f_upper: float
@@ -79,6 +78,8 @@ class BisectionConfig:
                              " must be finite and ordered")
         if self.delta1 is None:
             self.delta1 = 1e-4 * max(1.0, self.f_upper + self.f_lower)
+        elif not 0.0 < self.delta1 < math.inf:
+            raise ModelError(f"delta1 {self.delta1:g} must be positive and finite")
 
     @classmethod
     def from_problem(cls, problem: CcpProblem):
@@ -176,10 +177,6 @@ class _ScenarioLpBuilder:
         rho = group.rho
         if rho == 0.0:
             return [{} for _ in group.constraints]
-        if group.norm == "l2":
-            raise ModelError(
-                f"group {group.label!r}: l2 uncertainty norm has a second-order "
-                "worst case and cannot be embedded in an LP; use l1 or linf")
         As = [con.A for con in group.constraints]
         nz = [np.flatnonzero((con.a0 != 0.0) | np.any(A != 0.0, axis=1))
               for con, A in zip(group.constraints, As)]
@@ -653,23 +650,18 @@ def solve_also_x_multi(problem: CcpProblem,
     return _bisect(problem, METHOD_ALSO_X, cfg, _alternation_level)
 
 
-def solve_also_x_single(problem: CcpProblem,
-                        cfg: BisectionConfig | None = None) -> SolveReport:
-    """Single-group variant: full activation, accept a level when the
-    fraction of exactly-satisfied scenarios reaches 1 - epsilon."""
-    if problem.n_groups != 1:
-        raise ModelError(
-            f"single-group solver got {problem.n_groups} groups; use "
-            "solve_also_x_multi")
-    return _bisect(problem, METHOD_ALSO_X_SINGLE, cfg, _full_activation_level)
-
-
 def solve_intuitive_extension(problem: CcpProblem,
                               cfg: BisectionConfig | None = None) -> SolveReport:
     """Pooled baseline: one full-activation shortfall step per level and a
     level is accepted only when every group hits its rate simultaneously.
     No per-group re-weighting, which is exactly its handicap."""
     return _bisect(problem, METHOD_INTUITIVE, cfg, _full_activation_level)
+
+
+# On one group the pooled test is the single-JCC ALSO-X.  This name's only
+# reader is perfbench/tracing.py, which wraps it; it goes when ROADMAP item
+# 5 re-points the tracer.
+solve_also_x_single = solve_intuitive_extension
 
 
 def solve_cvar(problem: CcpProblem) -> SolveReport:
@@ -801,12 +793,9 @@ def solve_oracle(problem: CcpProblem) -> SolveReport:
 
 
 def applicable_methods(problem: CcpProblem) -> list[str]:
-    """METHODS in order, less also-x-single on several groups and the
-    oracle above ORACLE_CAP keep-sets."""
+    """METHODS in order, less the oracle above ORACLE_CAP keep-sets."""
     return [m for m in METHODS
-            if (m != METHOD_ALSO_X_SINGLE or problem.n_groups == 1)
-            and (m != METHOD_ORACLE
-                 or oracle_enumeration_count(problem) <= ORACLE_CAP)]
+            if m != METHOD_ORACLE or oracle_enumeration_count(problem) <= ORACLE_CAP]
 
 
 def solve(problem: CcpProblem, method: str,
@@ -820,7 +809,6 @@ def solve(problem: CcpProblem, method: str,
     if method == METHOD_ORACLE:
         return solve_oracle(problem)
     bisection = {METHOD_ALSO_X: solve_also_x_multi,
-                 METHOD_ALSO_X_SINGLE: solve_also_x_single,
                  METHOD_INTUITIVE: solve_intuitive_extension}
     if method not in bisection:
         raise ModelError(f"unknown method {method!r}")

@@ -32,8 +32,8 @@ from .lp import check_blocks
 # this; absorbs LP vertex noise without hiding real violations.
 TOL_ZERO = 1e-6
 
-NORMS = ("l1", "l2", "linf")
-_DUAL = {"l1": "linf", "l2": "l2", "linf": "l1"}
+NORMS = ("l1", "linf")
+_DUAL = {"l1": "linf", "linf": "l1"}
 
 
 def dual_norm(norm: str) -> str:
@@ -48,8 +48,6 @@ def norm_value(v: np.ndarray, norm: str) -> float:
     v = np.asarray(v, dtype=float)
     if norm == "l1":
         return float(np.sum(np.abs(v)))
-    if norm == "l2":
-        return float(np.sqrt(np.sum(v * v)))
     if norm == "linf":
         return float(np.max(np.abs(v), initial=0.0))
     raise ModelError(f"unknown norm {norm!r}; expected one of {NORMS}")
@@ -253,9 +251,7 @@ class JccGroup:
         """Worst-case values gbar_j(x, xi_i) = rho*||A_j x + a0_j||_dual +
         g_j(x, xi_i) on the group's samples at its radius: one row per
         scenario, one column per constraint; rho = 0 gives the plain
-        constraint values.  Point evaluation works for any of {l1, l2,
-        linf}; the LP assemblers reject l2 margins.
-        """
+        constraint values."""
         data, rho = self.samples.data, self.rho
         x = np.asarray(x, dtype=float)
         out = np.empty((data.shape[0], len(self.constraints)))
@@ -411,6 +407,13 @@ def text(value) -> str:
     """A JSON string; any other value raises instead of being converted."""
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def norm_name(value) -> str:
+    """A JSON string naming an uncertainty norm, one of NORMS."""
+    if text(value) not in NORMS:
+        raise ValueError(f"unknown norm {value!r}; expected one of {NORMS}")
     return value
 
 
@@ -631,7 +634,8 @@ def problem_from_dict(data: dict, path: str = "/") -> CcpProblem:
             constraints=constraints,
             samples=samples,
             **read_fields(JccGroup, gd, where, {
-                "epsilon": number, "rho": number, "norm": text, "label": text},
+                "epsilon": number, "rho": number, "norm": norm_name,
+                "label": text},
                 label=f"group{gi}")))
     return CcpProblem(objective=objective, polytope=poly, groups=groups,
                       var_names=read_field(data, "var_names", path, texts, None))

@@ -48,7 +48,8 @@ def test_table_i_reproduction():
         for eps, want in zip(EPS_GRID, TABLE_I):
             problem = interval_toy(eps)
             cfg = alg.BisectionConfig(*INTERVAL_BOUNDS, delta1=DELTA1)
-            for solver in (alg.solve_also_x_single, alg.solve_also_x_multi):
+            for solver in (alg.solve_intuitive_extension,
+                           alg.solve_also_x_multi):
                 report = solver(problem, cfg)
                 if want is None:
                     assert not report.is_feasible

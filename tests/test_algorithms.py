@@ -11,7 +11,7 @@ from jccopt import (METHODS, BiAffineConstraint, BisectionConfig,
                     CapacityError, CcpProblem, JccGroup, ModelError,
                     NumericError, Polytope, SampleSet, SStepAssembler,
                     init_bounds, inner_alternation, solve,
-                    solve_also_x_multi, solve_also_x_single, solve_cvar,
+                    solve_also_x_multi, solve_cvar,
                     solve_intuitive_extension, solve_oracle, z_step)
 from jccopt.algorithms import (applicable_methods, gamma_value, mean_value_lp,
                                oracle_enumeration_count)
@@ -126,13 +126,6 @@ def test_s_step_level_below_polytope_minimum_is_infeasible():
     assert x is None and s is None
 
 
-def test_s_step_rejects_l2_groups():
-    p = interval_toy(0.4, rho=0.1)
-    p.groups[0].norm = "l2"
-    with pytest.raises(ModelError, match="l2"):
-        s_step(p, [np.ones(g.n) for g in p.groups], f=8.0)
-
-
 # -- inner alternation ---------------------------------------------------------
 
 def test_inner_alternation_one_shot_at_loose_level():
@@ -222,7 +215,8 @@ def test_interval_table_multi(eps, expected):
 
 @pytest.mark.parametrize("eps,expected", sorted(TABLE.items()))
 def test_interval_table_single(eps, expected):
-    r = solve_also_x_single(interval_toy(eps), interval_cfg())
+    """On one group, intuitive is the single-JCC ALSO-X of Table I."""
+    r = solve_intuitive_extension(interval_toy(eps), interval_cfg())
     if expected is None:
         assert not r.is_feasible
     else:
@@ -255,14 +249,13 @@ def test_interval_default_bracket_reaches_the_oracle():
 
 NAMED_SOLVERS = {
     "also-x": solve_also_x_multi,
-    "also-x-single": solve_also_x_single,
     "intuitive": solve_intuitive_extension,
     "cvar": solve_cvar,
     "oracle": solve_oracle,
 }
 
 
-# Single-group problems, so that also-x-single applies to both.
+# Problems small enough that every method applies to both.
 @pytest.mark.parametrize("p", [interval_toy(0.4), random_instance(3)],
                          ids=["interval", "random3"])
 @pytest.mark.parametrize("method", METHODS)
@@ -275,11 +268,6 @@ def test_unknown_method_is_a_model_error():
         solve(interval_toy(0.4), "bogus")
     with pytest.raises(ModelError, match="unknown method 'bogus'"):
         rho_sweep(overlap_case(), [0.0], methods=("bogus",))
-
-
-def test_single_group_solver_rejects_multi_group():
-    with pytest.raises(ModelError, match="multi"):
-        solve_also_x_single(two_group_toy(0))
 
 
 def test_two_group_exact_rates_and_ordering():
@@ -476,7 +464,7 @@ def test_oracle_capacity_guard():
 @pytest.mark.parametrize("problem, expected", [
     (interval_toy(0.4), list(METHODS)),
     (two_group_toy(0), ["also-x", "intuitive", "cvar"]),
-    (over_cap_problem(), ["also-x", "also-x-single", "intuitive", "cvar"]),
+    (over_cap_problem(), ["also-x", "intuitive", "cvar"]),
 ], ids=["interval", "two-group", "over-cap"])
 def test_applicable_methods(problem, expected):
     assert applicable_methods(problem) == expected
@@ -487,6 +475,12 @@ def test_applicable_methods(problem, expected):
 def test_bisection_config_rejects_inverted_or_non_finite_bracket(lo, hi):
     with pytest.raises(ModelError, match="must be finite and ordered"):
         solve(interval_toy(0.4), "also-x", BisectionConfig(lo, hi))
+
+
+@pytest.mark.parametrize("delta1", [-1.0, 0.0, np.nan, np.inf])
+def test_bisection_config_rejects_a_gap_that_is_not_positive_and_finite(delta1):
+    with pytest.raises(ModelError, match="delta1"):
+        BisectionConfig(*INTERVAL_BOUNDS, delta1=delta1)
 
 
 def test_bisection_config_resolves_delta1_at_construction():
@@ -505,15 +499,6 @@ def test_init_bounds_upper_end_never_below_lower_end(monkeypatch):
     monkeypatch.setattr(algorithms, "solve_cvar", lambda problem: below)
     assert init_bounds(p)[:2] == (f_lo, f_lo)
     assert BisectionConfig.from_problem(p).f_upper == f_lo
-
-
-def test_multi_rejects_l2_groups():
-    p = interval_toy(0.4, rho=0.05)
-    p.groups[0].norm = "l2"
-    with pytest.raises(ModelError, match="l2"):
-        solve_also_x_multi(p, interval_cfg())
-    with pytest.raises(ModelError, match="l2"):
-        solve_cvar(p)
 
 
 def test_gamma_value_weighs_groups_equally():

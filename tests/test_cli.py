@@ -224,6 +224,19 @@ def test_solve_non_string_field_is_an_input_error(tmp_path, capsys, key, value):
     assert err.startswith(f"error: /groups/0/{key}: expected a string, got ")
 
 
+@pytest.mark.parametrize("norm", ["l2", "l3"])
+def test_solve_unknown_norm_names_its_path(tmp_path, capsys, monkeypatch, norm):
+    data = problem_to_dict(interval_toy(0.4))
+    data["groups"][0]["norm"] = norm
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(data))
+    monkeypatch.setattr(algorithms, "solve", None)  # no solve may start
+    code, out, err = run(capsys, "solve", str(problem_file))
+    assert (code, out) == (1, "")
+    assert err == (f"error: /groups/0/norm: unknown norm '{norm}'; expected "
+                   "one of ('l1', 'linf')\n")
+
+
 def test_solve_bound_infinite_on_the_wrong_side_fails_at_load(
         tmp_path, capsys, monkeypatch):
     data = problem_to_dict(interval_toy(0.4))

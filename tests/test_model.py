@@ -22,7 +22,6 @@ from helpers import random_instance
 def test_dual_norm_pairs():
     assert dual_norm("l1") == "linf"
     assert dual_norm("linf") == "l1"
-    assert dual_norm("l2") == "l2"
     with pytest.raises(ModelError):
         dual_norm("l3")
 
@@ -32,7 +31,6 @@ def test_norm_value_matches_numpy():
     for _ in range(50):
         v = rng.normal(size=rng.integers(1, 8))
         assert norm_value(v, "l1") == pytest.approx(np.linalg.norm(v, 1))
-        assert norm_value(v, "l2") == pytest.approx(np.linalg.norm(v, 2))
         assert norm_value(v, "linf") == pytest.approx(np.linalg.norm(v, np.inf))
 
 
@@ -102,9 +100,6 @@ def test_group_values_equal_the_per_constraint_formula():
                     _assert_values_match_reference(g, x, rho=rho)
                     held_out = rng.uniform(0.2, 1.0, size=(3, g.samples.dim))
                     _assert_values_match_reference(g, x, held_out, rho)
-    g = JccGroup([BiAffineConstraint(A=np.eye(2), a0=[0.5, -0.0], c=[1.0, 0.0])],
-                 SampleSet([[0.3, -0.2]]), epsilon=0.0, rho=0.5, norm="l2")
-    _assert_values_match_reference(g, [3.0, 4.0])
 
 
 def test_robustification_monotone_in_rho():
@@ -121,11 +116,18 @@ def test_robustification_monotone_in_rho():
     assert vals[0] == (xi[None, :] @ (g.A @ x + g.a0) + float(g.c @ x + g.d))[0]
 
 
-def test_robustified_l2_point_eval_works():
+@pytest.mark.parametrize("norm", ["l2", "l3"])
+def test_a_norm_no_lp_can_solve_fails_at_construction_and_at_load(norm):
+    """Only l1 and linf margins embed in an LP; any other norm fails when
+    its group is built, and a problem file names the field, even at rho 0."""
     g = BiAffineConstraint(A=np.eye(2), a0=[0.0, 0.0], c=[0.0, 0.0], d=0.0)
-    group = JccGroup([g], SampleSet([[0.0, 0.0]]), epsilon=0.0, rho=0.5, norm="l2")
-    # a(x) = x, margin = 0.5*||x||_2
-    assert group.values([3.0, 4.0])[0, 0] == pytest.approx(2.5)
+    with pytest.raises(ModelError, match=f"unknown norm '{norm}'"):
+        JccGroup([g], SampleSet([[0.0, 0.0]]), epsilon=0.0, rho=0.5, norm=norm)
+    data = problem_to_dict(interval_toy(0.4))
+    data["groups"][0]["norm"] = norm
+    with pytest.raises(ModelError, match=rf"^/groups/0/norm: unknown norm '{norm}'; "
+                       r"expected one of \('l1', 'linf'\)$"):
+        problem_from_dict(data)
 
 
 def test_evaluate_group_interval_toy():
