@@ -34,7 +34,7 @@ from . import lp
 from .errors import CapacityError, ModelError, NumericError
 from .lp import OPTIMAL, UNBOUNDED, LpProblem
 from .model import (TOL_ZERO, CcpProblem, JccGroup, ViolationReport,
-                    evaluate_group, risk_budget)
+                    dual_norm, evaluate_group, risk_budget)
 
 FEASIBLE = "feasible"
 INFEASIBLE_STATUS = "infeasible"
@@ -172,15 +172,17 @@ class _ScenarioLpBuilder:
         l1) each component gets its own, and the margin is rho times their
         sum.  Each bound column b of component r gets the two rows
         +-(A[r] x + a0[r]) <= b; identically zero components are skipped,
-        since they add nothing to either norm.
+        since they add nothing to either norm.  A norm outside NORMS (set
+        after the group was built) raises ModelError.
         """
         rho = group.rho
         if rho == 0.0:
             return [{} for _ in group.constraints]
+        dual = dual_norm(group.norm)
         As = [con.A for con in group.constraints]
         nz = [np.flatnonzero((con.a0 != 0.0) | np.any(A != 0.0, axis=1))
               for con, A in zip(group.constraints, As)]
-        if group.norm == "l1":
+        if dual == "linf":
             blk = self.add_block(len(nz))
             bound_cols = [np.full(r.size, blk.start + j) for j, r in enumerate(nz)]
             terms = [{blk.start + j: rho} for j in range(len(nz))]

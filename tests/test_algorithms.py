@@ -126,6 +126,15 @@ def test_s_step_level_below_polytope_minimum_is_infeasible():
     assert x is None and s is None
 
 
+def test_s_step_rejects_l2_groups():
+    """A norm set after the group was built fails in the LP builder
+    rather than being read as another norm."""
+    p = interval_toy(0.4, rho=0.1)
+    p.groups[0].norm = "l2"
+    with pytest.raises(ModelError, match="l2"):
+        s_step(p, [np.ones(g.n) for g in p.groups], f=8.0)
+
+
 # -- inner alternation ---------------------------------------------------------
 
 def test_inner_alternation_one_shot_at_loose_level():
@@ -499,6 +508,15 @@ def test_init_bounds_upper_end_never_below_lower_end(monkeypatch):
     monkeypatch.setattr(algorithms, "solve_cvar", lambda problem: below)
     assert init_bounds(p)[:2] == (f_lo, f_lo)
     assert BisectionConfig.from_problem(p).f_upper == f_lo
+
+
+def test_multi_rejects_l2_groups():
+    p = interval_toy(0.4, rho=0.05)
+    p.groups[0].norm = "l2"
+    with pytest.raises(ModelError, match="l2"):
+        solve_also_x_multi(p, interval_cfg())
+    with pytest.raises(ModelError, match="l2"):
+        solve_cvar(p)
 
 
 def test_gamma_value_weighs_groups_equally():
