@@ -225,7 +225,9 @@ class _ScenarioLpBuilder:
 
     def finish(self, objective: np.ndarray) -> LpProblem:
         """The LP, its row blocks copied into one zero-padded matrix; each is
-        dropped once copied, so the heap does not grow around them."""
+        dropped once copied, so the heap does not grow around them.  No
+        rows (a CVaR LP on an empty working set, say) leave no inequality
+        block."""
         poly = self.problem.polytope
         G = np.zeros((self.n_rows, self.cols))
         start = 0
@@ -233,12 +235,12 @@ class _ScenarioLpBuilder:
             mat = self.rows.pop(0)
             G[start:start + len(mat), :mat.shape[1]] = mat
             start += len(mat)
+        G, h = (G, np.concatenate(self.rhs)) if self.n_rows else (None, None)
         A_eq = (None if poly.A_eq is None
                 else np.pad(poly.A_eq, ((0, 0), (0, self.cols - self.n))))
         lo = np.concatenate([poly.lower] + self.lo_extra)
         hi = np.concatenate([poly.upper, np.full(self.cols - self.n, np.inf)])
-        return LpProblem(objective, G, np.concatenate(self.rhs), A_eq, poly.b_eq,
-                         lo, hi)
+        return LpProblem(objective, G, h, A_eq, poly.b_eq, lo, hi)
 
 
 class SStepAssembler:
@@ -306,10 +308,9 @@ class SStepAssembler:
                 c[self.s_blocks[gi]] = zi / (m * g.n)
         return c
 
-    def grow(self, worst, keep) -> bool:
-        """Add every omitted group with a kept scenario above 0, that is
-        a set entry of ``keep[gi]`` whose ``worst(gi)`` (the scenario's
-        worst robustified value, or its shortfall) is positive, and
+    def grow(self, worst) -> bool:
+        """Add every omitted group that ``_violated_groups`` finds under
+        ``worst``, whose kept scenarios are the ones it gives, and
         rebuild the skeleton without a session.  Returns whether the
         working set grew; the caller then solves its LP again.
 
@@ -320,9 +321,7 @@ class SStepAssembler:
         its point x, x with those columns at their least values meets
         the dropped rows at the same cost: x is optimal there too.
         """
-        joined = [gi for gi in range(self.problem.n_groups)
-                  if gi not in self.s_blocks
-                  and np.any(worst(gi)[keep[gi]] > 0.0)]
+        joined = _violated_groups(self.problem, self.groups, worst)
         if joined:
             self.__init__(self.problem, self.groups + tuple(joined))
         return bool(joined)
@@ -350,8 +349,17 @@ class SStepAssembler:
             if x is None:
                 return None, None
             s = shortfalls(problem, x)
-            if not self.grow(lambda gi: s[gi], [zi > 0.0 for zi in z]):
+            if not self.grow(lambda gi: s[gi][z[gi] > 0.0]):
                 return x, s
+
+
+def _violated_groups(problem: CcpProblem, groups, worst) -> list[int]:
+    """The groups outside ``groups`` with a positive entry in
+    ``worst(gi)``, the worst robustified values (or the shortfalls) of
+    the scenarios that count: the working-set rule of the level, polish
+    and CVaR LPs."""
+    return [gi for gi in range(problem.n_groups)
+            if gi not in groups and np.any(worst(gi) > 0.0)]
 
 
 def shortfalls(problem: CcpProblem, x: np.ndarray) -> list[np.ndarray]:
@@ -480,6 +488,31 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
     return builder.finish(builder.cost())
 
 
+def cvar_lp(problem: CcpProblem, groups=None) -> LpProblem:
+    """The CVaR restriction over the chance groups ``groups`` (every group
+    by default): per group, in ascending order, its margin rows, then a
+    free tail column t, excess columns w >= 0, the scenario rows
+    value - t - w_i <= 0 and the tail budget t + mean(w)/epsilon <= 0.
+    An epsilon == 0 group keeps its scenario rows hard instead, the
+    eps -> 0 limit."""
+    builder = _ScenarioLpBuilder(problem)
+    for gi in range(problem.n_groups) if groups is None else sorted(set(groups)):
+        g = problem.groups[gi]
+        terms = builder.add_margins(g)
+        if g.epsilon == 0.0:
+            builder.scenario_rows(g, terms)
+            continue
+        t_blk = builder.add_block(1, lo=-np.inf)
+        w_blk = builder.add_block(g.n)
+        builder.scenario_rows(g, [{**m, t_blk.start: -1.0} for m in terms],
+                              w_blk.start)
+        row = np.zeros((1, builder.cols))
+        row[0, t_blk.start] = 1.0
+        row[0, w_blk] = 1.0 / (g.epsilon * g.n)
+        builder.append_rows(row, np.array([0.0]))
+    return builder.finish(builder.cost())
+
+
 def _polish(asm: SStepAssembler, masks, fallback_x):
     """Re-minimize the true cost subject to the accepted scenario selection
     imposed hard, on the working skeleton ``asm``; the polish runs again
@@ -495,8 +528,8 @@ def _polish(asm: SStepAssembler, masks, fallback_x):
             return fallback_x
         if x is None:
             return fallback_x
-        if not asm.grow(lambda gi: problem.groups[gi].values(x).max(axis=1),
-                        masks):
+        if not asm.grow(
+                lambda gi: problem.groups[gi].values(x).max(axis=1)[masks[gi]]):
             return x
 
 
@@ -504,15 +537,16 @@ def _polish(asm: SStepAssembler, masks, fallback_x):
 
 def init_bounds(problem: CcpProblem) -> tuple[float, float, np.ndarray]:
     """Level bracket and the mean-value point: lower from the mean-value
-    LP, upper from the CVaR restriction if feasible (no lower than f_lo),
-    else a multiplicative guess; then the mean-value LP's x."""
+    LP, upper from the CVaR restriction started at its point if feasible
+    (no lower than f_lo), else a multiplicative guess; then the
+    mean-value LP's x."""
     sol = lp.solve_lp(mean_value_lp(problem))
     if sol.status != OPTIMAL:
         raise ModelError(
             f"mean-value problem is {sol.status}; provide explicit level "
             "bounds instead")
     f_lo = float(sol.objective)
-    cvar = solve_cvar(problem)
+    cvar = solve_cvar(problem, sol.x)
     if cvar.is_feasible:
         return f_lo, max(float(cvar.objective), f_lo), sol.x
     if f_lo > 0:
@@ -666,31 +700,46 @@ def solve_intuitive_extension(problem: CcpProblem,
 solve_also_x_single = solve_intuitive_extension
 
 
-def solve_cvar(problem: CcpProblem) -> SolveReport:
+def solve_cvar(problem: CcpProblem,
+               x_mean: np.ndarray | None = None) -> SolveReport:
     """CVaR restriction: per group, a tail-average certificate that the
-    worst constraint stays nonpositive.  Convex, conservative, one LP.
+    worst constraint stays nonpositive (``cvar_lp``).  Convex and
+    conservative; groups with epsilon == 0 degenerate to hard
+    (worst-case) scenario rows, so the method stays defined on sweeps
+    that include zero risk.
 
-    Groups with epsilon == 0 degenerate to hard (worst-case) scenario rows,
-    the eps -> 0 limit, so the method stays defined on sweeps that include
-    zero risk.
+    The LP is solved on a working set of groups: those that bind at the
+    mean-value point ``x_mean`` (``_binding_groups``; the mean-value LP
+    is solved here when it is not given, and every group is kept when
+    that LP is not optimal).  An omitted group joins, and the LP is
+    solved again, when a scenario's worst value at the LP's point is
+    above 0.  This stop is exact.  The working LP drops the omitted
+    groups' rows with their t, w and margin columns, all of cost 0, so
+    it relaxes the all-groups LP; where every omitted scenario is at
+    most 0, each omitted group is met with t its largest value, w = 0
+    and margin bounds at their least values, so the point is optimal
+    for the all-groups LP too.  A working LP that is unbounded is
+    solved again over every group.
     """
-    builder = _ScenarioLpBuilder(problem)
-    for g in problem.groups:
-        terms = builder.add_margins(g)
-        if g.epsilon == 0.0:
-            builder.scenario_rows(g, terms)
+    if x_mean is None:
+        sol = lp.solve_lp(mean_value_lp(problem))
+        x_mean = sol.x if sol.status == OPTIMAL else None
+    every = list(range(problem.n_groups))
+    groups = every if x_mean is None else _binding_groups(problem, x_mean)
+    while True:
+        sol = lp.solve_lp(cvar_lp(problem, groups))
+        if sol.status == UNBOUNDED and groups != every:
+            groups = every
             continue
-        t_blk = builder.add_block(1, lo=-np.inf)
-        w_blk = builder.add_block(g.n)
-        builder.scenario_rows(g, [{**m, t_blk.start: -1.0} for m in terms],
-                              w_blk.start)
-        # tail budget: t + mean excess / epsilon <= 0
-        row = np.zeros((1, builder.cols))
-        row[0, t_blk.start] = 1.0
-        row[0, w_blk] = 1.0 / (g.epsilon * g.n)
-        builder.append_rows(row, np.array([0.0]))
-    return _report(problem, METHOD_CVAR, _point(lp.solve_lp(
-        builder.finish(builder.cost())), problem, "CVaR LP"))
+        x = _point(sol, problem, "CVaR LP")
+        if x is None:
+            break
+        joined = _violated_groups(
+            problem, groups, lambda gi: problem.groups[gi].values(x).max(axis=1))
+        if not joined:
+            break
+        groups = sorted(groups + joined)
+    return _report(problem, METHOD_CVAR, x)
 
 
 def oracle_enumeration_count(problem: CcpProblem) -> int:

@@ -3,11 +3,12 @@
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 from jccopt import (OPTIMAL, UNBOUNDED, BiAffineConstraint, CcpProblem,
                     JccGroup, LpProblem, NumericError, Polytope, SampleSet,
                     SStepAssembler, algorithms, lp, shortfalls, solve_lp)
-from jccopt.algorithms import _point, _report, scenario_hard_lp
+from jccopt.algorithms import _point, _report, cvar_lp, scenario_hard_lp
 from jccopt.model import risk_budget
 
 
@@ -180,3 +181,18 @@ def random_dispatch_case(seed: int):
                         adns=adns, wind=wind)
     case.validate()
     return case
+
+
+def scipy_solve(p: LpProblem):
+    """scipy's HiGHS on the LP p."""
+    bounds = list(zip(np.where(np.isfinite(p.lower), p.lower, None),
+                      np.where(np.isfinite(p.upper), p.upper, None)))
+    return linprog(p.c, A_ub=p.G, b_ub=p.h, A_eq=p.A_eq, b_eq=p.b_eq,
+                   bounds=bounds, method="highs")
+
+
+def all_groups_cvar(problem: CcpProblem, x_mean=None):
+    """The CVaR report from one solve of the all-groups CVaR LP, the
+    reference for the working-set ``solve_cvar`` (``x_mean`` unused)."""
+    x = _point(solve_lp(cvar_lp(problem)), problem, "CVaR LP")
+    return _report(problem, algorithms.METHOD_CVAR, x)

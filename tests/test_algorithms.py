@@ -22,7 +22,8 @@ from jccopt.model import TOL_ZERO, evaluate_group
 from jccopt.toys import (INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy,
                          two_group_toy)
 
-from helpers import over_cap_problem, random_instance, s_step, z_step_lp
+from helpers import (all_groups_cvar, over_cap_problem, random_instance,
+                     s_step, scipy_solve, z_step_lp)
 
 
 def interval_cfg():
@@ -505,7 +506,7 @@ def test_init_bounds_upper_end_never_below_lower_end(monkeypatch):
     f_lo = init_bounds(p)[0]
     below = algorithms.SolveReport("cvar", "feasible", np.array([f_lo]),
                                    f_lo - 1e-12, [])
-    monkeypatch.setattr(algorithms, "solve_cvar", lambda problem: below)
+    monkeypatch.setattr(algorithms, "solve_cvar", lambda problem, x_mean: below)
     assert init_bounds(p)[:2] == (f_lo, f_lo)
     assert BisectionConfig.from_problem(p).f_upper == f_lo
 
@@ -534,23 +535,51 @@ WORKING_SET_CASES = (
         three_bus_case(n_train=n), rho_override=0.0).problem) for n in (10, 20)])
 
 
-@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+def _close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive", "cvar"])
 @pytest.mark.parametrize("make", [m for _, m in WORKING_SET_CASES],
                          ids=[name for name, _ in WORKING_SET_CASES])
-def test_the_working_set_agrees_with_all_groups(method, make):
-    """The default bracket solves on the groups that bind at the
-    mean-value point; the same bracket given explicitly keeps every
-    group.  Both reach the same status and objective."""
+def test_the_working_set_agrees_with_all_groups(monkeypatch, method, make):
+    """The default bracket and the cvar method solve on the groups that
+    bind at the mean-value point.  The same bracket given explicitly
+    keeps every group, as does the all-groups CVaR LP.  Both reach the
+    same status and objective, and the bracket's upper end is the one
+    the all-groups CVaR LP gives."""
     problem = make()
     f_lower, f_upper, x_mean = init_bounds(problem)
     if problem.n_groups == 6:  # three-bus: its line groups start out
         assert len(algorithms._binding_groups(problem, x_mean)) < 6
     seeded = solve(problem, method)
-    every = solve(problem, method, BisectionConfig(f_lower, f_upper))
+    if method == "cvar":
+        every = all_groups_cvar(problem)
+        monkeypatch.setattr(algorithms, "solve_cvar", all_groups_cvar)
+        every_lower, every_upper, _ = init_bounds(problem)
+        assert every_lower == f_lower and _close(f_upper, every_upper)
+    else:
+        every = solve(problem, method, BisectionConfig(f_lower, f_upper))
     assert seeded.status == every.status
     if every.is_feasible:
-        assert abs(seeded.objective - every.objective) <= \
-            1e-9 * max(1.0, abs(every.objective))
+        assert _close(seeded.objective, every.objective)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.01])
+def test_the_working_cvar_lp_is_smaller_at_forty_scenarios(monkeypatch, rho):
+    """Three-bus n_train=40: the cvar objective is HiGHS's on the
+    all-groups CVaR LP, from a working LP of fewer rows."""
+    problem = build_ccp(three_bus_case(n_train=40), rho_override=rho).problem
+    solved = []
+    real_solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp",
+                        lambda p: solved.append(p) or real_solve(p))
+    report = solve(problem, "cvar")
+    full = algorithms.cvar_lp(problem)
+    ref = scipy_solve(full)
+    assert report.is_feasible and ref.status == 0
+    assert abs(report.objective - ref.fun) <= 1e-7 * abs(ref.fun)
+    assert solved[-1].n_ineq < full.n_ineq
 
 
 def _bound_group(sign, xi, epsilon, label):
@@ -565,6 +594,58 @@ def _on_a_line(*groups):
     """min x over [0, 10] under the given groups."""
     return CcpProblem(objective=[1.0], polytope=Polytope(lower=[0.0], upper=[10.0]),
                       groups=list(groups))
+
+
+def test_a_group_slack_at_the_mean_joins_the_cvar_lp(monkeypatch):
+    # The cap x <= xi is slack at the mean-value point x = 3, but the
+    # cover's CVaR alone puts x at 4.8 > 4; with the cap, whose CVaR
+    # allows x <= 5.5, the LP ends at 4.8 again.
+    p = _on_a_line(_bound_group(1, [1.0, 2.0, 3.0, 4.2, 4.8], 0.2, "cover"),
+                   _bound_group(-1, [4.0, 7.0, 8.0, 9.0], 0.5, "cap"))
+    assert algorithms._binding_groups(p, init_bounds(p)[2]) == [0]
+    built = []
+    real_cvar_lp = algorithms.cvar_lp
+
+    def cvar_lp(problem, groups=None):
+        built.append(list(groups))
+        return real_cvar_lp(problem, groups)
+
+    monkeypatch.setattr(algorithms, "cvar_lp", cvar_lp)
+    report = solve(p, "cvar")
+    assert built == [[0], [0, 1]]
+    assert report.to_dict() == all_groups_cvar(p).to_dict()
+    assert report.objective == 4.8
+
+
+@pytest.mark.parametrize("method", ["also-x", "intuitive", "cvar"])
+def test_the_mean_value_lp_is_solved_once_per_solve(monkeypatch, method):
+    """init_bounds hands its mean-value point to the CVaR LP."""
+    built = []
+    real = algorithms.mean_value_lp
+    monkeypatch.setattr(algorithms, "mean_value_lp",
+                        lambda problem: built.append(problem) or real(problem))
+    solve(two_group_toy(0), method)
+    assert len(built) == 1
+
+
+def test_a_cvar_lp_on_no_group_is_the_polytope_lp():
+    # Every scenario of the cover is below 0 at the mean-value point
+    # x = 0, so the CVaR LP starts on no group and no inequality row.
+    p = _on_a_line(_bound_group(1, [-1.0, -2.0], 0.5, "cover"))
+    assert algorithms._binding_groups(p, init_bounds(p)[2]) == []
+    assert algorithms.cvar_lp(p, []).G is None
+    assert solve(p, "cvar").to_dict() == all_groups_cvar(p).to_dict()
+    assert solve(p, "cvar").objective == 0.0
+
+
+def test_an_unbounded_working_cvar_lp_is_solved_over_every_group():
+    # At x = 100 the cover is slack, so the working set starts empty, and
+    # min x without it is unbounded below; every group bounds it at 4.8.
+    cover = _bound_group(1, [1.0, 2.0, 3.0, 4.2, 4.8], 0.2, "cover")
+    p = CcpProblem(objective=[1.0], polytope=Polytope(lower=[-np.inf]),
+                   groups=[cover])
+    assert algorithms._binding_groups(p, np.array([100.0])) == []
+    assert solve_cvar(p, np.array([100.0])).objective == 4.8
 
 
 def _watch_growth(monkeypatch):

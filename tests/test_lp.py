@@ -21,6 +21,8 @@ from jccopt.lp import _Tableau, residuals
 from jccopt.model import problem_from_dict, problem_to_dict
 from jccopt.toys import interval_toy
 
+from helpers import scipy_solve
+
 
 def test_box_only_minimum():
     sol = solve_lp(LpProblem(c=[1.0], lower=[3.0], upper=[7.0]))
@@ -178,13 +180,6 @@ def _random_problem(rng):
     return LpProblem(c, G, h, A, b, lo, hi)
 
 
-def _scipy_solve(p):
-    bounds = list(zip(np.where(np.isfinite(p.lower), p.lower, None),
-                      np.where(np.isfinite(p.upper), p.upper, None)))
-    return linprog(p.c, A_ub=p.G, b_ub=p.h, A_eq=p.A_eq, b_eq=p.b_eq,
-                   bounds=bounds, method="highs")
-
-
 def _scipy_is_feasible(p):
     bounds = list(zip(np.where(np.isfinite(p.lower), p.lower, None),
                       np.where(np.isfinite(p.upper), p.upper, None)))
@@ -204,7 +199,7 @@ def test_cross_check_against_scipy():
     for _ in range(200):
         p = _random_problem(rng)
         mine = solve_lp(p)
-        ref = _scipy_solve(p)
+        ref = scipy_solve(p)
         ref_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(ref.status)
         seen[mine.status] += 1
         if mine.status != ref_status:
@@ -489,29 +484,22 @@ def test_crash_equals_the_row_loop():
             [np.ones(mi), A[rows, cols + k]]).tobytes()
         assert tab.xb.tobytes() == xb.tobytes()
 
-# The CVaR LP of the bundled three-bus case: the pivot count and objective of
+# The all-groups CVaR LP of the bundled three-bus case: the pivot count and objective of
 # the dense-update simplex.  The block update must reproduce both.
 @pytest.mark.parametrize("rho, iterations, objective", [
     (0.0, 171, 92.62545841376078),
     (0.01, 237, 92.96545841376079),
 ])
-def test_three_bus_cvar_lp_is_pinned(monkeypatch, rho, iterations, objective):
-    seen = []
-
-    def grab(problem):
-        sol = solve_lp(problem)
-        seen.append((problem, sol))
-        return sol
-
-    monkeypatch.setattr(lp, "solve_lp", grab)
-    algorithms.solve_cvar(build_ccp(three_bus_case(), rho_override=rho).problem)
-    [(problem, sol)] = seen
+def test_three_bus_cvar_lp_is_pinned(rho, iterations, objective):
+    problem = algorithms.cvar_lp(build_ccp(three_bus_case(),
+                                           rho_override=rho).problem)
+    sol = solve_lp(problem)
     assert sol.status == OPTIMAL
     assert sol.iterations == iterations
     # The last bits come from the LAPACK solve of the structural block in
     # refresh_basics.
     assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
-    ref = _scipy_solve(problem)
+    ref = scipy_solve(problem)
     assert ref.status == 0
     assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
@@ -538,7 +526,7 @@ def _restart_problem(rng):
 
 
 def _highs(p, c=None):
-    ref = _scipy_solve(LpProblem(p.c if c is None else c, p.G, p.h, p.A_eq,
+    ref = scipy_solve(LpProblem(p.c if c is None else c, p.G, p.h, p.A_eq,
                                  p.b_eq, p.lower, p.upper))
     return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status], ref.fun
 
@@ -573,12 +561,12 @@ def test_rowless_lp_matches_highs(lo, hi):
 def test_level_restart_matches_cold_and_highs(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     base = _restart_problem(rng)
-    assert _scipy_solve(base).status == 0
+    assert scipy_solve(base).status == 0
     # The smallest row-0 value the other rows allow: below it the LP is
     # infeasible.
     rest = LpProblem(base.G[0], base.G[1:], base.h[1:], base.A_eq, base.b_eq,
                      base.lower, base.upper)
-    floor = _scipy_solve(rest).fun
+    floor = scipy_solve(rest).fun
     c2 = rng.normal(size=base.n_vars)
     backend = SimplexBackend()
     sess = backend.start_session(base)
