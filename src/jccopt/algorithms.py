@@ -313,13 +313,6 @@ class SStepAssembler:
         ``worst``, whose kept scenarios are the ones it gives, and
         rebuild the skeleton without a session.  Returns whether the
         working set grew; the caller then solves its LP again.
-
-        This stop is exact.  A working LP drops the omitted groups' rows
-        with the columns only they use: shortfalls, of cost
-        z/(m*n_g) >= 0, and margin bounds, of cost 0.  So it relaxes the
-        all-groups LP, and when no omitted kept scenario is above 0 at
-        its point x, x with those columns at their least values meets
-        the dropped rows at the same cost: x is optimal there too.
         """
         joined = _violated_groups(self.problem, self.groups, worst)
         if joined:
@@ -356,8 +349,19 @@ class SStepAssembler:
 def _violated_groups(problem: CcpProblem, groups, worst) -> list[int]:
     """The groups outside ``groups`` with a positive entry in
     ``worst(gi)``, the worst robustified values (or the shortfalls) of
-    the scenarios that count: the working-set rule of the level, polish
-    and CVaR LPs."""
+    the scenarios that count: the join rule of the working set.
+
+    The CVaR, level and polish LPs are solved on a working set of
+    chance groups, seeded by ``_binding_groups`` at the mean-value point;
+    each group this rule finds joins, and the LP is solved again.  The
+    stop is exact.  A working LP drops the omitted groups' rows with the
+    columns only they use (CVaR tails and excesses, shortfalls, margin
+    bounds), all of cost >= 0, so it relaxes the all-groups LP.  When no
+    counted scenario of an omitted group is above 0 at the working LP's
+    point x, those columns (t at the group's largest value, the others
+    at their least values) meet the dropped rows at cost 0, so x is
+    optimal for the all-groups LP too.
+    """
     return [gi for gi in range(problem.n_groups)
             if gi not in groups and np.any(worst(gi) > 0.0)]
 
@@ -535,28 +539,31 @@ def _polish(asm: SStepAssembler, masks, fallback_x):
 
 # -- bound initialization ----------------------------------------------------
 
-def init_bounds(problem: CcpProblem) -> tuple[float, float, np.ndarray]:
-    """Level bracket and the mean-value point: lower from the mean-value
-    LP, upper from the CVaR restriction started at its point if feasible
-    (no lower than f_lo), else a multiplicative guess; then the
-    mean-value LP's x."""
+def init_bounds(problem: CcpProblem) -> tuple[float, float, list[int]]:
+    """Level bracket and working set: lower end from the mean-value LP,
+    upper end from the CVaR restriction seeded at its point if feasible
+    (no lower than f_lo), else a multiplicative guess; then the groups
+    the CVaR LP ended on."""
     sol = lp.solve_lp(mean_value_lp(problem))
     if sol.status != OPTIMAL:
         raise ModelError(
             f"mean-value problem is {sol.status}; provide explicit level "
             "bounds instead")
     f_lo = float(sol.objective)
-    cvar = solve_cvar(problem, sol.x)
-    if cvar.is_feasible:
-        return f_lo, max(float(cvar.objective), f_lo), sol.x
+    x, groups = _cvar_point(problem, _binding_groups(problem, sol.x))
+    if x is not None:
+        return f_lo, max(float(problem.objective @ x), f_lo), groups
     if f_lo > 0:
-        return f_lo, 2.0 * f_lo, sol.x
-    return f_lo, f_lo + max(1.0, abs(f_lo)), sol.x
+        return f_lo, 2.0 * f_lo, groups
+    return f_lo, f_lo + max(1.0, abs(f_lo)), groups
 
 
-def _binding_groups(problem: CcpProblem, x: np.ndarray) -> list[int]:
-    """The groups with a scenario whose worst value at x is above
-    -TOL_ZERO: the working set a default-bracket bisection starts from."""
+def _binding_groups(problem: CcpProblem, x: np.ndarray | None) -> list[int]:
+    """The groups with a scenario whose worst value at the mean-value
+    point x is above -TOL_ZERO, the seed of a working set; every group
+    when x is None (the mean-value LP is not optimal)."""
+    if x is None:
+        return list(range(problem.n_groups))
     return [gi for gi, g in enumerate(problem.groups)
             if np.any(g.values(x).max(axis=1) > -TOL_ZERO)]
 
@@ -606,17 +613,15 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
     the report declares Infeasible.
 
     Without ``cfg`` the bracket comes from ``init_bounds``, and the
-    skeleton starts from the groups that bind at its mean-value point
-    (``_binding_groups``); the level and polish LPs add a group when it
-    is violated (``SStepAssembler.grow``).  An explicit bracket keeps
-    every group.
+    skeleton starts from the working set its CVaR LP ended on; the level
+    and polish LPs grow it (``SStepAssembler.grow``).  An explicit
+    bracket keeps every group.
     """
+    groups = None
     if cfg is None:
-        f_lower, f_upper, x_mean = init_bounds(problem)
+        f_lower, f_upper, groups = init_bounds(problem)
         cfg = BisectionConfig(f_lower, f_upper)
-        asm = SStepAssembler(problem, _binding_groups(problem, x_mean))
-    else:
-        asm = SStepAssembler(problem)
+    asm = SStepAssembler(problem, groups)
     f_lo, f_hi = float(cfg.f_lower), float(cfg.f_upper)
     best = None
     trace = []
@@ -700,32 +705,11 @@ def solve_intuitive_extension(problem: CcpProblem,
 solve_also_x_single = solve_intuitive_extension
 
 
-def solve_cvar(problem: CcpProblem,
-               x_mean: np.ndarray | None = None) -> SolveReport:
-    """CVaR restriction: per group, a tail-average certificate that the
-    worst constraint stays nonpositive (``cvar_lp``).  Convex and
-    conservative; groups with epsilon == 0 degenerate to hard
-    (worst-case) scenario rows, so the method stays defined on sweeps
-    that include zero risk.
-
-    The LP is solved on a working set of groups: those that bind at the
-    mean-value point ``x_mean`` (``_binding_groups``; the mean-value LP
-    is solved here when it is not given, and every group is kept when
-    that LP is not optimal).  An omitted group joins, and the LP is
-    solved again, when a scenario's worst value at the LP's point is
-    above 0.  This stop is exact.  The working LP drops the omitted
-    groups' rows with their t, w and margin columns, all of cost 0, so
-    it relaxes the all-groups LP; where every omitted scenario is at
-    most 0, each omitted group is met with t its largest value, w = 0
-    and margin bounds at their least values, so the point is optimal
-    for the all-groups LP too.  A working LP that is unbounded is
-    solved again over every group.
-    """
-    if x_mean is None:
-        sol = lp.solve_lp(mean_value_lp(problem))
-        x_mean = sol.x if sol.status == OPTIMAL else None
+def _cvar_point(problem: CcpProblem, groups: list[int]):
+    """The CVaR LP's point x (None when infeasible) and the working set
+    it ended on, grown from ``groups`` by ``_violated_groups``.  A
+    working LP that is unbounded is solved again over every group."""
     every = list(range(problem.n_groups))
-    groups = every if x_mean is None else _binding_groups(problem, x_mean)
     while True:
         sol = lp.solve_lp(cvar_lp(problem, groups))
         if sol.status == UNBOUNDED and groups != every:
@@ -733,12 +717,24 @@ def solve_cvar(problem: CcpProblem,
             continue
         x = _point(sol, problem, "CVaR LP")
         if x is None:
-            break
+            return None, groups
         joined = _violated_groups(
             problem, groups, lambda gi: problem.groups[gi].values(x).max(axis=1))
         if not joined:
-            break
+            return x, groups
         groups = sorted(groups + joined)
+
+
+def solve_cvar(problem: CcpProblem) -> SolveReport:
+    """CVaR restriction: per group, a tail-average certificate that the
+    worst constraint stays nonpositive (``cvar_lp``).  Convex and
+    conservative; groups with epsilon == 0 degenerate to hard
+    (worst-case) scenario rows, so the method stays defined on sweeps
+    that include zero risk.  Solved on a working set seeded at the
+    mean-value point (``_cvar_point``)."""
+    sol = lp.solve_lp(mean_value_lp(problem))
+    x_mean = sol.x if sol.status == OPTIMAL else None
+    x, _ = _cvar_point(problem, _binding_groups(problem, x_mean))
     return _report(problem, METHOD_CVAR, x)
 
 

@@ -19,7 +19,7 @@ from . import algorithms as alg
 from . import dispatch as dp
 from .errors import ModelError, NumericError
 from .model import (SampleSet, evaluate_group, floats, load_json,
-                    problem_from_dict, problem_to_dict, read_field)
+                    problem_from_dict, problem_to_dict, read_field, write_csv)
 from .scenarios import generate_scenarios, spec_from_dict
 from .toys import INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy, two_group_toy
 
@@ -41,22 +41,6 @@ def _fmt(value, digits: int = 6) -> str:
     if value is None:
         return "n/a"
     return f"{value:.{digits}f}"
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -111,8 +95,8 @@ def cmd_example2(args) -> int:
             vr = rec.violation_rates or (None, None)
             rows.append((k, rec.objective, vr[0], vr[1]))
         path = out / f"example2_{method}_trace.csv"
-        _write_csv(path, ["iteration", "objective", "vp_group1", "vp_group2"],
-                   rows)
+        write_csv(path, ["iteration", "objective", "vp_group1", "vp_group2"],
+                  rows)
         print(f"seed={args.seed} method={method:<14} {report.status:<10} "
               f"objective={_fmt(report.objective)} viol={_rates(report)} "
               f"trace={path}")
@@ -167,7 +151,7 @@ def _write_trajectories(out: Path, model: dp.DispatchModel,
                         for k in range(samples.shape[0])]
                 rows.append(row)
             path = out / f"trajectory_{name}_{side}.csv"
-            _write_csv(path, header, rows)
+            write_csv(path, header, rows)
             written.append(path)
     return written
 
@@ -199,8 +183,8 @@ def cmd_dispatch(args) -> int:
                     csv_rows.append((r["rho"], r["method"], label,
                                      r["status"], r["cost"], rel))
         path = out / "sweep.csv"
-        _write_csv(path, ["rho", "method", "group", "status", "cost",
-                          "reliability"], csv_rows)
+        write_csv(path, ["rho", "method", "group", "status", "cost",
+                         "reliability"], csv_rows)
         print(f"wrote {path}")
         return EXIT_OK
 

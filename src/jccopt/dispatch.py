@@ -363,6 +363,10 @@ class DispatchCase:
         for g in self.generators:
             self.network.bus_pos(g.bus)
         for d in self.adns:
+            # The name is part of the ADN's trajectory file names.
+            if d.name in (".", "..") or "/" in d.name or "\\" in d.name:
+                raise ModelError(f"adn {d.name!r}: a name may not contain / "
+                                 "or \\, or be . or ..")
             self.network.bus_pos(d.bus)
             if d.horizon != T:
                 raise ModelError(f"adn {d.name!r}: boundaries cover "

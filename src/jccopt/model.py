@@ -108,11 +108,17 @@ class SampleSet:
         return cls(np.asarray(rows))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"xi{j}" for j in range(self.dim)])
-            for row in self.data:
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(path, [f"xi{j}" for j in range(self.dim)], self.data)
+
+
+def write_csv(path, header, rows) -> None:
+    """``header``, then ``rows``, through csv.writer with LF line ends: a
+    cell holding a comma or a quote is quoted, None is an empty cell, and
+    a number is written as str() gives it (a float's shortest repr)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class BiAffineConstraint:

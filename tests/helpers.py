@@ -3,12 +3,13 @@
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from jccopt import (OPTIMAL, UNBOUNDED, BiAffineConstraint, CcpProblem,
                     JccGroup, LpProblem, NumericError, Polytope, SampleSet,
                     SStepAssembler, algorithms, lp, shortfalls, solve_lp)
-from jccopt.algorithms import _point, _report, cvar_lp, scenario_hard_lp
+from jccopt.algorithms import (_hard_rows, _point, _report, cvar_lp,
+                               scenario_hard_lp)
 from jccopt.model import risk_budget
 
 
@@ -68,6 +69,60 @@ def cold_oracle(problem: CcpProblem):
         if x is not None and sol.objective < best_obj:
             best_obj, best_x = sol.objective, x
     return _report(problem, algorithms.METHOD_ORACLE, best_x)
+
+
+# How far a dropped scenario's rows are relaxed in ``exact_optimum``.
+EXACT_BIG_M = 1e3
+
+
+def exact_optimum(problem: CcpProblem):
+    """The exact sample optimum from HiGHS's MILP (Luedtke & Ahmed's
+    big-M form of the sampled problem): the all-kept hard LP, plus one
+    binary per (group, scenario) that relaxes that scenario's rows by
+    EXACT_BIG_M, at most floor(eps*n) of them per group.  The selection
+    it picks is re-solved with ``solve_lp``, and the report is that
+    LP's.  Fails when a relaxed row at the MILP point is not below
+    EXACT_BIG_M / 2: M may then have cut off the optimum."""
+    asm = SStepAssembler(problem)
+    all_kept = [np.ones(g.n, dtype=bool) for g in problem.groups]
+    full = scenario_hard_lp(asm, all_kept)
+    # Row of ``full`` that each skeleton row became.
+    position = np.zeros(asm.lp_template.h.size, dtype=int)
+    kept = _hard_rows(asm, all_kept)
+    position[kept] = np.arange(kept.size)
+    n_x, n_bin = full.c.size, sum(g.n for g in problem.groups)
+    relax = np.zeros((full.h.size, n_bin))
+    budget = np.zeros((problem.n_groups, n_bin))
+    first = np.cumsum([0] + [g.n for g in problem.groups])
+    for gi, g in enumerate(problem.groups):
+        cols = first[gi] + np.arange(g.n)
+        relax[position[asm.scenario_rows[gi]], cols] = -EXACT_BIG_M
+        budget[gi, cols] = 1.0
+    constraints = [
+        LinearConstraint(np.hstack([full.G, relax]), -np.inf, full.h),
+        LinearConstraint(np.hstack([np.zeros((problem.n_groups, n_x)), budget]),
+                         -np.inf, [risk_budget(g.epsilon, g.n)
+                                   for g in problem.groups])]
+    if full.A_eq is not None:
+        constraints.append(LinearConstraint(
+            np.hstack([full.A_eq, np.zeros((full.A_eq.shape[0], n_bin))]),
+            full.b_eq, full.b_eq))
+    res = milp(np.r_[full.c, np.zeros(n_bin)], constraints=constraints,
+               integrality=np.r_[np.zeros(n_x), np.ones(n_bin)],
+               bounds=Bounds(np.r_[full.lower, np.zeros(n_bin)],
+                             np.r_[full.upper, np.ones(n_bin)]),
+               options={"mip_rel_gap": 0.0})
+    if res.status == 2:  # infeasible
+        return _report(problem, algorithms.METHOD_ORACLE, None)
+    assert res.status == 0, res.message
+    dropped = res.x[n_x:] > 0.5
+    rows = np.flatnonzero(relax[:, dropped].any(axis=1))
+    excess = full.G[rows] @ res.x[:n_x] - full.h[rows]
+    assert np.all(excess < 0.5 * EXACT_BIG_M), "big-M too small"
+    masks = np.split(~dropped, first[1:-1])
+    x = _point(solve_lp(scenario_hard_lp(asm, masks)), problem,
+               "exact-optimum LP")
+    return _report(problem, algorithms.METHOD_ORACLE, x)
 
 
 def over_cap_problem() -> CcpProblem:
@@ -191,8 +246,14 @@ def scipy_solve(p: LpProblem):
                    bounds=bounds, method="highs")
 
 
-def all_groups_cvar(problem: CcpProblem, x_mean=None):
+def all_groups_cvar(problem: CcpProblem):
     """The CVaR report from one solve of the all-groups CVaR LP, the
-    reference for the working-set ``solve_cvar`` (``x_mean`` unused)."""
+    reference for the working-set ``solve_cvar``."""
     x = _point(solve_lp(cvar_lp(problem)), problem, "CVaR LP")
     return _report(problem, algorithms.METHOD_CVAR, x)
+
+
+def mean_point(problem: CcpProblem) -> np.ndarray:
+    """The mean-value LP's point, where ``_binding_groups`` seeds a
+    working set."""
+    return solve_lp(algorithms.mean_value_lp(problem)).x

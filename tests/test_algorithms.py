@@ -22,8 +22,8 @@ from jccopt.model import TOL_ZERO, evaluate_group
 from jccopt.toys import (INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy,
                          two_group_toy)
 
-from helpers import (all_groups_cvar, over_cap_problem, random_instance,
-                     s_step, scipy_solve, z_step_lp)
+from helpers import (all_groups_cvar, mean_point, over_cap_problem,
+                     random_instance, s_step, scipy_solve, z_step_lp)
 
 
 def interval_cfg():
@@ -504,9 +504,8 @@ def test_init_bounds_upper_end_never_below_lower_end(monkeypatch):
     still gives an ordered bracket."""
     p = interval_toy(0.4)
     f_lo = init_bounds(p)[0]
-    below = algorithms.SolveReport("cvar", "feasible", np.array([f_lo]),
-                                   f_lo - 1e-12, [])
-    monkeypatch.setattr(algorithms, "solve_cvar", lambda problem, x_mean: below)
+    monkeypatch.setattr(algorithms, "_cvar_point", lambda problem, groups:
+                        (np.array([f_lo - 1e-12]), groups))
     assert init_bounds(p)[:2] == (f_lo, f_lo)
     assert BisectionConfig.from_problem(p).f_upper == f_lo
 
@@ -549,13 +548,14 @@ def test_the_working_set_agrees_with_all_groups(monkeypatch, method, make):
     same status and objective, and the bracket's upper end is the one
     the all-groups CVaR LP gives."""
     problem = make()
-    f_lower, f_upper, x_mean = init_bounds(problem)
+    f_lower, f_upper, _ = init_bounds(problem)
     if problem.n_groups == 6:  # three-bus: its line groups start out
-        assert len(algorithms._binding_groups(problem, x_mean)) < 6
+        assert len(algorithms._binding_groups(problem, mean_point(problem))) < 6
     seeded = solve(problem, method)
     if method == "cvar":
         every = all_groups_cvar(problem)
-        monkeypatch.setattr(algorithms, "solve_cvar", all_groups_cvar)
+        monkeypatch.setattr(algorithms, "_binding_groups",
+                            lambda problem, x: list(range(problem.n_groups)))
         every_lower, every_upper, _ = init_bounds(problem)
         assert every_lower == f_lower and _close(f_upper, every_upper)
     else:
@@ -596,13 +596,17 @@ def _on_a_line(*groups):
                       groups=list(groups))
 
 
+def _slack_cap_at_the_mean():
+    """The cap x <= xi is slack at the mean-value point x = 3, but the
+    cover's CVaR alone puts x at 4.8 > 4; with the cap, whose CVaR
+    allows x <= 5.5, the LP ends at 4.8 again."""
+    return _on_a_line(_bound_group(1, [1.0, 2.0, 3.0, 4.2, 4.8], 0.2, "cover"),
+                      _bound_group(-1, [4.0, 7.0, 8.0, 9.0], 0.5, "cap"))
+
+
 def test_a_group_slack_at_the_mean_joins_the_cvar_lp(monkeypatch):
-    # The cap x <= xi is slack at the mean-value point x = 3, but the
-    # cover's CVaR alone puts x at 4.8 > 4; with the cap, whose CVaR
-    # allows x <= 5.5, the LP ends at 4.8 again.
-    p = _on_a_line(_bound_group(1, [1.0, 2.0, 3.0, 4.2, 4.8], 0.2, "cover"),
-                   _bound_group(-1, [4.0, 7.0, 8.0, 9.0], 0.5, "cap"))
-    assert algorithms._binding_groups(p, init_bounds(p)[2]) == [0]
+    p = _slack_cap_at_the_mean()
+    assert algorithms._binding_groups(p, mean_point(p)) == [0]
     built = []
     real_cvar_lp = algorithms.cvar_lp
 
@@ -617,35 +621,65 @@ def test_a_group_slack_at_the_mean_joins_the_cvar_lp(monkeypatch):
     assert report.objective == 4.8
 
 
+@pytest.mark.parametrize("method", ["also-x", "intuitive"])
+def test_the_bracket_hands_its_cvar_set_to_the_bisection(monkeypatch, method):
+    """The cap joins the CVaR LP, so a default-bracket solve builds its
+    level skeleton once, on both groups, and never grows it."""
+    p = _slack_cap_at_the_mean()
+    f_lower, f_upper, groups = init_bounds(p)
+    assert groups == [0, 1]
+    every = solve(p, method, BisectionConfig(f_lower, f_upper))
+    built = []
+    real_init = SStepAssembler.__init__
+
+    def init(asm, problem, groups=None):
+        real_init(asm, problem, groups)
+        built.append(asm.groups)
+
+    monkeypatch.setattr(SStepAssembler, "__init__", init)
+    report = solve(p, method)
+    assert built == [(0, 1)]
+    assert report.to_dict() == every.to_dict()
+
+
 @pytest.mark.parametrize("method", ["also-x", "intuitive", "cvar"])
 def test_the_mean_value_lp_is_solved_once_per_solve(monkeypatch, method):
-    """init_bounds hands its mean-value point to the CVaR LP."""
-    built = []
+    """init_bounds seeds one working set from its mean-value point: the
+    point is scored once."""
+    built, seeded = [], []
     real = algorithms.mean_value_lp
     monkeypatch.setattr(algorithms, "mean_value_lp",
                         lambda problem: built.append(problem) or real(problem))
+    real_seed = algorithms._binding_groups
+    monkeypatch.setattr(algorithms, "_binding_groups", lambda problem, x:
+                        seeded.append(x) or real_seed(problem, x))
     solve(two_group_toy(0), method)
     assert len(built) == 1
+    assert len(seeded) == 1
 
 
 def test_a_cvar_lp_on_no_group_is_the_polytope_lp():
     # Every scenario of the cover is below 0 at the mean-value point
     # x = 0, so the CVaR LP starts on no group and no inequality row.
     p = _on_a_line(_bound_group(1, [-1.0, -2.0], 0.5, "cover"))
-    assert algorithms._binding_groups(p, init_bounds(p)[2]) == []
+    assert algorithms._binding_groups(p, mean_point(p)) == []
     assert algorithms.cvar_lp(p, []).G is None
     assert solve(p, "cvar").to_dict() == all_groups_cvar(p).to_dict()
     assert solve(p, "cvar").objective == 0.0
 
 
-def test_an_unbounded_working_cvar_lp_is_solved_over_every_group():
-    # At x = 100 the cover is slack, so the working set starts empty, and
-    # min x without it is unbounded below; every group bounds it at 4.8.
+def test_an_unbounded_working_cvar_lp_is_solved_over_every_group(monkeypatch):
+    # At x = 100 the cover is slack, so the working set seeded there
+    # starts empty, and min x without it is unbounded below; every group
+    # bounds it at 4.8.
     cover = _bound_group(1, [1.0, 2.0, 3.0, 4.2, 4.8], 0.2, "cover")
     p = CcpProblem(objective=[1.0], polytope=Polytope(lower=[-np.inf]),
                    groups=[cover])
-    assert algorithms._binding_groups(p, np.array([100.0])) == []
-    assert solve_cvar(p, np.array([100.0])).objective == 4.8
+    real = algorithms._binding_groups
+    assert real(p, np.array([100.0])) == []
+    monkeypatch.setattr(algorithms, "_binding_groups",
+                        lambda problem, x: real(problem, np.array([100.0])))
+    assert solve_cvar(p).objective == 4.8
 
 
 def _watch_growth(monkeypatch):
@@ -675,13 +709,18 @@ def _watch_growth(monkeypatch):
 def test_a_group_violated_at_a_level_joins_there(monkeypatch, method):
     # The cap x <= xi holds at the mean-value point x = 3 (bracket [3, 6],
     # the CVaR LP is infeasible) but not at the first midpoint, where the
-    # cover alone puts x at the level, 4.5 > 3.5.
+    # cover alone puts x at the level, 4.5 > 3.5.  The CVaR LP takes the
+    # cap in before it comes back infeasible, so the bracket's set is
+    # (0, 1); the levels here start from the seed (0,) instead.
     p = _on_a_line(_bound_group(1, [1.0, 2.0, 3.0, 4.2, 4.8], 0.2, "cover"),
                    _bound_group(-1, [3.5, 7.0, 8.0, 9.0], 0.25, "cap"))
-    f_lower, f_upper, x_mean = init_bounds(p)
+    f_lower, f_upper, groups = init_bounds(p)
     assert (f_lower, f_upper) == (3.0, 6.0)
-    assert algorithms._binding_groups(p, x_mean) == [0]
+    assert algorithms._binding_groups(p, mean_point(p)) == [0]
+    assert groups == [0, 1]
     every = solve(p, method, BisectionConfig(f_lower, f_upper))
+    monkeypatch.setattr(algorithms, "init_bounds",
+                        lambda problem: (f_lower, f_upper, [0]))
     log = _watch_growth(monkeypatch)
     starts = []  # (level solves before it, id of its warm session, its id)
     real_start = lp.SimplexBackend.start_session
@@ -723,8 +762,9 @@ def test_a_group_violated_only_by_the_polish_joins_there(monkeypatch, method):
     # which breaks the floor, so the floor joins and the polish ends at 2.
     p = _on_a_line(_bound_group(1, [1.0, 1.0, 1.0, 1.0, 9.0], 0.2, "cover"),
                    _bound_group(1, [2.0, 0.0, 0.0, 0.0], 0.25, "floor"))
-    f_lower, f_upper, x_mean = init_bounds(p)
-    assert algorithms._binding_groups(p, x_mean) == [0]
+    f_lower, f_upper, groups = init_bounds(p)
+    assert algorithms._binding_groups(p, mean_point(p)) == [0]
+    assert groups == [0]
     every = solve(p, method, BisectionConfig(f_lower, f_upper))
     log = _watch_growth(monkeypatch)
     report = solve(p, method)

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, and byte-level determinism."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -363,6 +364,23 @@ def test_dispatch_sweep_row_of_an_infeasible_method(tmp_path, capsys):
         "rho,method,group,status,cost,reliability\n0.0,cvar,,infeasible,,\n")
 
 
+def test_dispatch_sweep_csv_quotes_a_label_with_a_comma_or_a_quote(tmp_path,
+                                                                 capsys):
+    data = json.loads(Path(OVERLAP).read_text())
+    data["generators"][0]["name"] = 'g,"1"'
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    code, _, _ = run(capsys, "dispatch", str(case), "--rho-grid", "0.0,0.01",
+                     "--method", "also-x", "--out", str(tmp_path / "s"))
+    assert code == 0
+    with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["rho", "method", "group", "status", "cost",
+                       "reliability"]
+    assert {len(row) for row in rows} == {6}
+    assert [row[2] for row in rows[1:]].count('g,"1"') == 2
+
+
 def test_dispatch_empty_rho_grid_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "dispatch", OVERLAP, "--rho-grid", ",",
                          "--out", str(tmp_path))
@@ -524,6 +542,18 @@ def test_dispatch_malformed_held_out_rows_fail_at_load(tmp_path, capsys):
                          "--method", "cvar", "--out", str(tmp_path / "d"))
     assert code == 1 and out == ""
     assert err == "error: wind test_errors rows are 3 wide, expected W*T = 4\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_dispatch_adn_name_with_a_path_separator_exits_one(tmp_path, capsys):
+    data = json.loads(Path(THREE_BUS).read_text())
+    data["adns"][0]["name"] = "sub/adn"
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, "dispatch", str(case), "--rho", "0",
+                         "--method", "cvar", "--out", str(tmp_path / "d"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: adn 'sub/adn': ")
     assert not (tmp_path / "d").exists()
 
 

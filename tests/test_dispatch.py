@@ -110,6 +110,14 @@ def test_supplied_ptdf_must_be_lines_by_buses():
         case_from_dict(data)
 
 
+@pytest.mark.parametrize("name", ["sub/adn", "sub\\adn", ".", ".."])
+def test_an_adn_name_that_is_not_a_file_name_is_a_model_error(name):
+    data = case_to_dict(three_bus_case())
+    data["adns"][0]["name"] = name
+    with pytest.raises(ModelError, match=f"^adn {re.escape(repr(name))}: "):
+        case_from_dict(data)
+
+
 @pytest.mark.parametrize("end", ["from_bus", "to_bus"])
 def test_a_line_to_an_unknown_bus_is_a_model_error(end):
     net = triangle_network()

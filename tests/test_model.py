@@ -187,6 +187,12 @@ def test_sample_set_csv_roundtrip(tmp_path):
     assert np.array_equal(back.data, s.data)  # bitwise via repr() floats
 
 
+def test_sample_set_csv_ends_lines_with_lf(tmp_path):
+    path = tmp_path / "s.csv"
+    SampleSet(np.array([[1.0, -2.5], [0.1, 3.0]])).to_csv(path)
+    assert path.read_bytes() == b"xi0,xi1\n1.0,-2.5\n0.1,3.0\n"
+
+
 def test_sample_set_csv_errors(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,b\n1,2\n3\n")

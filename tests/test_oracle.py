@@ -3,7 +3,9 @@
 ``solve_oracle`` screens the keep-sets by warm rhs restarts of one session
 and solves only the near-best and the untrusted ones cold; ``cold_oracle``
 solves every keep-set cold.  Status, objective and x must agree bit for
-bit, and the screen must actually spare the cold solves.
+bit, and the screen must actually spare the cold solves.  ``exact_optimum``,
+HiGHS's MILP of the sampled problem, must give the oracle's objective, and
+no method may report a cost below it.
 """
 
 import numpy as np
@@ -12,10 +14,13 @@ import pytest
 from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, NumericError,
                     Polytope, SampleSet, algorithms, lp)
 from jccopt.algorithms import (SStepAssembler, applicable_methods,
-                               oracle_enumeration_count, solve_oracle)
+                               oracle_enumeration_count, solve, solve_oracle)
+from jccopt.cases import three_bus_case
+from jccopt.dispatch import build_ccp
 from jccopt.toys import interval_toy, two_group_toy
 
-from helpers import cold_oracle, random_instance
+import helpers
+from helpers import cold_oracle, exact_optimum, random_instance
 
 EPS_GRID = (0.0, 0.2, 0.4, 0.6, 0.8)
 RHO_GRID = (0.0, 1e-3, 1e-2, 5e-2)
@@ -162,3 +167,43 @@ def test_the_cap_admits_a_walk_of_exactly_its_size(monkeypatch):
     # random_instance(1) walks C(6, 3) * C(5, 2) = 200 keep-sets.
     monkeypatch.setattr(algorithms, "ORACLE_CAP", 200)
     assert_same_report(random_instance(1))
+
+
+# -- the MILP reference ---------------------------------------------------------
+
+def test_the_milp_reference_equals_the_oracle_on_random_instances():
+    for seed in range(50):
+        problem = random_instance(seed)
+        got, want = exact_optimum(problem), solve_oracle(problem)
+        assert got.status == want.status
+        if want.is_feasible:
+            assert abs(got.objective - want.objective) <= \
+                1e-9 * max(1.0, abs(want.objective))
+
+
+def test_the_milp_reference_fails_when_big_m_binds(monkeypatch):
+    # Dropping [4, 6] and [5, 7] at x = 3 relaxes their rows by 1 and 2,
+    # both within M = 2.5, but 2 is not below M/2.
+    monkeypatch.setattr(helpers, "EXACT_BIG_M", 2.5)
+    with pytest.raises(AssertionError, match="big-M"):
+        exact_optimum(interval_toy(0.4))
+
+
+SANDWICH_CASES = (
+    [(f"two-group-{s}", lambda s=s: two_group_toy(s)) for s in range(8)]
+    + [("three-bus-n20", lambda: build_ccp(three_bus_case(n_train=20),
+                                           rho_override=0.0).problem)])
+
+
+@pytest.mark.parametrize("make", [m for _, m in SANDWICH_CASES],
+                         ids=[name for name, _ in SANDWICH_CASES])
+def test_no_method_lies_below_the_exact_optimum(make):
+    problem = make()
+    exact = exact_optimum(problem)
+    assert exact.is_feasible
+    if problem.n_groups == 6:  # three-bus
+        assert exact.objective == pytest.approx(92.99090, abs=5e-6)
+    floor = exact.objective - 1e-9 * max(1.0, abs(exact.objective))
+    for method in ("also-x", "intuitive", "cvar"):
+        report = solve(problem, method)
+        assert not report.is_feasible or report.objective >= floor
