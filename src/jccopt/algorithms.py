@@ -179,9 +179,10 @@ class _ScenarioLpBuilder:
         if rho == 0.0:
             return [{} for _ in group.constraints]
         dual = dual_norm(group.norm)
-        As = [con.A for con in group.constraints]
-        nz = [np.flatnonzero((con.a0 != 0.0) | np.any(A != 0.0, axis=1))
-              for con, A in zip(group.constraints, As)]
+        cons = group.constraints
+        As = cons.A
+        nz = [np.flatnonzero((a0 != 0.0) | np.any(A != 0.0, axis=1))
+              for A, a0 in zip(As, cons.a0)]
         if dual == "linf":
             blk = self.add_block(len(nz))
             bound_cols = [np.full(r.size, blk.start + j) for j, r in enumerate(nz)]
@@ -191,13 +192,13 @@ class _ScenarioLpBuilder:
             ends = np.cumsum([r.size for r in nz])[:-1]
             bound_cols = np.split(np.arange(blk.start, blk.stop), ends)
             terms = [{int(col): rho for col in cols} for cols in bound_cols]
-        for con, A, r, cols in zip(group.constraints, As, nz, bound_cols):
+        for A, a0, r, cols in zip(As, cons.a0, nz, bound_cols):
             comp = np.repeat(r, 2)  # the + row, then the - row
             sign = np.tile([1.0, -1.0], r.size)
             block = np.zeros((comp.size, self.cols))
             block[:, :self.n] = sign[:, None] * A[comp]
             block[np.arange(comp.size), np.repeat(cols, 2)] = -1.0
-            self.append_rows(block, -sign * con.a0[comp])
+            self.append_rows(block, -sign * a0[comp])
         return terms
 
     def scenario_rows(self, group: JccGroup, terms: list[dict],
@@ -207,15 +208,15 @@ class _ScenarioLpBuilder:
         coefficient of constraint j's extra terms; with ``diag``, the row of
         scenario i also gets -1 in column diag + i (a per-scenario shortfall
         or excess)."""
-        data = group.samples.data
-        for con, extra in zip(group.constraints, terms):
+        data, cons = group.samples.data, group.constraints
+        for A, a0, c, d, extra in zip(cons.A, cons.a0, cons.c, cons.d, terms):
             block = np.zeros((group.n, self.cols))
-            block[:, :self.n] = data @ con.A + con.c
+            block[:, :self.n] = data @ A + c
             for col, coeff in extra.items():
                 block[:, col] = coeff
             if diag is not None:
                 block[np.arange(group.n), diag + np.arange(group.n)] = -1.0
-            self.append_rows(block, 0.0 - (data @ con.a0 + con.d))
+            self.append_rows(block, 0.0 - (data @ a0 + d))
 
     def cost(self) -> np.ndarray:
         """The problem's objective over x, zero over the added columns."""
@@ -484,11 +485,11 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
     mean, no margin, no relaxation."""
     builder = _ScenarioLpBuilder(problem)
     for g in problem.groups:
-        mean = g.samples.mean
-        for con in g.constraints:
+        mean, cons = g.samples.mean, g.constraints
+        for A, a0, c, d in zip(cons.A, cons.a0, cons.c, cons.d):
             row = np.zeros((1, builder.cols))
-            row[0, :builder.n] = mean @ con.A + con.c
-            builder.append_rows(row, np.array([-(mean @ con.a0 + con.d)]))
+            row[0, :builder.n] = mean @ A + c
+            builder.append_rows(row, np.array([-(mean @ a0 + d)]))
     return builder.finish(builder.cost())
 
 
@@ -609,8 +610,10 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
     skeleton and returns the level's OuterRecord plus, when the level is
     accepted, ``(x, masks)``: the candidate point and the per-group
     scenario selection that the polish re-imposes hard.  If no midpoint
-    is ever accepted the initial upper level gets one direct test before
-    the report declares Infeasible.
+    is ever accepted the initial upper level gets one direct test.  When
+    that fails too, a default bracket reports its CVaR point, which
+    reaches the upper level feasibly, if it has one; otherwise the
+    report declares Infeasible.
 
     Without ``cfg`` the bracket comes from ``init_bounds``, and the
     skeleton starts from the working set its CVaR LP ended on; the level
@@ -652,6 +655,9 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
         asm.session = None  # free the level tableau before the polish LP
         x_raw, masks = best
         x = _polish(asm, masks, x_raw)
+    elif groups is not None:
+        # The CVaR LP on the set it ended on, solved again: the same point.
+        x, _ = _cvar_point(problem, groups)
     return _report(problem, method, x, trace=trace, f_lower=f_lo, f_upper=f_hi)
 
 

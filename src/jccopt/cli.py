@@ -19,7 +19,8 @@ from . import algorithms as alg
 from . import dispatch as dp
 from .errors import ModelError, NumericError
 from .model import (SampleSet, evaluate_group, floats, load_json,
-                    problem_from_dict, problem_to_dict, read_field, write_csv)
+                    problem_from_dict, problem_to_dict, read_field, write_csv,
+                    write_rows)
 from .scenarios import generate_scenarios, spec_from_dict
 from .toys import INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy, two_group_toy
 
@@ -241,10 +242,9 @@ def cmd_evaluate(args) -> int:
         raise ModelError(
             f"{args.scenarios}: {test.dim} columns match no group's "
             "uncertainty dimension")
-    print("group,reliability")
-    for g in groups:
-        rate = evaluate_group(g, xs[method], test).rate
-        print(f"{g.label},{rate!r}")
+    write_rows(sys.stdout, ["group", "reliability"],
+               ([g.label, evaluate_group(g, xs[method], test).rate]
+                for g in groups))
     return EXIT_OK
 
 

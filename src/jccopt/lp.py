@@ -1,10 +1,16 @@
 """Linear programming core: a bounded-variable simplex on a dense tableau.
 
 Solves   min c'x  s.t.  G x <= h,  A_eq x = b_eq,  lower <= x <= upper
-with a bounded-variable two-phase primal simplex.  The constraint matrix
+with a bounded-variable simplex.  A one-shot solve (``solve_lp``) whose
+slack basis is dual feasible under c (no column of positive cost without
+a finite lower bound, none of negative cost without a finite upper one)
+starts there, with every column at the bound its cost prefers, and runs
+the bounded dual simplex with no phase 1; the primal simplex then
+confirms the optimum.  Every other cold solve, a session's first one
+included, runs the two-phase primal simplex.  The constraint matrix
 is kept as its structural block alone (the ``G`` and ``A_eq`` rows over
-the problem's variables); slacks and the artificials of phase 1 are unit
-columns known by their row and sign.  The tableau ``T`` stores the
+the problem's variables); slacks and artificials are unit columns known
+by their row and sign.  The tableau ``T`` stores the
 structural and slack columns, and the basic values are recomputed from
 the structural block of the basis alone (``_Tableau.refresh_basics``).
 Bounds are handled natively (nonbasic variables rest at either bound),
@@ -21,10 +27,11 @@ to the sign of some zeros) at a fraction of the cost on scenario LPs,
 whose pivot rows and columns are mostly zero.
 
 Every solve is a ``SimplexSession`` driving five tableau calls:
-``_Tableau(problem)``, ``two_phase(c)`` (cold), ``resolve(dual_cost, c)``
-(warm), ``set_rhs(h)`` and ``refresh_basics()``/``full_values()``.
-``solve_lp`` is a one-shot session: it drops ``T`` before recomputing
-the basic values, since it never pivots again.
+``_Tableau(problem)`` (``_Tableau(problem, c)`` for the dual start),
+``cold(c)``, ``resolve(dual_cost, c)`` (warm), ``set_rhs(h)`` and
+``refresh_basics()``/``full_values()``.  ``solve_lp`` is a one-shot
+session: it drops ``T`` before recomputing the basic values, since it
+never pivots again.
 
 A session can also restart from another session's tableau when only the
 inequality rhs differs (the bisection levels of ``algorithms``).  The old
@@ -201,7 +208,7 @@ class _Tableau:
     ``basis``).
     """
 
-    def __init__(self, problem: LpProblem):
+    def __init__(self, problem: LpProblem, c=None):
         n, mi, me = problem.n_vars, problem.n_ineq, problem.n_eq
         m = mi + me
         cols = n + mi
@@ -229,17 +236,30 @@ class _Tableau:
         # True after an rhs change: the basic values may violate their
         # bounds, so the next resolve runs the dual simplex first.
         self._rhs_moved = False
-        self._crash()
+        self._crash(c)
 
-    def _crash(self):
-        """Initial basis: nonbasics at a finite bound, slacks absorbing what
-        they can, artificials covering the rest."""
+    def _crash(self, c):
+        """Initial basis.  The dual start, when a structural cost c is given
+        and the slack basis is dual feasible under it (no column of
+        positive cost lacks a finite lower bound, none of negative cost a
+        finite upper one): each structural column rests at the bound its
+        cost prefers, every inequality slack is basic, whatever its value,
+        and each equality row is covered by an artificial fixed at [0, 0];
+        ``cold`` then needs no phase 1.  Otherwise the primal crash:
+        slacks absorb what they can and artificials of bounds [0, inf)
+        cover the rest.  Either way a zero-cost column rests at a finite
+        bound, the lower one first, and a free one at 0."""
         m, n, mi = self.m, self.n_struct, self.n_ineq
         cols = n + mi
         vstat = np.full(cols, _NB_LO, dtype=np.int8)
         val = np.where(np.isfinite(self.lo), self.lo, 0.0)
         no_lo = ~np.isfinite(self.lo)
         at_up = no_lo & np.isfinite(self.hi)
+        self.dual_start = c is not None and not (
+            np.any(no_lo[:n] & (c > 0.0))
+            or np.any(~np.isfinite(self.hi[:n]) & (c < 0.0)))
+        if self.dual_start:
+            at_up[:n] |= c < 0.0
         vstat[at_up] = _NB_UP
         val[at_up] = self.hi[at_up]
         free = no_lo & ~np.isfinite(self.hi)
@@ -251,7 +271,7 @@ class _Tableau:
         resid = self.b - self.A @ val[:n]
         resid[:mi] -= val[n:]
         slack = np.zeros(m, dtype=bool)
-        slack[:mi] = resid[:mi] >= 0.0
+        slack[:mi] = True if self.dual_start else resid[:mi] >= 0.0
         rows, art_rows = np.flatnonzero(slack), np.flatnonzero(~slack)
         n_art = art_rows.size
         basis = np.empty(m, dtype=int)
@@ -259,12 +279,13 @@ class _Tableau:
         vstat[n + rows] = _BASIC
         basis[art_rows] = cols + np.arange(n_art)
         # Each artificial is +-e_i, signed so that it starts at |resid_i|;
-        # slack rows have resid >= 0, so they keep sign +1.
-        sign = np.where(resid < 0.0, -1.0, 1.0)
+        # each slack is +e_i.
+        sign = np.where(slack | (resid >= 0.0), 1.0, -1.0)
         self.unit_rows = np.concatenate([np.arange(mi), art_rows])
         self.unit_sign = np.concatenate([np.ones(mi), sign[art_rows]])
         self.lo = np.concatenate([self.lo, np.zeros(n_art)])
-        self.hi = np.concatenate([self.hi, np.full(n_art, np.inf)])
+        self.hi = np.concatenate([self.hi, np.full(
+            n_art, 0.0 if self.dual_start else np.inf)])
         self.first_art = cols
         self.vstat = np.concatenate([vstat, np.full(n_art, _BASIC, dtype=np.int8)])
         self.basis = basis
@@ -438,13 +459,19 @@ class _Tableau:
             d = self.reduced_costs(c)
             confirmed = True
 
-    def two_phase(self, c):
-        """Cold solve from the crash basis: phase 1 drives the artificials
-        to zero, phase 2 minimises the structural cost c.  Returns
-        OPTIMAL, INFEASIBLE or UNBOUNDED."""
+    def cold(self, c):
+        """Cold solve from the crash basis under the structural cost c,
+        the one a dual start was built for.  From the dual start the dual
+        simplex restores primal feasibility; from the primal crash phase 1
+        drives the artificials to zero.  The primal simplex then minimises
+        c (from the dual start it only confirms).  Returns OPTIMAL,
+        INFEASIBLE or UNBOUNDED."""
         if np.any(self.lo > self.hi):
             return INFEASIBLE
-        if np.any(self.basis >= self.first_art):
+        if self.dual_start:
+            if self.dual(self._extend(c)) == "infeasible":
+                return INFEASIBLE
+        elif np.any(self.basis >= self.first_art):
             c1 = np.zeros(self.lo.size)
             c1[self.first_art:] = 1.0
             outcome = self.run(c1)
@@ -493,15 +520,10 @@ class _Tableau:
         viol = np.maximum(below, self.xb - hi)
         # Leaving row: the largest bound violation (the lowest basic index
         # under Bland's rule).  A basic artificial has bounds [0, 0].
-        if self.bland:
-            cand = (viol > FEAS_TOL).nonzero()[0]
-            if not cand.size:
-                return "optimal"
-            r = int(cand[np.argmin(basic[cand])])
-        else:
-            r = int(viol.argmax())
-            if not viol[r] > FEAS_TOL:
-                return "optimal"
+        cand = (viol > FEAS_TOL).nonzero()[0]
+        if not cand.size:
+            return "optimal"
+        r = int(cand[np.argmin(basic[cand])] if self.bland else viol.argmax())
         rise = below[r] > 0.0
         # The leaving variable moves by -alpha_j dx_j when x_j moves by dx_j;
         # a column at its lower bound can only rise, one at its upper bound
@@ -589,7 +611,7 @@ class _Tableau:
 
 
 class SimplexBackend:
-    """Bundled dense two-phase simplex.  Stateless; safe to share."""
+    """Bundled dense simplex.  Stateless; safe to share."""
 
     def start_session(self, problem: LpProblem,
                       warm: "SimplexSession | None" = None) -> "SimplexSession":
@@ -655,8 +677,13 @@ class SimplexSession:
             except NumericError:
                 self._retired += self._tab.iterations
                 self._tab = self._cost = None
-        self._tab = _Tableau(self._problem)
-        return self._finish(c, self._tab.two_phase(c), one_shot)
+        # A one-shot solve starts from the dual start when it can.  A
+        # session keeps the primal crash: the vertex a level LP's cold
+        # solve ends on decides, through the roundoff that z_step reads,
+        # which answer a bisection method reaches.
+        self._tab = (_Tableau(self._problem, c) if one_shot
+                     else _Tableau(self._problem))
+        return self._finish(c, self._tab.cold(c), one_shot)
 
     def _finish(self, c, status, one_shot):
         """The solution of a finished run, audited against the LP's rows."""

@@ -12,6 +12,8 @@ scenarios:  gbar(x, xi) = rho * ||A x + a0||_dual + g(x, xi),
 where the dual norm pairs with the chosen uncertainty norm.
 ``JccGroup.values`` computes gbar for every constraint of a group on every
 scenario; group evaluation and the alternation's shortfalls both read it.
+A group stores its constraints stacked (``ConstraintStack``), not one
+object each.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -112,13 +116,19 @@ class SampleSet:
 
 
 def write_csv(path, header, rows) -> None:
-    """``header``, then ``rows``, through csv.writer with LF line ends: a
-    cell holding a comma or a quote is quoted, None is an empty cell, and
-    a number is written as str() gives it (a float's shortest repr)."""
+    """``header``, then ``rows``, to the file at ``path`` (``write_rows``)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_rows(fh, header, rows)
+
+
+def write_rows(fh, header, rows) -> None:
+    """``header``, then ``rows``, to the text stream ``fh`` through
+    csv.writer with LF line ends: a cell holding a comma or a quote is
+    quoted, None is an empty cell, and a number is written as str() gives
+    it (a float's shortest repr)."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 class BiAffineConstraint:
@@ -134,9 +144,7 @@ class BiAffineConstraint:
 
     def __init__(self, A, a0, c, d: float = 0.0):
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        flat = A.ravel()
-        index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-        self._store(A.shape, index, flat[index], a0, c, d)
+        self._store(A.shape, *_stored_entries(A), a0, c, d)
 
     @classmethod
     def from_entries(cls, shape, index, value, a0, c,
@@ -184,6 +192,76 @@ class BiAffineConstraint:
         return self.A_shape[1]
 
 
+def _stored_entries(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat row-major positions and values of M's nonzeros and -0.0s."""
+    flat = M.reshape(-1)
+    index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+    return index, flat[index]
+
+
+class ConstraintStack(Sequence):
+    """The m member constraints of a chance group, over xi of length k and
+    x of length n, stored stacked instead of one object each: the stored
+    entries of every member's ``A`` as flat positions in an (m, k, n) array
+    with their values, those of every ``c`` likewise in an (m, n) array,
+    and ``a0`` (m x k) and ``d`` (m,) as read-only arrays.
+
+    ``A`` and ``c`` read like a member's: each read returns fresh dense
+    arrays, so a reader forms each member's products from the same dense
+    vectors and matrices as it would from the member.  Indexing gives a
+    member as a new BiAffineConstraint (a list of them for a slice); the
+    stack itself never changes.
+    """
+
+    def __init__(self, members: list[BiAffineConstraint]):
+        k, n = members[0].A_shape
+        self.shape = (len(members), k, n)
+        self._A_index = np.concatenate(
+            [j * k * n + con.A_index for j, con in enumerate(members)])
+        self._A_value = np.concatenate([con.A_value for con in members])
+        self._c_index, self._c_value = _stored_entries(
+            np.stack([con.c for con in members]))
+        self.a0 = np.stack([con.a0 for con in members])
+        self.d = np.array([con.d for con in members])
+        for arr in (self._A_index, self._A_value, self._c_index,
+                    self._c_value, self.a0, self.d):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        m, k, n = self.shape
+        j = operator.index(j)
+        if not -m <= j < m:
+            raise IndexError("constraint index out of range")
+        j %= m
+        lo, hi = np.searchsorted(self._A_index, [j * k * n, (j + 1) * k * n])
+        c_lo, c_hi = np.searchsorted(self._c_index, [j * n, (j + 1) * n])
+        c = np.zeros(n)
+        c[self._c_index[c_lo:c_hi] - j * n] = self._c_value[c_lo:c_hi]
+        return BiAffineConstraint.from_entries(
+            (k, n), self._A_index[lo:hi] - j * k * n, self._A_value[lo:hi],
+            self.a0[j], c, self.d[j])
+
+    @property
+    def A(self) -> np.ndarray:
+        """Every member's dense ``A``, as one fresh (m, k, n) array."""
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self._A_index] = self._A_value
+        return out
+
+    @property
+    def c(self) -> np.ndarray:
+        """Every member's dense ``c``, as one fresh (m, n) array."""
+        m, _, n = self.shape
+        out = np.zeros((m, n))
+        out.reshape(-1)[self._c_index] = self._c_value
+        return out
+
+
 @dataclass
 class Polytope:
     """Deterministic feasible set: G x <= h, A_eq x = b_eq, lower/upper."""
@@ -223,9 +301,12 @@ def risk_budget(epsilon: float, n: int) -> int:
 @dataclass
 class JccGroup:
     """One joint chance constraint: all member constraints must hold
-    simultaneously with probability >= 1 - epsilon on this group's samples."""
+    simultaneously with probability >= 1 - epsilon on this group's samples.
 
-    constraints: list[BiAffineConstraint]
+    ``constraints`` is given as a list of BiAffineConstraint, all over the
+    same xi and x lengths, and kept as their ``ConstraintStack``."""
+
+    constraints: ConstraintStack
     samples: SampleSet
     epsilon: float
     rho: float = 0.0
@@ -233,17 +314,24 @@ class JccGroup:
     label: str = ""
 
     def __post_init__(self):
-        if not self.constraints:
+        if not len(self.constraints):
             raise ModelError(f"group {self.label!r}: needs at least one constraint")
         self.epsilon, self.rho = check_risk(f"group {self.label!r}",
                                             self.epsilon, self.rho)
         dual_norm(self.norm)
         k = self.samples.dim
-        for j, g in enumerate(self.constraints):
-            if g.xi_dim != k:
-                raise ModelError(
-                    f"group {self.label!r}: constraint {j} expects xi of dim "
-                    f"{g.xi_dim}, samples have dim {k}")
+        if not isinstance(self.constraints, ConstraintStack):
+            n = self.constraints[0].x_dim
+            for j, g in enumerate(self.constraints):
+                if g.x_dim != n:
+                    raise ModelError(
+                        f"group {self.label!r}: constraint {j} has x-dim "
+                        f"{g.x_dim}, constraint 0 has {n}")
+            self.constraints = ConstraintStack(self.constraints)
+        if self.constraints.shape[1] != k:
+            raise ModelError(
+                f"group {self.label!r}: constraint 0 expects xi of dim "
+                f"{self.constraints.shape[1]}, samples have dim {k}")
 
     @property
     def n(self) -> int:
@@ -251,7 +339,7 @@ class JccGroup:
 
     @property
     def x_dim(self) -> int:
-        return self.constraints[0].x_dim
+        return self.constraints.shape[2]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Worst-case values gbar_j(x, xi_i) = rho*||A_j x + a0_j||_dual +
@@ -260,12 +348,13 @@ class JccGroup:
         constraint values."""
         data, rho = self.samples.data, self.rho
         x = np.asarray(x, dtype=float)
-        out = np.empty((data.shape[0], len(self.constraints)))
-        for j, con in enumerate(self.constraints):
-            a = con.A @ x + con.a0
+        cons = self.constraints
+        out = np.empty((data.shape[0], len(cons)))
+        for j, (A, a0, c, d) in enumerate(zip(cons.A, cons.a0, cons.c, cons.d)):
+            a = A @ x + a0
             margin = 0.0 if rho == 0.0 else rho * norm_value(a, dual_norm(self.norm))
             # one product per constraint: a stacked product rounds differently
-            out[:, j] = margin + (data @ a + float(con.c @ x + con.d))
+            out[:, j] = margin + (data @ a + float(c @ x + d))
         return out
 
 
@@ -287,11 +376,10 @@ class CcpProblem:
         if not self.groups:
             raise ModelError("a problem needs at least one chance group")
         for g in self.groups:
-            for j, con in enumerate(g.constraints):
-                if con.x_dim != n:
-                    raise ModelError(
-                        f"group {g.label!r}: constraint {j} has x-dim "
-                        f"{con.x_dim}, problem has {n} variables")
+            if g.x_dim != n:
+                raise ModelError(
+                    f"group {g.label!r}: its constraints have x-dim "
+                    f"{g.x_dim}, problem has {n} variables")
         if self.var_names is not None and len(self.var_names) != n:
             raise ModelError("var_names must match the variable count")
 

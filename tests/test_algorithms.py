@@ -546,7 +546,9 @@ def test_the_working_set_agrees_with_all_groups(monkeypatch, method, make):
     bind at the mean-value point.  The same bracket given explicitly
     keeps every group, as does the all-groups CVaR LP.  Both reach the
     same status and objective, and the bracket's upper end is the one
-    the all-groups CVaR LP gives."""
+    the all-groups CVaR LP gives; except where no level passes its test,
+    and the default bracket reports its CVaR point, which an explicit
+    bracket does not have."""
     problem = make()
     f_lower, f_upper, _ = init_bounds(problem)
     if problem.n_groups == 6:  # three-bus: its line groups start out
@@ -560,6 +562,10 @@ def test_the_working_set_agrees_with_all_groups(monkeypatch, method, make):
         assert every_lower == f_lower and _close(f_upper, every_upper)
     else:
         every = solve(problem, method, BisectionConfig(f_lower, f_upper))
+        if seeded.is_feasible and not every.is_feasible:
+            assert not any(r.accepted for r in seeded.trace)
+            assert np.array_equal(seeded.x, solve(problem, "cvar").x)
+            return
     assert seeded.status == every.status
     if every.is_feasible:
         assert _close(seeded.objective, every.objective)
@@ -640,6 +646,24 @@ def test_the_bracket_hands_its_cvar_set_to_the_bisection(monkeypatch, method):
     report = solve(p, method)
     assert built == [(0, 1)]
     assert report.to_dict() == every.to_dict()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_default_bracket_reports_its_cvar_point_when_no_level_passes(seed):
+    """On two_group_toy(0-7) the pooled test passes no level of the
+    default bracket, not even its top, where the bracket's CVaR point
+    lies: the report is that point, which meets both risk levels."""
+    p = two_group_toy(seed)
+    f_upper = init_bounds(p)[1]
+    report = solve(p, "intuitive")
+    cvar = solve(p, "cvar")
+    assert not any(r.accepted for r in report.trace)
+    assert report.trace[-1].f == f_upper
+    assert report.is_feasible and cvar.is_feasible
+    assert np.array_equal(report.x, cvar.x)
+    assert report.objective == cvar.objective == f_upper
+    assert 4.5 < f_upper < 5.25
+    assert all(r.satisfied for r in report.per_group)
 
 
 @pytest.mark.parametrize("method", ["also-x", "intuitive", "cvar"])

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, and byte-level determinism."""
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -417,6 +418,23 @@ def test_evaluate_from_solve_report(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "group,reliability"
     assert lines[1] == "interval,0.6"
+
+
+def test_evaluate_quotes_a_label_holding_a_comma_or_a_quote(tmp_path, capsys):
+    problem = interval_toy(0.4)
+    problem.groups[0].label = 'a,"b"'
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(problem_to_dict(problem)))
+    report_file = tmp_path / "r.json"
+    run(capsys, "solve", str(problem_file), "--method", "also-x",
+        "--f-lower", "0", "--f-upper", "8", "--out", str(report_file))
+    test_csv = tmp_path / "t.csv"
+    SampleSet(INTERVAL_SCENARIOS).to_csv(test_csv)
+    code, out, _ = run(capsys, "evaluate", str(report_file), str(test_csv))
+    assert code == 0
+    assert out == 'group,reliability\n"a,""b""",0.6\n'
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["group", "reliability"], ['a,"b"', "0.6"]]
 
 
 def test_evaluate_reads_the_dispatch_report_sparse_or_dense(tmp_path, capsys):

@@ -469,8 +469,8 @@ def test_deterministic_dispatch_raises_on_an_unbounded_lp(monkeypatch):
 
 
 def test_held_out_sets_are_scored_at_radius_zero():
-    # The radius hedges training only.  At 0.05 the cvar point keeps 38 of
-    # adn2's 100 held-out scenarios within the margin and 77 within the
+    # The radius hedges training only.  At 0.05 the cvar point keeps 43 of
+    # adn2's 100 held-out scenarios within the margin and 81 within the
     # raw constraints; a held-out set is scored on the raw ones.
     model = build_ccp(three_bus_case(), rho_override=0.05)
     x = algorithms.solve(model.problem, "cvar").x
@@ -478,9 +478,9 @@ def test_held_out_sets_are_scored_at_radius_zero():
     held_out = [evaluate_group(g, x, ts) for g, ts in zip(groups, tests)]
     assert [r.rho for r in held_out] == [0.0] * len(groups)
     adn2 = groups[2]
-    assert adn2.label == "adn2" and held_out[2].rate == 0.77
+    assert adn2.label == "adn2" and held_out[2].rate == 0.81
     margin = dataclasses.replace(adn2, samples=tests[2]).values(x).max(axis=1)
-    assert np.count_nonzero(margin <= 1e-6) == 38
+    assert np.count_nonzero(margin <= 1e-6) == 43
     assert evaluate_group(adn2, x).rho == 0.05  # training rows: its radius
 
 
