@@ -319,19 +319,20 @@ class JccGroup:
         self.epsilon, self.rho = check_risk(f"group {self.label!r}",
                                             self.epsilon, self.rho)
         dual_norm(self.norm)
-        k = self.samples.dim
-        if not isinstance(self.constraints, ConstraintStack):
-            n = self.constraints[0].x_dim
-            for j, g in enumerate(self.constraints):
-                if g.x_dim != n:
-                    raise ModelError(
-                        f"group {self.label!r}: constraint {j} has x-dim "
-                        f"{g.x_dim}, constraint 0 has {n}")
-            self.constraints = ConstraintStack(self.constraints)
-        if self.constraints.shape[1] != k:
-            raise ModelError(
-                f"group {self.label!r}: constraint 0 expects xi of dim "
-                f"{self.constraints.shape[1]}, samples have dim {k}")
+        k, cons = self.samples.dim, self.constraints
+        stacked = isinstance(cons, ConstraintStack)
+        shapes = [cons.shape[1:]] if stacked else [g.A_shape for g in cons]
+        for j, (xi_dim, x_dim) in enumerate(shapes):
+            if xi_dim != k:
+                raise ModelError(
+                    f"group {self.label!r}: constraint {j} expects xi of dim "
+                    f"{xi_dim}, samples have dim {k}")
+            if x_dim != shapes[0][1]:
+                raise ModelError(
+                    f"group {self.label!r}: constraint {j} has x-dim "
+                    f"{x_dim}, constraint 0 has {shapes[0][1]}")
+        if not stacked:
+            self.constraints = ConstraintStack(cons)
 
     @property
     def n(self) -> int:
@@ -349,9 +350,11 @@ class JccGroup:
         data, rho = self.samples.data, self.rho
         x = np.asarray(x, dtype=float)
         cons = self.constraints
+        # Row j is A_j @ x + a0_j: the batched product makes the same
+        # matrix-vector call per constraint.
+        a_all = cons.A @ x + cons.a0
         out = np.empty((data.shape[0], len(cons)))
-        for j, (A, a0, c, d) in enumerate(zip(cons.A, cons.a0, cons.c, cons.d)):
-            a = A @ x + a0
+        for j, (a, c, d) in enumerate(zip(a_all, cons.c, cons.d.tolist())):
             margin = 0.0 if rho == 0.0 else rho * norm_value(a, dual_norm(self.norm))
             # one product per constraint: a stacked product rounds differently
             out[:, j] = margin + (data @ a + float(c @ x + d))

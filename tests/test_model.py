@@ -13,7 +13,8 @@ from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, ModelError,
                     problem_to_dict)
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
-from jccopt.model import ViolationReport, dual_norm, norm_value, risk_budget
+from jccopt.model import (ConstraintStack, ViolationReport, dual_norm,
+                          norm_value, risk_budget)
 from jccopt.toys import INTERVAL_SCENARIOS, interval_toy, two_group_toy
 
 from helpers import random_instance
@@ -435,6 +436,43 @@ def test_group_fields_default_to_the_dataclass():
     q = problem_from_dict(d)
     assert [(g.rho, g.norm, g.label) for g in q.groups] == [
         (0.0, "l1", "group0"), (0.0, "l1", "group1")]
+
+
+def test_a_group_stores_its_members_stacked():
+    """The stack gives back every member bit for bit, signs of zeros
+    included, and cannot be changed through what it hands out."""
+    rng = np.random.default_rng(5)
+    k, n = 3, 4
+    members = []
+    for _ in range(5):
+        A = np.where(rng.random((k, n)) < 0.4, rng.normal(size=(k, n)), 0.0)
+        A[rng.random((k, n)) < 0.2] = -0.0
+        a0 = np.where(rng.random(k) < 0.5, rng.normal(size=k), -0.0)
+        c = np.where(rng.random(n) < 0.5, rng.normal(size=n), 0.0)
+        c[rng.random(n) < 0.3] = -0.0
+        members.append(BiAffineConstraint(A, a0, c, rng.choice([-0.0, 0.5])))
+    group = JccGroup(members, SampleSet(np.ones((2, k))), 0.2)
+    cons = group.constraints
+    assert isinstance(cons, ConstraintStack) and cons.shape == (5, k, n)
+    for got, want in zip(cons, members):
+        for key in ("A", "a0", "c"):
+            assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
+        assert np.signbit(got.d) == np.signbit(want.d) and got.d == want.d
+    assert cons.A.tobytes() == np.stack([m.A for m in members]).tobytes()
+    assert cons.c.tobytes() == np.stack([m.c for m in members]).tobytes()
+    assert [m.d for m in cons[1:3]] == [m.d for m in members[1:3]]
+    assert cons[-1].c.tobytes() == members[-1].c.tobytes()
+    with pytest.raises(IndexError):
+        cons[5]
+    with pytest.raises(ValueError, match="read-only"):
+        cons.a0[0, 0] = 1.0
+    member = cons[0]
+    member.c[:] = 9.0
+    assert cons[0].c.tobytes() == members[0].c.tobytes()
+    assert dataclasses.replace(group, rho=0.1).constraints is cons
+    wide = BiAffineConstraint(np.zeros((k, n + 1)), np.zeros(k), np.zeros(n + 1))
+    with pytest.raises(ModelError, match="constraint 1 has x-dim 5, constraint 0 has 4"):
+        JccGroup([members[0], wide], SampleSet(np.ones((2, k))), 0.2)
 
 
 def test_bi_affine_shape_guards():
