@@ -180,7 +180,7 @@ class _ScenarioLpBuilder:
             return [{} for _ in group.constraints]
         dual = dual_norm(group.norm)
         cons = group.constraints
-        As = cons.A
+        As = list(cons.dense_A())
         nz = [np.flatnonzero((a0 != 0.0) | np.any(A != 0.0, axis=1))
               for A, a0 in zip(As, cons.a0)]
         if dual == "linf":
@@ -209,7 +209,8 @@ class _ScenarioLpBuilder:
         scenario i also gets -1 in column diag + i (a per-scenario shortfall
         or excess)."""
         data, cons = group.samples.data, group.constraints
-        for A, a0, c, d, extra in zip(cons.A, cons.a0, cons.c, cons.d, terms):
+        for A, a0, c, d, extra in zip(cons.dense_A(), cons.a0, cons.c,
+                                      cons.d.tolist(), terms):
             block = np.zeros((group.n, self.cols))
             block[:, :self.n] = data @ A + c
             for col, coeff in extra.items():
@@ -486,7 +487,8 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
     builder = _ScenarioLpBuilder(problem)
     for g in problem.groups:
         mean, cons = g.samples.mean, g.constraints
-        for A, a0, c, d in zip(cons.A, cons.a0, cons.c, cons.d):
+        for A, a0, c, d in zip(cons.dense_A(), cons.a0, cons.c,
+                               cons.d.tolist()):
             row = np.zeros((1, builder.cols))
             row[0, :builder.n] = mean @ A + c
             builder.append_rows(row, np.array([-(mean @ a0 + d)]))
@@ -540,23 +542,29 @@ def _polish(asm: SStepAssembler, masks, fallback_x):
 
 # -- bound initialization ----------------------------------------------------
 
-def init_bounds(problem: CcpProblem) -> tuple[float, float, list[int]]:
-    """Level bracket and working set: lower end from the mean-value LP,
-    upper end from the CVaR restriction seeded at its point if feasible
-    (no lower than f_lo), else a multiplicative guess; then the groups
-    the CVaR LP ended on."""
-    sol = lp.solve_lp(mean_value_lp(problem))
+def init_bounds(problem: CcpProblem
+                ) -> tuple[float, float, list[int], np.ndarray | None]:
+    """Level bracket, working set and CVaR point ``(f_lo, f_hi, groups,
+    x)``: lower end from the mean-value LP, upper end from the CVaR
+    restriction seeded at its point if feasible (no lower than f_lo),
+    else a multiplicative guess; then the groups the CVaR LP ended on
+    and its point x (None when infeasible).  Both LPs keep the primal
+    start: every bisection midpoint follows from the bracket's ends, so
+    a cost one ulp off, as another optimal vertex can give, moves every
+    level."""
+    sol = lp.solve_lp(mean_value_lp(problem), dual_start=False)
     if sol.status != OPTIMAL:
         raise ModelError(
             f"mean-value problem is {sol.status}; provide explicit level "
             "bounds instead")
     f_lo = float(sol.objective)
-    x, groups = _cvar_point(problem, _binding_groups(problem, sol.x))
+    x, groups = _cvar_point(problem, _binding_groups(problem, sol.x),
+                            dual_start=False)
     if x is not None:
-        return f_lo, max(float(problem.objective @ x), f_lo), groups
+        return f_lo, max(float(problem.objective @ x), f_lo), groups, x
     if f_lo > 0:
-        return f_lo, 2.0 * f_lo, groups
-    return f_lo, f_lo + max(1.0, abs(f_lo)), groups
+        return f_lo, 2.0 * f_lo, groups, x
+    return f_lo, f_lo + max(1.0, abs(f_lo)), groups, x
 
 
 def _binding_groups(problem: CcpProblem, x: np.ndarray | None) -> list[int]:
@@ -620,9 +628,9 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
     and polish LPs grow it (``SStepAssembler.grow``).  An explicit
     bracket keeps every group.
     """
-    groups = None
+    groups = x_cvar = None
     if cfg is None:
-        f_lower, f_upper, groups = init_bounds(problem)
+        f_lower, f_upper, groups, x_cvar = init_bounds(problem)
         cfg = BisectionConfig(f_lower, f_upper)
     asm = SStepAssembler(problem, groups)
     f_lo, f_hi = float(cfg.f_lower), float(cfg.f_upper)
@@ -650,14 +658,11 @@ def _bisect(problem: CcpProblem, method: str, cfg: BisectionConfig | None,
         best = run_level(float(cfg.f_upper))
         if best is not None:
             f_hi = float(cfg.f_upper)
-    x = None
+    x = x_cvar
     if best is not None:
         asm.session = None  # free the level tableau before the polish LP
         x_raw, masks = best
         x = _polish(asm, masks, x_raw)
-    elif groups is not None:
-        # The CVaR LP on the set it ended on, solved again: the same point.
-        x, _ = _cvar_point(problem, groups)
     return _report(problem, method, x, trace=trace, f_lower=f_lo, f_upper=f_hi)
 
 
@@ -711,13 +716,15 @@ def solve_intuitive_extension(problem: CcpProblem,
 solve_also_x_single = solve_intuitive_extension
 
 
-def _cvar_point(problem: CcpProblem, groups: list[int]):
+def _cvar_point(problem: CcpProblem, groups: list[int],
+                dual_start: bool = True):
     """The CVaR LP's point x (None when infeasible) and the working set
     it ended on, grown from ``groups`` by ``_violated_groups``.  A
-    working LP that is unbounded is solved again over every group."""
+    working LP that is unbounded is solved again over every group;
+    ``dual_start`` goes to ``lp.solve_lp``."""
     every = list(range(problem.n_groups))
     while True:
-        sol = lp.solve_lp(cvar_lp(problem, groups))
+        sol = lp.solve_lp(cvar_lp(problem, groups), dual_start=dual_start)
         if sol.status == UNBOUNDED and groups != every:
             groups = every
             continue

@@ -6,8 +6,10 @@ slack basis is dual feasible under c (no column of positive cost without
 a finite lower bound, none of negative cost without a finite upper one)
 starts there, with every column at the bound its cost prefers, and runs
 the bounded dual simplex with no phase 1; the primal simplex then
-confirms the optimum.  Every other cold solve, a session's first one
-included, runs the two-phase primal simplex.  The constraint matrix
+confirms the optimum.  Every other cold solve runs the two-phase primal
+simplex: a session's first one, and a one-shot solve asked to keep the
+primal start (``dual_start=False``; the level bracket of ``algorithms``,
+whose ends every bisection midpoint follows).  The constraint matrix
 is kept as its structural block alone (the ``G`` and ``A_eq`` rows over
 the problem's variables); slacks and artificials are unit columns known
 by their row and sign.  The tableau ``T`` stores the
@@ -668,7 +670,7 @@ class SimplexSession:
                 raise ModelError("c: entries must be finite")
         return self._solve(c)
 
-    def _solve(self, c, one_shot=False):
+    def _solve(self, c, one_shot=False, dual_start=False):
         if self._infeasible:
             return LpSolution(INFEASIBLE)
         if self._tab is not None:
@@ -677,11 +679,7 @@ class SimplexSession:
             except NumericError:
                 self._retired += self._tab.iterations
                 self._tab = self._cost = None
-        # A one-shot solve starts from the dual start when it can.  A
-        # session keeps the primal crash: the vertex a level LP's cold
-        # solve ends on decides, through the roundoff that z_step reads,
-        # which answer a bisection method reaches.
-        self._tab = (_Tableau(self._problem, c) if one_shot
+        self._tab = (_Tableau(self._problem, c) if dual_start
                      else _Tableau(self._problem))
         return self._finish(c, self._tab.cold(c), one_shot)
 
@@ -708,6 +706,10 @@ class SimplexSession:
         return LpSolution(OPTIMAL, x=x, objective=float(c @ x), iterations=iterations)
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an LP with the bundled simplex, as a one-shot session."""
-    return SimplexSession(problem)._solve(problem.c, one_shot=True)
+def solve_lp(problem: LpProblem, dual_start: bool = True) -> LpSolution:
+    """Solve an LP with the bundled simplex, as a one-shot session, from
+    the dual start when it can; ``dual_start=False`` keeps the primal
+    crash and phase 1, as a session's cold solve does.  Where the optimum
+    is not unique the two can end on different vertices."""
+    return SimplexSession(problem)._solve(problem.c, one_shot=True,
+                                          dual_start=dual_start)

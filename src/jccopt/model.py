@@ -19,6 +19,7 @@ object each.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -199,29 +200,53 @@ def _stored_entries(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, flat[index]
 
 
+def _aligned_rows(m: int, k: int) -> np.ndarray:
+    """An uninitialised (m, k) array whose rows each start 16-byte aligned
+    (rows padded to an even length), as a member's own vector does: on
+    some kernels (OpenBLAS's Prescott) a dot or matrix-vector product
+    whose vector starts 8 bytes off rounds differently."""
+    return np.empty((m, k + k % 2))[:, :k]
+
+
+# The most entries a dense block of several members' A holds (256 KiB of
+# float64); a member larger than that is densified alone.
+BLOCK_ENTRIES = 1 << 15
+
+
 class ConstraintStack(Sequence):
     """The m member constraints of a chance group, over xi of length k and
     x of length n, stored stacked instead of one object each: the stored
-    entries of every member's ``A`` as flat positions in an (m, k, n) array
-    with their values, those of every ``c`` likewise in an (m, n) array,
-    and ``a0`` (m x k) and ``d`` (m,) as read-only arrays.
+    entries of every member's ``A`` as flat positions in an (m, k, n)
+    array with their values, those of every ``c`` likewise in an (m, n)
+    array, and ``a0`` (m x k) and ``d`` (m,) as read-only arrays.
 
-    ``A`` and ``c`` read like a member's: each read returns fresh dense
-    arrays, so a reader forms each member's products from the same dense
-    vectors and matrices as it would from the member.  Indexing gives a
+    Reads return fresh dense arrays, so a reader forms each member's
+    products from the same dense vectors and matrices as it would from
+    the member: ``dense_A()`` gives one member's ``A`` at a time,
+    ``A_blocks()`` consecutive members' in blocks of at most
+    ``BLOCK_ENTRIES`` entries (or one member), and ``c`` every member's at
+    once (m x n, small next to the m dense ``A``).  Indexing gives a
     member as a new BiAffineConstraint (a list of them for a slice); the
     stack itself never changes.
     """
 
+    __slots__ = ("shape", "_A_start", "_A_index", "_A_value", "_c_index",
+                 "_c_value", "a0", "d")
+
     def __init__(self, members: list[BiAffineConstraint]):
         k, n = members[0].A_shape
-        self.shape = (len(members), k, n)
-        self._A_index = np.concatenate(
-            [j * k * n + con.A_index for j, con in enumerate(members)])
+        m = len(members)
+        self.shape = (m, k, n)
+        counts = [con.A_index.size for con in members]
+        # Member j's A entries are _A_index/_A_value[_A_start[j]:_A_start[j + 1]].
+        self._A_start = tuple(itertools.accumulate(counts, initial=0))
+        self._A_index = (np.concatenate([con.A_index for con in members])
+                         + np.repeat(np.arange(m) * (k * n), counts))
         self._A_value = np.concatenate([con.A_value for con in members])
         self._c_index, self._c_value = _stored_entries(
-            np.stack([con.c for con in members]))
-        self.a0 = np.stack([con.a0 for con in members])
+            np.array([con.c for con in members]))
+        self.a0 = _aligned_rows(m, k)
+        self.a0[:] = [con.a0 for con in members]
         self.d = np.array([con.d for con in members])
         for arr in (self._A_index, self._A_value, self._c_index,
                     self._c_value, self.a0, self.d):
@@ -238,7 +263,7 @@ class ConstraintStack(Sequence):
         if not -m <= j < m:
             raise IndexError("constraint index out of range")
         j %= m
-        lo, hi = np.searchsorted(self._A_index, [j * k * n, (j + 1) * k * n])
+        lo, hi = self._A_start[j:j + 2]
         c_lo, c_hi = np.searchsorted(self._c_index, [j * n, (j + 1) * n])
         c = np.zeros(n)
         c[self._c_index[c_lo:c_hi] - j * n] = self._c_value[c_lo:c_hi]
@@ -246,12 +271,26 @@ class ConstraintStack(Sequence):
             (k, n), self._A_index[lo:hi] - j * k * n, self._A_value[lo:hi],
             self.a0[j], c, self.d[j])
 
-    @property
-    def A(self) -> np.ndarray:
-        """Every member's dense ``A``, as one fresh (m, k, n) array."""
-        out = np.zeros(self.shape)
-        out.reshape(-1)[self._A_index] = self._A_value
-        return out
+    def dense_A(self):
+        """Each member's ``A`` in turn, as a fresh dense (k, n) array: a
+        copy out of its block, aligned as a member's own ``A`` is (see
+        ``_aligned_rows``)."""
+        for _, block in self.A_blocks():
+            for A in block:
+                yield A.copy()
+
+    def A_blocks(self):
+        """The members' dense ``A`` in order, as pairs (j, block): a fresh
+        (members, k, n) block from member j on, of at most
+        ``BLOCK_ENTRIES`` entries or of one member."""
+        m, k, n = self.shape
+        step = max(1, BLOCK_ENTRIES // max(1, k * n))
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            s, e = self._A_start[lo], self._A_start[hi]
+            block = np.zeros((hi - lo, k, n))
+            block.reshape(-1)[self._A_index[s:e] - lo * k * n] = self._A_value[s:e]
+            yield lo, block
 
     @property
     def c(self) -> np.ndarray:
@@ -350,15 +389,25 @@ class JccGroup:
         data, rho = self.samples.data, self.rho
         x = np.asarray(x, dtype=float)
         cons = self.constraints
-        # Row j is A_j @ x + a0_j: the batched product makes the same
-        # matrix-vector call per constraint.
-        a_all = cons.A @ x + cons.a0
-        out = np.empty((data.shape[0], len(cons)))
-        for j, (a, c, d) in enumerate(zip(a_all, cons.c, cons.d.tolist())):
-            margin = 0.0 if rho == 0.0 else rho * norm_value(a, dual_norm(self.norm))
-            # one product per constraint: a stacked product rounds differently
-            out[:, j] = margin + (data @ a + float(c @ x + d))
-        return out
+        # Row j of a is A_j x + a0_j, row j of g is g_j on every scenario.
+        # The stacked products make, per constraint, the BLAS call its own
+        # product makes (a matrix-vector product for A_j x and data a_j, a
+        # dot product for c_j x); one product over all constraints would
+        # round differently.
+        a = _aligned_rows(*cons.shape[:2])
+        for j, block in cons.A_blocks():
+            np.matvec(block, x, out=a[j:j + len(block)])
+        a += cons.a0
+        g = np.matvec(data, a)
+        g += (np.vecdot(cons.c, x) + cons.d)[:, None]
+        # The margin comes last; at rho = 0 it is 0.0, which still turns
+        # a -0.0 into 0.0.
+        if rho == 0.0:
+            g += 0.0
+        else:
+            dual = dual_norm(self.norm)
+            g += rho * np.array([[norm_value(r, dual)] for r in a])
+        return np.ascontiguousarray(g.T)
 
 
 @dataclass

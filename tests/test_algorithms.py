@@ -184,7 +184,7 @@ def test_init_bounds_interval_toy():
 
 def test_init_bounds_uses_cvar_when_feasible():
     p = random_instance(11)
-    f_lo, f_hi, _ = init_bounds(p)
+    f_lo, f_hi, _, _ = init_bounds(p)
     cvar = solve_cvar(p)
     assert cvar.is_feasible
     assert f_hi == pytest.approx(cvar.objective)
@@ -504,8 +504,8 @@ def test_init_bounds_upper_end_never_below_lower_end(monkeypatch):
     still gives an ordered bracket."""
     p = interval_toy(0.4)
     f_lo = init_bounds(p)[0]
-    monkeypatch.setattr(algorithms, "_cvar_point", lambda problem, groups:
-                        (np.array([f_lo - 1e-12]), groups))
+    monkeypatch.setattr(algorithms, "_cvar_point", lambda problem, groups,
+                        dual_start: (np.array([f_lo - 1e-12]), groups))
     assert init_bounds(p)[:2] == (f_lo, f_lo)
     assert BisectionConfig.from_problem(p).f_upper == f_lo
 
@@ -550,7 +550,7 @@ def test_the_working_set_agrees_with_all_groups(monkeypatch, method, make):
     and the default bracket reports its CVaR point, which an explicit
     bracket does not have."""
     problem = make()
-    f_lower, f_upper, _ = init_bounds(problem)
+    f_lower, f_upper, _, x_cvar = init_bounds(problem)
     if problem.n_groups == 6:  # three-bus: its line groups start out
         assert len(algorithms._binding_groups(problem, mean_point(problem))) < 6
     seeded = solve(problem, method)
@@ -558,13 +558,15 @@ def test_the_working_set_agrees_with_all_groups(monkeypatch, method, make):
         every = all_groups_cvar(problem)
         monkeypatch.setattr(algorithms, "_binding_groups",
                             lambda problem, x: list(range(problem.n_groups)))
-        every_lower, every_upper, _ = init_bounds(problem)
+        every_lower, every_upper, _, _ = init_bounds(problem)
         assert every_lower == f_lower and _close(f_upper, every_upper)
     else:
         every = solve(problem, method, BisectionConfig(f_lower, f_upper))
         if seeded.is_feasible and not every.is_feasible:
+            assert ([(r.f, r.accepted) for r in seeded.trace]
+                    == [(r.f, r.accepted) for r in every.trace])
             assert not any(r.accepted for r in seeded.trace)
-            assert np.array_equal(seeded.x, solve(problem, "cvar").x)
+            assert np.array_equal(seeded.x, x_cvar)
             return
     assert seeded.status == every.status
     if every.is_feasible:
@@ -578,8 +580,8 @@ def test_the_working_cvar_lp_is_smaller_at_forty_scenarios(monkeypatch, rho):
     problem = build_ccp(three_bus_case(n_train=40), rho_override=rho).problem
     solved = []
     real_solve = lp.solve_lp
-    monkeypatch.setattr(lp, "solve_lp",
-                        lambda p: solved.append(p) or real_solve(p))
+    monkeypatch.setattr(lp, "solve_lp", lambda p, **kw:
+                        solved.append(p) or real_solve(p, **kw))
     report = solve(problem, "cvar")
     full = algorithms.cvar_lp(problem)
     ref = scipy_solve(full)
@@ -632,7 +634,7 @@ def test_the_bracket_hands_its_cvar_set_to_the_bisection(monkeypatch, method):
     """The cap joins the CVaR LP, so a default-bracket solve builds its
     level skeleton once, on both groups, and never grows it."""
     p = _slack_cap_at_the_mean()
-    f_lower, f_upper, groups = init_bounds(p)
+    f_lower, f_upper, groups, _ = init_bounds(p)
     assert groups == [0, 1]
     every = solve(p, method, BisectionConfig(f_lower, f_upper))
     built = []
@@ -654,16 +656,45 @@ def test_a_default_bracket_reports_its_cvar_point_when_no_level_passes(seed):
     default bracket, not even its top, where the bracket's CVaR point
     lies: the report is that point, which meets both risk levels."""
     p = two_group_toy(seed)
-    f_upper = init_bounds(p)[1]
+    _, f_upper, _, x_cvar = init_bounds(p)
     report = solve(p, "intuitive")
     cvar = solve(p, "cvar")
     assert not any(r.accepted for r in report.trace)
     assert report.trace[-1].f == f_upper
     assert report.is_feasible and cvar.is_feasible
-    assert np.array_equal(report.x, cvar.x)
-    assert report.objective == cvar.objective == f_upper
+    assert np.array_equal(report.x, x_cvar)
+    assert report.objective == f_upper
+    assert _close(cvar.objective, f_upper)
     assert 4.5 < f_upper < 5.25
     assert all(r.satisfied for r in report.per_group)
+
+
+@pytest.mark.parametrize("method", ["also-x", "cvar"])
+def test_only_the_bracket_lps_keep_the_primal_start(monkeypatch, method):
+    """The level bracket's mean-value and CVaR LPs start primal, since
+    every midpoint follows from the bracket's ends; the cvar method's
+    own LPs and the polish LP start dual."""
+    kinds, starts = {}, []
+    for name in ("mean_value_lp", "cvar_lp"):
+        def build(*args, real=getattr(algorithms, name), name=name):
+            lp_ = real(*args)
+            kinds[id(lp_)] = name
+            return lp_
+        monkeypatch.setattr(algorithms, name, build)
+    real_solve = lp.solve_lp
+
+    def solve_lp(p, dual_start=True):
+        starts.append((kinds.get(id(p), "polish"), dual_start))
+        return real_solve(p, dual_start)
+
+    monkeypatch.setattr(lp, "solve_lp", solve_lp)
+    report = solve(two_group_toy(1), method)
+    assert report.is_feasible
+    assert {kind for kind, _ in starts} == (
+        {"mean_value_lp", "cvar_lp", "polish"} if method == "also-x"
+        else {"mean_value_lp", "cvar_lp"})
+    for kind, dual_start in starts:
+        assert dual_start == (method == "cvar" or kind == "polish")
 
 
 @pytest.mark.parametrize("method", ["also-x", "intuitive", "cvar"])
@@ -738,13 +769,13 @@ def test_a_group_violated_at_a_level_joins_there(monkeypatch, method):
     # (0, 1); the levels here start from the seed (0,) instead.
     p = _on_a_line(_bound_group(1, [1.0, 2.0, 3.0, 4.2, 4.8], 0.2, "cover"),
                    _bound_group(-1, [3.5, 7.0, 8.0, 9.0], 0.25, "cap"))
-    f_lower, f_upper, groups = init_bounds(p)
+    f_lower, f_upper, groups, x_cvar = init_bounds(p)
     assert (f_lower, f_upper) == (3.0, 6.0)
     assert algorithms._binding_groups(p, mean_point(p)) == [0]
     assert groups == [0, 1]
     every = solve(p, method, BisectionConfig(f_lower, f_upper))
     monkeypatch.setattr(algorithms, "init_bounds",
-                        lambda problem: (f_lower, f_upper, [0]))
+                        lambda problem: (f_lower, f_upper, [0], x_cvar))
     log = _watch_growth(monkeypatch)
     starts = []  # (level solves before it, id of its warm session, its id)
     real_start = lp.SimplexBackend.start_session
@@ -786,7 +817,7 @@ def test_a_group_violated_only_by_the_polish_joins_there(monkeypatch, method):
     # which breaks the floor, so the floor joins and the polish ends at 2.
     p = _on_a_line(_bound_group(1, [1.0, 1.0, 1.0, 1.0, 9.0], 0.2, "cover"),
                    _bound_group(1, [2.0, 0.0, 0.0, 0.0], 0.25, "floor"))
-    f_lower, f_upper, groups = init_bounds(p)
+    f_lower, f_upper, groups, _ = init_bounds(p)
     assert algorithms._binding_groups(p, mean_point(p)) == [0]
     assert groups == [0]
     every = solve(p, method, BisectionConfig(f_lower, f_upper))

@@ -617,8 +617,11 @@ def test_one_shot_solves_start_dual_and_match_highs(monkeypatch):
             assert max(residuals(p, sol.x).values()) <= 1e-9
         key = (starts[-1].dual_start, sol.status)
         seen[key] = seen.get(key, 0) + 1
-        # A session's cold solve keeps the primal crash.
-        SimplexBackend().start_session(p).solve()
+        # A session's cold solve keeps the primal crash, as does a
+        # one-shot solve asked to; both reach the same status.
+        assert SimplexBackend().start_session(p).solve().status == sol.status
+        assert not starts[-1].dual_start
+        assert solve_lp(p, dual_start=False).status == sol.status
         assert not starts[-1].dual_start
     assert seen.get((True, OPTIMAL), 0) > 40, seen
     assert seen.get((True, INFEASIBLE), 0) > 10, seen

@@ -13,6 +13,7 @@ from jccopt import (BiAffineConstraint, CcpProblem, JccGroup, ModelError,
                     problem_to_dict)
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
+from jccopt import model
 from jccopt.model import (ConstraintStack, ViolationReport, dual_norm,
                           norm_value, risk_budget)
 from jccopt.toys import INTERVAL_SCENARIOS, interval_toy, two_group_toy
@@ -438,9 +439,10 @@ def test_group_fields_default_to_the_dataclass():
         (0.0, "l1", "group0"), (0.0, "l1", "group1")]
 
 
-def test_a_group_stores_its_members_stacked():
+def test_a_group_stores_its_members_stacked(monkeypatch):
     """The stack gives back every member bit for bit, signs of zeros
-    included, and cannot be changed through what it hands out."""
+    included, one member or one block of members at a time, and cannot
+    be changed through what it hands out."""
     rng = np.random.default_rng(5)
     k, n = 3, 4
     members = []
@@ -458,8 +460,19 @@ def test_a_group_stores_its_members_stacked():
         for key in ("A", "a0", "c"):
             assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
         assert np.signbit(got.d) == np.signbit(want.d) and got.d == want.d
-    assert cons.A.tobytes() == np.stack([m.A for m in members]).tobytes()
+    stacked = np.stack([m.A for m in members])
+    assert [A.tobytes() for A in cons.dense_A()] == [A.tobytes() for A in stacked]
     assert cons.c.tobytes() == np.stack([m.c for m in members]).tobytes()
+    # Rows start 16-byte aligned, as a member's own a0 does.
+    assert all(row.ctypes.data % 16 == 0 for row in cons.a0)
+    x = rng.normal(size=n)
+    for limit, starts in ((1 << 15, [0]), (2 * k * n, [0, 2, 4]), (1, range(5))):
+        monkeypatch.setattr(model, "BLOCK_ENTRIES", limit)
+        blocks = list(cons.A_blocks())
+        assert [j for j, _ in blocks] == list(starts)
+        assert np.concatenate([b for _, b in blocks]).tobytes() == stacked.tobytes()
+        _assert_values_match_reference(group, x)
+        _assert_values_match_reference(group, x, rho=0.3)
     assert [m.d for m in cons[1:3]] == [m.d for m in members[1:3]]
     assert cons[-1].c.tobytes() == members[-1].c.tobytes()
     with pytest.raises(IndexError):
