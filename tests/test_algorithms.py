@@ -678,13 +678,13 @@ def test_only_the_bracket_lps_keep_the_primal_start(monkeypatch, method):
     for name in ("mean_value_lp", "cvar_lp"):
         def build(*args, real=getattr(algorithms, name), name=name):
             lp_ = real(*args)
-            kinds[id(lp_)] = name
+            kinds[id(lp_)] = name, lp_  # kept alive, so its id stays its own
             return lp_
         monkeypatch.setattr(algorithms, name, build)
     real_solve = lp.solve_lp
 
     def solve_lp(p, dual_start=True):
-        starts.append((kinds.get(id(p), "polish"), dual_start))
+        starts.append((kinds.get(id(p), ("polish",))[0], dual_start))
         return real_solve(p, dual_start)
 
     monkeypatch.setattr(lp, "solve_lp", solve_lp)
