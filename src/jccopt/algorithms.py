@@ -149,8 +149,9 @@ class _ScenarioLpBuilder:
         self.rows: list[np.ndarray] = []
         self.rhs: list[np.ndarray] = []
         self.lo_extra: list[np.ndarray] = []
-        if problem.polytope.G is not None:
-            self.append_rows(problem.polytope.G, problem.polytope.h)
+        G = problem.polytope.G
+        if G is not None:
+            self.append_rows(G, problem.polytope.h)
 
     def add_block(self, size: int, lo=0.0) -> slice:
         blk = slice(self.cols, self.cols + size)
@@ -238,8 +239,9 @@ class _ScenarioLpBuilder:
             G[start:start + len(mat), :mat.shape[1]] = mat
             start += len(mat)
         G, h = (G, np.concatenate(self.rhs)) if self.n_rows else (None, None)
-        A_eq = (None if poly.A_eq is None
-                else np.pad(poly.A_eq, ((0, 0), (0, self.cols - self.n))))
+        A_eq = poly.A_eq
+        if A_eq is not None:
+            A_eq = np.pad(A_eq, ((0, 0), (0, self.cols - self.n)))
         lo = np.concatenate([poly.lower] + self.lo_extra)
         hi = np.concatenate([poly.upper, np.full(self.cols - self.n, np.inf)])
         return LpProblem(objective, G, h, A_eq, poly.b_eq, lo, hi)
@@ -290,6 +292,7 @@ class SStepAssembler:
         self.hard_cols = np.r_[:problem.n_vars, s_end:self.cols]
         self.session: lp.SimplexSession | None = None
         self.level: float | None = None
+        self._point = None  # (x, s) of the session's last solve
 
     def lp_at(self, f: float, z: list[np.ndarray]) -> LpProblem:
         t = self.lp_template
@@ -330,7 +333,8 @@ class SStepAssembler:
         at the same level (the inner iterations) re-solve that session.
         The scenarios of positive weight are the kept ones; when the
         point makes the working set ``grow``, the level is solved again,
-        cold.
+        cold.  A re-solve that returns the session's last point
+        (``repeated``) reuses its shortfalls.
         """
         problem = self.problem
         while True:
@@ -339,11 +343,13 @@ class SStepAssembler:
                 self.session = lp.SimplexBackend().start_session(
                     self.lp_at(f, ones), warm=self.session)
                 self.level = f
-            x = _point(self.session.solve(self.objective_for(z)), problem,
-                       "shortfall LP")
-            if x is None:
-                return None, None
-            s = shortfalls(problem, x)
+            sol = self.session.solve(self.objective_for(z))
+            if not self.session.repeated:
+                x = _point(sol, problem, "shortfall LP")
+                if x is None:
+                    return None, None
+                self._point = x, shortfalls(problem, x)
+            x, s = self._point
             if not self.grow(lambda gi: s[gi][z[gi] > 0.0]):
                 return x, s
 

@@ -9,7 +9,6 @@ output is deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -19,8 +18,8 @@ from . import algorithms as alg
 from . import dispatch as dp
 from .errors import ModelError, NumericError
 from .model import (SampleSet, evaluate_group, floats, load_json,
-                    problem_from_dict, problem_to_dict, read_field, write_csv,
-                    write_rows)
+                    problem_from_dict, problem_to_dict, read_field,
+                    report_json, write_csv, write_rows)
 from .scenarios import generate_scenarios, spec_from_dict
 from .toys import INTERVAL_BOUNDS, TWO_GROUP_BOUNDS, interval_toy, two_group_toy
 
@@ -80,7 +79,7 @@ def cmd_example1(args) -> int:
         results[f"{eps:.2f}"] = per_method
     if args.out:
         out = _out_dir(args) / "example1.json"
-        out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+        out.write_text(report_json(results) + "\n")
         print(f"wrote {out}")
     return EXIT_OK
 
@@ -117,7 +116,7 @@ def cmd_solve(args) -> int:
         print(f"method={method:<14} {report.status:<10} "
               f"objective={_fmt(report.objective)} viol={_rates(report)}")
     payload = {"problem": problem_to_dict(problem), "results": results}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = report_json(payload) + "\n"
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -212,7 +211,7 @@ def cmd_dispatch(args) -> int:
                "problem": problem_to_dict(model.problem),
                "results": results, "audits": audits}
     path = out / "dispatch_report.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(report_json(payload) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -21,19 +21,23 @@ with a deterministic lowest-index tie-break; after a degenerate stall
 a run switches to Bland's rule until it ends, which guarantees
 termination.  Everything is plain numpy and fully deterministic.
 
-A pivot updates only the block it changes: the rows where the pivot
-column is nonzero, crossed with the columns where the normalised pivot
-row is nonzero.  Every other entry of the rank-one update would subtract
-a zero, so the block update gives the same tableau as the dense one (up
-to the sign of some zeros) at a fraction of the cost on scenario LPs,
-whose pivot rows and columns are mostly zero.
+Each iteration gathers the entering column of ``T`` once, as a copy,
+for the ratio test, the basic values and the pivot.  A pivot updates
+only the block it changes: the rows where the pivot column is nonzero,
+crossed with the columns where the normalised pivot row is nonzero,
+in one read-modify-write pass over the block's flat indices
+(``np.subtract.at``).  Every other entry of the rank-one update would
+subtract a zero, so the block update gives the same tableau as the
+dense one (up to the sign of some zeros) at a fraction of the cost on
+scenario LPs, whose pivot rows and columns are mostly zero.
 
 Every solve is a ``SimplexSession`` driving five tableau calls:
 ``_Tableau(problem)`` (``_Tableau(problem, c)`` for the dual start),
 ``cold(c)``, ``resolve(dual_cost, c)`` (warm), ``set_rhs(h)`` and
 ``refresh_basics()``/``full_values()``.  ``solve_lp`` is a one-shot
 session: it drops ``T`` before recomputing the basic values, since it
-never pivots again.
+never pivots again.  A re-solve that makes no pivot returns the point
+the session last refreshed and audited.
 
 A session can also restart from another session's tableau when only the
 inequality rhs differs (the bisection levels of ``algorithms``).  The old
@@ -47,6 +51,7 @@ session to the next, it is never copied.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,25 +340,25 @@ class _Tableau:
             direction = 1
         return q, direction
 
-    def _ratio(self, q, direction):
-        """Largest step t >= 0 for the entering column.  Returns
-        (t, blocking_row or -1, is_bound_flip)."""
-        w = self.T[:, q]
+    def _ratio(self, w, q, direction):
+        """Largest step t >= 0 for the entering column q, whose tableau
+        column is w.  Returns (t, blocking_row or -1, is_bound_flip)."""
         # Rows whose basic variable moves; the others never block.
         rows = (np.abs(w) > PIVOT_TOL).nonzero()[0]
         delta = -direction * w[rows]  # change in xb per unit step
         basic = self.basis[rows]
-        xb = self.xb[rows]
-        # An infinite bound gives an infinite limit.
-        lim = np.where(delta < 0.0, (xb - self.lo[basic]) / (-delta),
-                       (self.hi[basic] - xb) / delta)
-        lim = np.maximum(lim, 0.0)
+        # The limit toward the bound each basic value moves to:
+        # (lo - xb)/delta is (xb - lo)/(-delta) bit for bit.  An infinite
+        # bound gives an infinite limit.
+        bound = np.where(delta < 0.0, self.lo[basic], self.hi[basic])
+        lim = (bound - self.xb[rows]) / delta
+        np.maximum(lim, 0.0, out=lim)
         lim_min = float(lim.min(initial=np.inf))
-        span = self.hi[q] - self.lo[q]
-        t_flip = float(span) if np.isfinite(span) else np.inf
+        # Infinite when q lacks a bound, since lo < inf and hi > -inf.
+        t_flip = float(self.hi[q] - self.lo[q])
         if t_flip <= lim_min:
-            if not np.isfinite(t_flip):
-                return np.inf, -1, False
+            if not math.isfinite(t_flip):
+                return math.inf, -1, False
             return t_flip, -1, True
         ties = (lim <= lim_min + 1e-12).nonzero()[0]
         if self.bland:
@@ -362,22 +367,29 @@ class _Tableau:
             k = ties[np.argmax(np.abs(delta[ties]))]
         return float(lim[k]), int(rows[k]), False
 
-    def _pivot(self, r, q, entering_value):
-        piv = self.T[r, q]
+    def _pivot(self, r, q, entering_value, w):
+        """Column q enters the basis at row r; w is a copy of column q,
+        which the call consumes."""
+        piv = w[r]
         if abs(piv) < PIVOT_TOL:
             raise NumericError(
                 f"pivot {piv:.3e} below tolerance at row {r}, col {q} "
                 f"(iteration {self.iterations})")
         T = self.T
-        T[r] /= piv
         prow = T[r]
+        prow /= piv
         # Only the block of rows where column q is nonzero and columns
         # where row r is nonzero changes.  Column q is reset below, so
-        # zeroing T[r, q] first keeps row r and column q out of the block.
-        T[r, q] = 0.0
-        rows = T[:, q].nonzero()[0]
+        # zeroing it first in row r and in w keeps row r and column q out
+        # of the block.  The block is updated in one pass over its flat
+        # indices (T is C-contiguous, so reshape gives a view): each entry
+        # loses the same product as in T -= w prow.
+        prow[q] = 0.0
+        w[r] = 0.0
+        rows = w.nonzero()[0]
         cols = prow.nonzero()[0]
-        T[rows[:, None], cols] -= T[rows, q][:, None] * prow[cols]
+        np.subtract.at(T.reshape(-1), (rows[:, None] * T.shape[1] + cols).ravel(),
+                       np.multiply.outer(w[rows], prow[cols]).ravel())
         T[rows, q] = 0.0
         T[r, q] = 1.0
         leave = int(self.basis[r])
@@ -385,13 +397,14 @@ class _Tableau:
         self.xb[r] = entering_value
         return leave
 
-    def _swap(self, r, q, step, leave_at_lo, d, gain):
-        """Basis change shared by the primal and dual iterations: column q
-        moves by ``step`` and enters at row r, the leaving column rests at
-        its lower bound if ``leave_at_lo`` else at its upper one (an
-        artificial is fixed at zero), and d is updated in place."""
-        self.xb -= step * self.T[:, q]
-        leave = self._pivot(r, q, self.nb_val[q] + step)
+    def _swap(self, r, q, w, step, leave_at_lo, d, gain):
+        """Basis change shared by the primal and dual iterations: column q,
+        whose tableau column w is a copy, moves by ``step`` and enters at
+        row r, the leaving column rests at its lower bound if
+        ``leave_at_lo`` else at its upper one (an artificial is fixed at
+        zero), and d is updated in place."""
+        self.xb -= step * w
+        leave = self._pivot(r, q, self.nb_val[q] + step, w)
         self.vstat[q] = _BASIC
         if leave >= self.first_art:
             self.lo[leave] = self.hi[leave] = 0.0
@@ -410,15 +423,18 @@ class _Tableau:
         q, direction = self._entering(d)
         if q < 0:
             return "optimal"
-        t, r, is_flip = self._ratio(q, direction)
-        if not np.isfinite(t):
+        # The entering column, gathered once for the ratio test, the
+        # basic values and the pivot.
+        w = self.T[:, q].copy()
+        t, r, is_flip = self._ratio(w, q, direction)
+        if not math.isfinite(t):
             return "unbounded"
         gain = abs(d[q]) * t
         if not is_flip:
             # The leaving variable rests at whichever bound blocked it.
-            self._swap(r, q, direction * t, -direction * self.T[r, q] < 0, d, gain)
+            self._swap(r, q, w, direction * t, -direction * w[r] < 0, d, gain)
             return "moved"
-        self.xb -= direction * t * self.T[:, q]
+        self.xb -= direction * t * w
         self.vstat[q] = _NB_UP if self.vstat[q] == _NB_LO else _NB_LO
         self.nb_val[q] = self.hi[q] if self.vstat[q] == _NB_UP else self.lo[q]
         self._moved(gain)
@@ -445,7 +461,8 @@ class _Tableau:
         self._stall = 0
         self.bland = False
         d = self.reduced_costs(c)
-        confirmed = False
+        # d is fresh until the first pivot: an optimal first step stands.
+        confirmed = True
         while True:
             self._check_cap()
             outcome = self.step(d)
@@ -529,20 +546,31 @@ class _Tableau:
         rise = below[r] > 0.0
         # The leaving variable moves by -alpha_j dx_j when x_j moves by dx_j;
         # a column at its lower bound can only rise, one at its upper bound
-        # only fall, a free one either way.
+        # only fall, a free one either way.  With the pricing sign (+1 at
+        # the lower bound, -1 at the upper, 0 otherwise), column j helps
+        # when sign_j * alpha_j < 0 for a rising leaving variable and > 0
+        # for a falling one; a free column, when alpha_j is not 0.
         alpha = self.T[r]
         st = self.vstat[:self.first_art]
-        toward = -alpha if rise else alpha  # > 0: raising x_j helps
-        cols = (((st == _NB_LO) & (toward > PIVOT_TOL))
-                | ((st == _NB_UP) & (toward < -PIVOT_TOL))
-                | ((st == _NB_FREE) & (np.abs(alpha) > PIVOT_TOL))).nonzero()[0]
+        sign = _PRICE_SIGN[st]
+        along = sign * alpha
+        helps = along < -PIVOT_TOL if rise else along > PIVOT_TOL
+        has_free = self.free_cols.size > 0
+        if has_free:
+            free = self.free_cols[st[self.free_cols] == _NB_FREE]
+            helps[free] = np.abs(alpha[free]) > PIVOT_TOL
+        cols = helps.nonzero()[0]
         if not cols.size:
             return "infeasible"
         # Dual ratio test: how far each candidate's reduced cost is from
-        # changing sign, per unit of the leaving row's dual step.
-        dj, sj = d[cols], st[cols]
-        slack = np.maximum(np.where(sj == _NB_LO, dj,
-                                    np.where(sj == _NB_UP, -dj, np.abs(dj))), 0.0)
+        # changing sign (sign_j d_j, or |d_j| when free), per unit of the
+        # leaving row's dual step.
+        dj = d[cols]
+        slack = sign[cols] * dj
+        if has_free:
+            at = st[cols] == _NB_FREE
+            slack[at] = np.abs(dj[at])
+        np.maximum(slack, 0.0, out=slack)
         a = np.abs(alpha[cols])
         ratio = slack / a
         if self.bland:
@@ -555,8 +583,8 @@ class _Tableau:
         q = int(cols[k])
         # The leaving variable rests at the bound it violated.
         target = lo[r] if rise else hi[r]
-        self._swap(r, q, (self.xb[r] - target) / alpha[q], rise, d,
-                   ratio[k] * viol[r])
+        self._swap(r, q, self.T[:, q].copy(), (self.xb[r] - target) / alpha[q],
+                   rise, d, ratio[k] * viol[r])
         return "moved"
 
     def dual(self, c):
@@ -632,7 +660,12 @@ def _same_array(a, b) -> bool:
 class SimplexSession:
     """Solves of one constraint system under changing objectives: the
     first solve is cold (or restarts from a handed-over tableau), later
-    ones re-solve warm from the last basis."""
+    ones re-solve warm from the last basis.
+
+    A re-solve that makes no pivot or bound flip returns the point the
+    solve before it refreshed and audited, bit for bit, without doing
+    either again; ``repeated`` says whether the last solve did.
+    """
 
     def __init__(self, problem: LpProblem, warm: "SimplexSession | None" = None):
         self._problem = problem
@@ -642,6 +675,10 @@ class SimplexSession:
         self._cost = None
         self._infeasible = False
         self._retired = 0  # pivots of tableaux dropped by a cold retry
+        # The audited point of the last solve, while the tableau's basic
+        # values are still the ones refresh_basics computed for it.
+        self._x = None
+        self.repeated = False
         if warm is not None and warm._cost is not None and all(
                 _same_array(getattr(warm._problem, k), getattr(problem, k))
                 for k in ("G", "A_eq", "b_eq", "lower", "upper")):
@@ -671,6 +708,7 @@ class SimplexSession:
         return self._solve(c)
 
     def _solve(self, c, one_shot=False, dual_start=False):
+        self.repeated = False
         if self._infeasible:
             return LpSolution(INFEASIBLE)
         if self._tab is not None:
@@ -678,7 +716,7 @@ class SimplexSession:
                 return self._finish(c, self._tab.resolve(self._cost, c), one_shot)
             except NumericError:
                 self._retired += self._tab.iterations
-                self._tab = self._cost = None
+                self._tab = self._cost = self._x = None
         self._tab = (_Tableau(self._problem, c) if dual_start
                      else _Tableau(self._problem))
         return self._finish(c, self._tab.cold(c), one_shot)
@@ -693,17 +731,23 @@ class SimplexSession:
             self._infeasible = status == INFEASIBLE
             if status == UNBOUNDED:
                 self._cost = None
+            self._x = None
             return LpSolution(status, iterations=iterations)
         self._cost = c
-        if one_shot:
-            tab.T = None  # no more pivots; free it before refresh_basics
-        tab.refresh_basics()
-        x = tab.full_values()[:p.n_vars]
-        res = residuals(p, x)
-        if max(res.values()) > REPORT_TOL:
-            raise NumericError(f"solution failed the feasibility audit: {res}")
-        x = np.clip(x, p.lower, p.upper)
-        return LpSolution(OPTIMAL, x=x, objective=float(c @ x), iterations=iterations)
+        self.repeated = tab._fresh and self._x is not None
+        if not self.repeated:
+            self._x = None
+            if one_shot:
+                tab.T = None  # no more pivots; free it before refresh_basics
+            tab.refresh_basics()
+            x = tab.full_values()[:p.n_vars]
+            res = residuals(p, x)
+            if max(res.values()) > REPORT_TOL:
+                raise NumericError(f"solution failed the feasibility audit: {res}")
+            self._x = np.clip(x, p.lower, p.upper)
+        x = self._x
+        return LpSolution(OPTIMAL, x=x.copy(), objective=float(c @ x),
+                          iterations=iterations)
 
 
 def solve_lp(problem: LpProblem, dual_start: bool = True) -> LpSolution:

@@ -301,23 +301,55 @@ class ConstraintStack(Sequence):
         return out
 
 
-@dataclass
-class Polytope:
-    """Deterministic feasible set: G x <= h, A_eq x = b_eq, lower/upper."""
+class _StoredMatrix:
+    """A matrix attribute kept as its shape and its stored entries (see
+    ``_stored_entries``), so that every entry, sign of zero included,
+    reads back exactly.  A read returns a fresh dense float64 array, or
+    None when the matrix is absent; assigning a matrix stores it so."""
 
-    G: np.ndarray | None = None
-    h: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        stored = getattr(obj, self.slot)
+        if stored is None:
+            return None
+        shape, index, value = stored
+        out = np.zeros(shape)
+        out.reshape(-1)[index] = value
+        return out
+
+    def __set__(self, obj, M):
+        if M is not None:
+            M = np.asarray(M, dtype=float)
+            M = (M.shape, *_stored_entries(M))
+        setattr(obj, self.slot, M)
+
+
+class Polytope:
+    """Deterministic feasible set: G x <= h, A_eq x = b_eq, lower/upper.
+
+    ``G`` and ``A_eq`` are kept as their stored entries, as a group's
+    constraints are (``_StoredMatrix``): a dispatch polytope has two
+    nonzeros per row.  Each read returns a fresh dense array (None when
+    the block is absent)."""
+
+    G = _StoredMatrix()
+    A_eq = _StoredMatrix()
+
+    def __init__(self, G=None, h=None, A_eq=None, b_eq=None, lower=None,
+                 upper=None):
+        self.G, self.h, self.A_eq, self.b_eq = G, h, A_eq, b_eq
+        self.lower, self.upper = lower, upper
 
     def validate(self, n: int) -> None:
         check_blocks(self, n, "polytope: ")
 
     @property
     def n_ineq(self) -> int:
-        return 0 if self.G is None else self.G.shape[0]
+        return 0 if self._G is None else self._G[0][0]
 
 
 def check_risk(owner: str, epsilon, rho) -> tuple[float, float]:
@@ -405,9 +437,16 @@ class JccGroup:
         if rho == 0.0:
             g += 0.0
         else:
-            dual = dual_norm(self.norm)
-            g += rho * np.array([[norm_value(r, dual)] for r in a])
+            g += rho * _row_norms(a, dual_norm(self.norm))[:, None]
         return np.ascontiguousarray(g.T)
+
+
+def _row_norms(a: np.ndarray, norm: str) -> np.ndarray:
+    """``norm_value`` of each row of a, bit for bit, in one reduction: the
+    row sums add in the order a row's own sum does."""
+    if norm == "l1":
+        return np.abs(a).sum(axis=1)
+    return np.max(np.abs(a), axis=1, initial=0.0)
 
 
 @dataclass
@@ -616,6 +655,52 @@ def load_json(path):
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: not valid JSON ({exc})") from None
+
+
+def report_json(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, the
+    reports' format, written faster: a list whose items are all finite
+    floats (a point, a row of a matrix) is one join of their reprs, which
+    is json's own float text; dicts with str keys and other lists are
+    walked here, and every other value is written by json."""
+    out = []
+    _report_json(value, "\n", out)
+    return "".join(out)
+
+
+def _report_json(value, nl: str, out: list) -> None:
+    """Append ``value``'s text to ``out``; ``nl`` is a newline and the
+    indent of the line ``value`` starts on."""
+    inner = nl + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + json.dumps(key) + ": ")
+            _report_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            text = None
+        # Only nan and inf put an "n" in a float's repr; json writes them
+        # as NaN and Infinity.
+        if text is not None and "n" not in text:
+            out.append("[" + inner + text + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _report_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, (dict, list, tuple)):
+        # json escapes every newline inside a string, so each newline in
+        # its text starts a line to indent.
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
+    else:
+        out.append(json.dumps(value))  # a scalar's text has no indent
 
 
 def _bounds_to_json(lower, upper):

@@ -176,6 +176,27 @@ def test_gamma_sequences_nonincreasing():
                 assert b <= a + 1e-12
 
 
+def test_a_pivot_free_level_resolve_reuses_its_shortfalls(monkeypatch):
+    """A re-solve at the same level that makes no pivot returns the
+    session's last point, and ``level_point`` reuses that point's
+    shortfalls instead of computing them again."""
+    calls = []
+    real = algorithms.shortfalls
+    monkeypatch.setattr(algorithms, "shortfalls",
+                        lambda p, x: calls.append(1) or real(p, x))
+    problem = two_group_toy(0)
+    asm = SStepAssembler(problem)
+    z = [np.ones(g.n) for g in problem.groups]
+    x, s = asm.level_point(3.0, z)
+    assert not asm.session.repeated and len(calls) == 1
+    x2, s2 = asm.level_point(3.0, [2.0 * zi for zi in z])
+    assert asm.session.repeated and len(calls) == 1
+    assert x2.tobytes() == x.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(s2, real(problem, x)))
+    asm.level_point(4.0, z)  # another level: a new session
+    assert not asm.session.repeated and len(calls) == 2
+
+
 # -- bounds -------------------------------------------------------------------
 
 def test_init_bounds_interval_toy():

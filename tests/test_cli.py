@@ -136,6 +136,34 @@ def test_dispatch_report_audits_and_determinism(tmp_path, capsys):
         assert p.read_bytes() == snap[p.name]
 
 
+def test_reports_are_written_as_json_writes_them(tmp_path, capsys, monkeypatch):
+    """example1, solve and dispatch write their payloads through
+    ``report_json``, whose text is json.dumps(indent=2, sort_keys=True)'s
+    on every payload they write."""
+    written = []
+    real = cli.report_json
+
+    def checked(payload):
+        text = real(payload)
+        assert text == json.dumps(payload, indent=2, sort_keys=True)
+        written.append(text)
+        return text
+    monkeypatch.setattr(cli, "report_json", checked)
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(problem_to_dict(two_group_toy(0))))
+    for argv in (("example1", "--out", str(tmp_path / "e1")),
+                 ("solve", str(problem_file), "--out", str(tmp_path / "r.json")),
+                 ("solve", str(problem_file), "--method", "cvar"),
+                 ("dispatch", THREE_BUS, "--rho", "0.01", "--method", "also-x",
+                  "--out", str(tmp_path / "tb")),
+                 ("dispatch", OVERLAP, "--rho", "0", "--method", "all",
+                  "--out", str(tmp_path / "ov"))):
+        assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(written) == 5
+    assert (tmp_path / "tb" / "dispatch_report.json").read_text() == written[3] + "\n"
+
+
 def test_dispatch_report_does_not_depend_on_the_case_path(tmp_path, capsys):
     reports = []
     for where in ("a", "a_much_longer_directory_name"):

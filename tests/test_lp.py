@@ -377,6 +377,62 @@ def test_session_retries_a_failed_warm_solve_cold(monkeypatch):
         sess.solve(p.c)
 
 
+def test_a_pivot_free_warm_resolve_returns_the_last_point(monkeypatch):
+    """A re-solve whose basis stays optimal makes no pivot: it returns the
+    point the solve before it refreshed and audited, bit for bit, without
+    refreshing or auditing again; one that pivots does both."""
+    rng = np.random.default_rng(3)
+    p = LpProblem(rng.normal(size=6), G=rng.normal(size=(12, 6)),
+                  h=rng.normal(size=12) + 5.0,
+                  lower=np.full(6, -2.0), upper=np.full(6, 2.0))
+    sess = SimplexBackend().start_session(p)
+    first = sess.solve()
+    assert first.status == OPTIMAL and not sess.repeated
+    calls = {"refresh_basics": 0, "residuals": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(lp._Tableau, "refresh_basics")
+    counting(lp, "residuals")
+    again = sess.solve(2.0 * p.c)  # the same optimal basis
+    assert sess.repeated and calls == {"refresh_basics": 0, "residuals": 0}
+    assert again.iterations == first.iterations
+    assert again.x.tobytes() == first.x.tobytes()
+    assert again.x is not first.x
+    assert again.objective == float(2.0 * p.c @ first.x)
+    moved = sess.solve(-p.c)
+    assert moved.iterations > first.iterations and not sess.repeated
+    assert calls == {"refresh_basics": 1, "residuals": 1}
+
+
+def test_run_prices_once_when_its_first_step_is_optimal(monkeypatch):
+    """Reduced costs computed at the start of a run are fresh: when the
+    first step finds no entering column, the run ends without pricing
+    again.  After a pivot it prices again to confirm."""
+    rng = np.random.default_rng(3)
+    p = LpProblem(rng.normal(size=6), G=rng.normal(size=(12, 6)),
+                  h=rng.normal(size=12) + 5.0,
+                  lower=np.full(6, -2.0), upper=np.full(6, 2.0))
+    tab = _Tableau(p)
+    assert tab.cold(p.c) == OPTIMAL
+    assert tab.iterations > 0
+    priced = []
+    real = lp._Tableau.reduced_costs
+    monkeypatch.setattr(lp._Tableau, "reduced_costs",
+                        lambda self, c: priced.append(1) or real(self, c))
+    iterations = tab.iterations
+    assert tab.run(tab._extend(p.c)) == "optimal"
+    assert len(priced) == 1 and tab.iterations == iterations
+    assert tab.run(tab._extend(-p.c)) == "optimal"
+    assert tab.iterations > iterations and len(priced) == 3
+
+
 def _dense_pivot(T, r, q):
     """The full rank-one pivot update, kept as the block update's reference."""
     T = T.copy()
@@ -406,7 +462,7 @@ def test_block_pivot_equals_dense_update(case):
             T[r, np.arange(T.shape[1]) != q] = 0.0
         want = _dense_pivot(T, r, q)
         tab.T = T.copy()
-        tab._pivot(r, q, 0.0)
+        tab._pivot(r, q, 0.0, tab.T[:, q].copy())
         assert np.array_equal(tab.T, want)  # == treats -0.0 and 0.0 as equal
 
 

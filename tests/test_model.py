@@ -515,6 +515,67 @@ def test_polytope_validate_shapes():
         Polytope(G=[[1.0]]).validate(1)
 
 
+def test_polytope_keeps_its_matrices_as_stored_entries():
+    """G and A_eq read back dense and exact, signs of zeros included, as a
+    fresh array each time; the polytope holds only their stored entries."""
+    for M in _A_matrices():
+        p = Polytope(G=M, h=np.ones(M.shape[0]), A_eq=-M, b_eq=np.zeros(M.shape[0]))
+        p.validate(M.shape[1])
+        for got, want in ((p.G, M), (p.A_eq, -M)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert p.n_ineq == M.shape[0]
+        assert p.G is not p.G
+        G = p.G
+        G[...] = 7.0  # a read is a copy: the polytope does not change
+        assert p.G.tobytes() == M.tobytes()
+        shape, index, value = p._G
+        assert shape == M.shape and index.size == value.size == _stored(M)
+    p = Polytope(lower=[0.0])
+    assert p.G is None and p.A_eq is None and p.n_ineq == 0
+    # 56 nonzeros in each block; G's negated ramp rows add 396 -0.0s.
+    poly = build_ccp(three_bus_case()).problem.polytope
+    assert poly._G[1].size == _stored(poly.G) == 56 + 396
+    assert poly._A_eq[1].size == _stored(poly.A_eq) == 56
+
+
+def test_row_norms_match_norm_value():
+    """The margins' dual norms, taken in one reduction over the rows of an
+    aligned array, equal ``norm_value`` of each row bit for bit."""
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        m, k = int(rng.integers(1, 30)), int(rng.integers(0, 200))
+        a = model._aligned_rows(m, k)
+        a[...] = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-6, 6, size=(m, 1))
+        a[rng.random((m, k)) < 0.3] = 0.0
+        a[rng.random((m, k)) < 0.1] = -0.0
+        for norm in model.NORMS:
+            want = np.array([norm_value(row, norm) for row in a])
+            assert model._row_norms(a, norm).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}]},
+    None, True, False, 0, -7, 2 ** 70, 1.5, -0.0, 1e-300, 1e300,
+    float("nan"), float("inf"), float("-inf"),
+    [1.0, -0.0, 2.5e-17, 1e22], (0.1, 0.2), [1.0, float("nan")],
+    [1.0, float("inf")], [-float("inf"), 2.0], [1, 2.0], [True, 1.0],
+    [None, 1.0], [np.float64(0.1), 3.0], ["x", 1.0], [[1.0, 2.0], [3, 4]],
+    {"b": 1, "a": [1.0, 2.0], "c": {"z": None, "y": "q\"u\\o\nte\u00e9\u2603"}},
+    {"line\nbreak": [[1.0], {"k": [0.5, "s"]}]},
+    {1: "int key", 2: [1.0]}, {"outer": {2.5: [1.0, 2.0], 1.5: None}},
+    {"t": (1.0, (2.0, 3.0))},
+], ids=lambda v: repr(v)[:40])
+def test_report_json_is_the_json_text(value):
+    """The reports' writer gives json.dumps(indent=2, sort_keys=True)'s
+    text, byte for byte, whatever the value: its float lists and the
+    values it leaves to json alike."""
+    want = json.dumps(value, indent=2, sort_keys=True)
+    assert model.report_json(value) == want
+    assert model.report_json({"nested": [value, {"again": value}]}) == json.dumps(
+        {"nested": [value, {"again": value}]}, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("blocks, message", [
     ({"G": [[np.nan]], "h": [0.0]}, "polytope: G: entries must be finite"),
     ({"G": [[1.0]], "h": [np.inf]}, "polytope: h: entries must be finite"),
