@@ -235,8 +235,7 @@ def cmd_evaluate(args) -> int:
         groups = [g for g in groups if g.label == args.group]
         if not groups:
             raise ModelError(f"no group labelled {args.group!r}")
-    groups = [g for g in groups
-              if g.constraints[0].xi_dim == test.dim]
+    groups = [g for g in groups if g.samples.dim == test.dim]
     if not groups:
         raise ModelError(
             f"{args.scenarios}: {test.dim} columns match no group's "

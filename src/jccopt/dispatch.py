@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algorithms, lp
 from .errors import ModelError
-from .model import (REQUIRED, BiAffineConstraint, CcpProblem, JccGroup,
+from .model import (REQUIRED, CcpProblem, ConstraintStack, JccGroup,
                     Polytope, SampleSet, check_risk, evaluate_group, floats,
                     integer, load_json, number, read_field, read_fields, text)
 
@@ -524,21 +524,22 @@ def _net_load(case: DispatchCase) -> tuple[np.ndarray, np.ndarray]:
     return load, forecast
 
 
-def _dense(shape, entries=()) -> np.ndarray:
-    """Zeros of ``shape`` with ``out[index] = value`` for each (index,
-    value) entry, in order."""
-    out = np.zeros(shape)
-    for index, value in entries:
-        out[index] = value
-    return out
-
-
-def _constraint(k: int, nv: int, A=(), a0=(), c=(),
-                d: float = 0.0) -> BiAffineConstraint:
-    """xi'(A x + a0) + c'x + d <= 0 over xi of length k and x of length
-    nv, from the (index, value) entries of A, a0 and c."""
-    return BiAffineConstraint(A=_dense((k, nv), A), a0=_dense(k, a0),
-                              c=_dense(nv, c), d=d)
+def _stack(m: int, k: int, nv: int, A, a0=(), c=(), d=0.0) -> ConstraintStack:
+    """The m constraints xi'(A_j x + a0_j) + c_j'x + d_j <= 0 of a group
+    over xi of length k and x of length nv, stacked, from the entries
+    (member, row, column, value) of ``A``, (member, row, value) of ``a0``
+    and (member, column, value) of ``c``, each arrays that broadcast
+    together, no two at one position; ``d`` is per member or shared."""
+    dense_a0, dense_c = np.zeros((m, k)), np.zeros((m, nv))
+    for dense, entries in ((dense_a0, a0), (dense_c, c)):
+        for j, col, value in entries:
+            dense[j, col] = value
+    j, row, col, value = (np.concatenate(part) for part in zip(
+        *([a.ravel() for a in np.broadcast_arrays(*entry)] for entry in A)))
+    index = (j * k + row) * nv + col
+    order = np.argsort(index)
+    return ConstraintStack((m, k, nv), index[order], value[order], dense_a0,
+                           dense_c, np.broadcast_to(d, m))
 
 
 def build_ccp(case: DispatchCase, rho_override: float | None = None) -> DispatchModel:
@@ -557,6 +558,7 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
     idx = VarIndex(case)
     nv = idx.n_vars
     gens, adns, lines = case.generators, case.adns, case.network.lines
+    n_gen = len(gens)
 
     c = np.zeros(nv)
     lower = np.full(nv, -np.inf)
@@ -577,71 +579,73 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
         upper[cols] = 1.0
     cost_offset = dt * T * sum(g.fixed_cost for g in gens)
 
-    # segment anchoring: p[g,t] - sum_s seg[g,s,t] = p_min
-    eq = [(_dense(nv, [(idx.p[gi, t], 1.0), (idx.seg[gi][:, t], -1.0)]),
-           g.p_min) for gi, g in enumerate(gens) for t in range(T)]
-    # balance: sum_g p + sum_w forecast = sum_d adn_p + fixed load
+    t = np.arange(T)
+    p_min, p_max, ramp_dn, ramp_up = np.array(
+        [[g.p_min, g.p_max, g.ramp_dn, g.ramp_up] for g in gens], dtype=float).T
+    # Equality rows: anchoring p[g,t] - sum_s seg[g,s,t] = p_min, then per t
+    # the balance sum_g p - sum_d adn_p = load - forecast and the partitions.
+    A_eq = np.zeros((n_gen * T + 3 * T, nv))
+    anchor = np.arange(n_gen * T).reshape(n_gen, T)
+    A_eq[anchor, idx.p] = 1.0
+    for rows, seg in zip(anchor, idx.seg):
+        A_eq[rows, seg] = -1.0
+    balance = n_gen * T + t
+    A_eq[balance, idx.p] = 1.0
+    A_eq[balance, idx.adn_p] = -1.0
+    A_eq[balance + T, idx.a_up] = 1.0
+    A_eq[balance + 2 * T, idx.a_dn] = A_eq[balance + 2 * T, idx.adn_a_up] = 1.0
     load, forecast = _net_load(case)
-    eq += [(_dense(nv, [(idx.p[:, t], 1.0), (idx.adn_p[:, t], -1.0)]),
-            load[t] - forecast[t]) for t in range(T)]
-    # participation partitions
-    eq += [(_dense(nv, [(idx.a_up[:, t], 1.0)]), 1.0) for t in range(T)]
-    eq += [(_dense(nv, [(idx.a_dn[:, t], 1.0), (idx.adn_a_up[:, t], 1.0)]),
-            1.0) for t in range(T)]
+    b_eq = np.concatenate([np.repeat(p_min, T), load - forecast, np.ones(2 * T)])
 
-    ineq = []
-    for gi, g in enumerate(gens):
-        p = idx.p[gi]
-        for t in range(T):
-            # p + r_up <= p_max; headroom below: p - r_dn >= p_min
-            ineq.append((_dense(nv, [(p[t], 1.0), (idx.r_up[gi, t], 1.0)]),
-                         g.p_max))
-            ineq.append((_dense(nv, [(p[t], -1.0), (idx.r_dn[gi, t], 1.0)]),
-                         -g.p_min))
-        for t in range(T - 1):
-            # ramp_dn*dt <= p[t+1] - p[t] <= ramp_up*dt
-            row = _dense(nv, [(p[t + 1], 1.0), (p[t], -1.0)])
-            ineq += [(row, g.ramp_up * dt), (-row, -g.ramp_dn * dt)]
+    # Inequality rows, 4T - 2 per generator: per t, p + r_up <= p_max and
+    # p - r_dn >= p_min; then per step ramp_dn*dt <= p[t+1] - p[t] <=
+    # ramp_up*dt, its lower side the negated row.
+    G = np.zeros((n_gen, 4 * T - 2, nv))
+    gen = np.arange(n_gen)[:, None]
+    G[gen, 2 * t, idx.p] = G[gen, 2 * t, idx.r_up] = 1.0
+    G[gen, 2 * t + 1, idx.p] = -1.0
+    G[gen, 2 * t + 1, idx.r_dn] = 1.0
+    ramp = 2 * T + 2 * t[:-1]
+    G[gen, ramp, idx.p[:, 1:]] = 1.0
+    G[gen, ramp, idx.p[:, :-1]] = -1.0
+    G[:, 2 * T + 1::2] = -G[:, 2 * T::2]
+    h = np.hstack([np.tile(np.c_[p_max, -p_min], T),
+                   np.tile(np.c_[ramp_up * dt, -ramp_dn * dt], T - 1)])
+    polytope = Polytope(G=G.reshape(-1, nv), h=h.reshape(-1), A_eq=A_eq,
+                        b_eq=b_eq, lower=lower, upper=upper)
 
-    G, h = (np.array(v) for v in zip(*ineq))
-    A_eq, b_eq = (np.array(v) for v in zip(*eq))
-    polytope = Polytope(G=G, h=h, A_eq=A_eq, b_eq=b_eq,
-                        lower=lower, upper=upper)
-
-    # -- chance groups: (label, unit, constraints) in group order --
+    # -- chance groups: (label, unit, stack) in group order --
     units = []
     for gi, g in enumerate(gens):
-        # xi = [omega_plus (T), omega_minus (T)];
-        # a_dn * omega_plus - r_dn <= 0, then -a_up * omega_minus - r_up <= 0
-        k = 2 * T
-        cons = ([_constraint(k, nv, A=[((t, idx.a_dn[gi, t]), 1.0)],
-                             c=[(idx.r_dn[gi, t], -1.0)]) for t in range(T)]
-                + [_constraint(k, nv, A=[((T + t, idx.a_up[gi, t]), -1.0)],
-                               c=[(idx.r_up[gi, t], -1.0)]) for t in range(T)])
-        units.append((unit_name(Generator, gi, g.name), g, cons))
+        # xi = [omega_plus (T), omega_minus (T)]; member t is
+        # a_dn * omega_plus - r_dn <= 0, member T + t
+        # -a_up * omega_minus - r_up <= 0
+        units.append((unit_name(Generator, gi, g.name), g, _stack(
+            2 * T, 2 * T, nv,
+            A=[(t, t, idx.a_dn[gi], 1.0), (T + t, T + t, idx.a_up[gi], -1.0)],
+            c=[(t, idx.r_dn[gi], -1.0), (T + t, idx.r_up[gi], -1.0)])))
 
+    # The first 4T ADN members; (t, tau <= t) pairs of the energy rows.
+    t4, (cum_t, cum_tau) = np.arange(4 * T), np.tril_indices(T)
     for di, d in enumerate(adns):
-        # xi = [omega_plus (T), p_lo (T), p_hi (T), e_lo (T), e_hi (T)]
+        # xi = [omega_plus (T), p_lo (T), p_hi (T), e_lo (T), e_hi (T)];
+        # five members per t, in blocks of T
         p, r, a = idx.adn_p[di], idx.adn_r_up[di], idx.adn_a_up[di]
-        k = 5 * T
-        cons = (
-            # p_lo_t - adn_p_t <= 0
-            [_constraint(k, nv, a0=[(T + t, 1.0)], c=[(p[t], -1.0)])
-             for t in range(T)]
-            # adn_p_t + r_t - p_hi_t <= 0
-            + [_constraint(k, nv, a0=[(2 * T + t, -1.0)],
-                           c=[(p[t], 1.0), (r[t], 1.0)]) for t in range(T)]
-            # e_lo_t - dt*sum_{tau<=t} adn_p_tau <= 0
-            + [_constraint(k, nv, a0=[(3 * T + t, 1.0)], c=[(p[:t + 1], -dt)])
-               for t in range(T)]
-            # dt*sum_{tau<=t} (adn_p + r) - e_hi_t <= 0
-            + [_constraint(k, nv, a0=[(4 * T + t, -1.0)],
-                           c=[(p[:t + 1], dt), (r[:t + 1], dt)])
-               for t in range(T)]
+        units.append((unit_name(Adn, di, d.name), d, _stack(
+            5 * T, 5 * T, nv,
             # a_up * omega_plus - r <= 0
-            + [_constraint(k, nv, A=[((t, a[t]), 1.0)], c=[(r[t], -1.0)])
-               for t in range(T)])
-        units.append((unit_name(Adn, di, d.name), d, cons))
+            A=[(4 * T + t, t, a, 1.0)],
+            a0=[(t4, T + t4, np.repeat([1.0, -1.0, 1.0, -1.0], T))],
+            c=[
+                # p_lo_t - adn_p_t <= 0
+                (t, p, -1.0),
+                # adn_p_t + r_t - p_hi_t <= 0
+                (T + t, p, 1.0), (T + t, r, 1.0),
+                # e_lo_t - dt*sum_{tau<=t} adn_p_tau <= 0
+                (2 * T + cum_t, p[cum_tau], -dt),
+                # dt*sum_{tau<=t} (adn_p + r) - e_hi_t <= 0
+                (3 * T + cum_t, p[cum_tau], dt), (3 * T + cum_t, r[cum_tau], dt),
+                (4 * T + t, r, -1.0)])))
 
     farms = case.wind.farms if case.wind is not None else []
     W = len(farms)
@@ -651,26 +655,25 @@ def build_ccp(case: DispatchCase, rho_override: float | None = None) -> Dispatch
     farm_bus = [case.network.bus_pos(f.bus) for f in farms]
     loads = np.array([b.fixed_load for b in case.network.buses])
     forecasts = np.array([f.forecast for f in farms]).reshape(W, T)
+    # Line members come in pairs: 2t and 2t + 1 limit the flow at step t
+    # = tj[j] in the + and the - direction, sign[j].
+    j, tj = np.arange(2 * T)[:, None], np.repeat(t, 2)
+    sign = np.tile([[1.0], [-1.0]], (T, 1))
     for li, ln in enumerate(lines):
         # xi = [farm errors (W*T, farm-major), omega_plus (T), omega_minus (T)]
         psi_g, psi_d = psi[li, gen_bus], psi[li, adn_bus]
         psi_w = psi[li, farm_bus]
-        k = (W + 2) * T
-        cons = []
-        for t in range(T):
-            # flow of the forecasts and fixed loads, summed term by term
-            const = sum(psi_w * forecasts[:, t]) - sum(psi[li] * loads[:, t])
-            for sign in (1.0, -1.0):
-                cons.append(_constraint(
-                    k, nv,
-                    A=[((W * T + t, idx.a_dn[:, t]), -sign * psi_g),
-                       ((W * T + T + t, idx.a_up[:, t]), -sign * psi_g),
-                       ((W * T + t, idx.adn_a_up[:, t]), -sign * psi_d)],
-                    a0=[(np.arange(W) * T + t, sign * psi_w)],
-                    c=[(idx.p[:, t], sign * psi_g),
-                       (idx.adn_p[:, t], -sign * psi_d)],
-                    d=sign * const - ln.capacity))
-        units.append((unit_name(Line, li, ln.name), ln, cons))
+        # flow of the forecasts and fixed loads, summed term by term
+        const = np.array([sum(psi_w * forecasts[:, s]) - sum(psi[li] * loads[:, s])
+                          for s in range(T)])
+        units.append((unit_name(Line, li, ln.name), ln, _stack(
+            2 * T, (W + 2) * T, nv,
+            A=[(j, W * T + j // 2, idx.a_dn.T[tj], -sign * psi_g),
+               (j, W * T + T + j // 2, idx.a_up.T[tj], -sign * psi_g),
+               (j, W * T + j // 2, idx.adn_a_up.T[tj], -sign * psi_d)],
+            a0=[(j, np.arange(W) * T + j // 2, sign * psi_w)],
+            c=[(j, idx.p.T[tj], sign * psi_g), (j, idx.adn_p.T[tj], -sign * psi_d)],
+            d=sign[:, 0] * const[tj] - ln.capacity)))
 
     stacks = _group_scenario_stacks(
         case, None if case.wind is None else case.wind.to_rows(),

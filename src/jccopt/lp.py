@@ -693,8 +693,8 @@ class SimplexSession:
         A warm re-solve that fails numerically is retried once cold, from
         a fresh tableau: the rank-one updates accumulated over earlier
         re-solves (or the tableau's earlier sessions) can drift past the
-        feasibility audit.  ``iterations`` counts the session's pivots so
-        far, across such retries.
+        feasibility audit.  A failed cold primal solve is retried from the
+        dual start.  ``iterations`` counts pivots across such retries.
         """
         own = self._problem.c
         if c is None:
@@ -715,11 +715,20 @@ class SimplexSession:
             try:
                 return self._finish(c, self._tab.resolve(self._cost, c), one_shot)
             except NumericError:
-                self._retired += self._tab.iterations
-                self._tab = self._cost = self._x = None
-        self._tab = (_Tableau(self._problem, c) if dual_start
-                     else _Tableau(self._problem))
+                self._retire()
+        if not dual_start:
+            self._tab = _Tableau(self._problem)
+            try:
+                return self._finish(c, self._tab.cold(c), one_shot)
+            except NumericError:
+                self._retire()
+        self._tab = _Tableau(self._problem, c)
         return self._finish(c, self._tab.cold(c), one_shot)
+
+    def _retire(self):
+        """Drop a tableau whose solve failed numerically; count its pivots."""
+        self._retired += self._tab.iterations
+        self._tab = self._cost = self._x = None
 
     def _finish(self, c, status, one_shot):
         """The solution of a finished run, audited against the LP's rows."""

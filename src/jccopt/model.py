@@ -19,13 +19,10 @@ object each.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -132,72 +129,89 @@ def write_rows(fh, header, rows) -> None:
     writer.writerows(rows)
 
 
+class _Entries:
+    """A float64 array kept as its stored entries: the one storage of every
+    model matrix (a constraint's ``A``, a group's stacked ``A`` and ``c``,
+    a polytope's ``G`` and ``A_eq``).  It holds the array's ``shape``, the
+    flat row-major positions ``index`` of its stored entries, strictly
+    increasing, and their float64 ``value``s.  The stored entries are the
+    nonzeros and every ``-0.0``; every other entry is ``0.0``, so a read
+    gives back each entry, sign of zero included."""
+
+    __slots__ = ("shape", "index", "value")
+
+    def __init__(self, shape, index, value):
+        """The array of ``shape`` that holds ``value`` at the flat positions
+        ``index`` (strictly increasing, in range) and 0.0 elsewhere: the
+        entries that are not 0.0 are stored."""
+        value = np.asarray(value, dtype=float)
+        keep = (value != 0.0) | np.signbit(value)
+        self.shape = tuple(shape)
+        self.index, self.value = np.asarray(index, dtype=np.intp)[keep], value[keep]
+
+    @classmethod
+    def of(cls, M) -> "_Entries":
+        """The record of the dense array ``M``."""
+        M = np.asarray(M, dtype=float)
+        return cls(M.shape, np.arange(M.size), M.reshape(-1))
+
+    def dense(self) -> np.ndarray:
+        """The array, as a fresh dense one."""
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.index] = self.value
+        return out
+
+    def rows(self, lo: int, hi: int) -> "_Entries":
+        """The record of ``M[lo:hi]``, sliced out of this one."""
+        if (lo, hi) == (0, self.shape[0]):
+            return self
+        stride = math.prod(self.shape[1:])
+        part = slice(*np.searchsorted(self.index, (lo * stride, hi * stride)))
+        return _Entries((hi - lo, *self.shape[1:]),
+                        self.index[part] - lo * stride, self.value[part])
+
+
+def _check_finite(**arrays) -> None:
+    """Raise a ModelError naming the first of ``arrays`` that is not finite."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ModelError(f"{name} must be finite")
+
+
 class BiAffineConstraint:
     """g(x, xi) = xi'(A x + a0) + c'x + d  <= 0 (target form).
 
-    ``A`` (xi-dim x x-dim) is stored as the flat indices and values of its
-    stored entries: the nonzeros and any ``-0.0``, so that every entry,
-    sign of zero included, reads back exactly; fewer than one entry in
-    500 of a compiled dispatch constraint is nonzero.  ``A`` is read-only:
+    ``A`` (xi-dim x x-dim) is kept as its stored entries (``_Entries``, which
+    may also be given instead of the dense matrix): fewer than one entry in
+    500 of a compiled dispatch constraint is stored.  ``A`` is read-only:
     each read returns a fresh dense float64 array, and writing into that
     array leaves the constraint unchanged.
     """
 
     def __init__(self, A, a0, c, d: float = 0.0):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        self._store(A.shape, *_stored_entries(A), a0, c, d)
-
-    @classmethod
-    def from_entries(cls, shape, index, value, a0, c,
-                     d: float = 0.0) -> "BiAffineConstraint":
-        """The constraint whose ``A`` of ``shape`` holds ``value`` at the
-        flat row-major positions ``index`` (strictly increasing, in range)
-        and 0.0 elsewhere, built without the dense matrix."""
-        value = np.asarray(value, dtype=float)
-        keep = (value != 0.0) | np.signbit(value)
-        con = cls.__new__(cls)
-        con._store(tuple(shape), np.asarray(index, dtype=np.intp)[keep],
-                   value[keep], a0, c, d)
-        return con
-
-    def _store(self, shape, index, value, a0, c, d):
+        A = A if isinstance(A, _Entries) else _Entries.of(np.atleast_2d(A))
         self.a0 = np.atleast_1d(np.asarray(a0, dtype=float))
         self.c = np.atleast_1d(np.asarray(c, dtype=float))
         self.d = float(d)
-        k, n = shape
+        k, n = A.shape
         if self.a0.shape != (k,):
             raise ModelError(f"a0 must have length {k} (rows of A), got {self.a0.shape}")
         if self.c.shape != (n,):
             raise ModelError(f"c must have length {n} (cols of A), got {self.c.shape}")
-        for name, arr in (("A", value), ("a0", self.a0), ("c", self.c)):
-            if not np.all(np.isfinite(arr)):
-                raise ModelError(f"{name} must be finite")
-        if not np.isfinite(self.d):
-            raise ModelError("d must be finite")
-        self.A_shape = (k, n)
-        self.A_index = index
-        self.A_value = value
+        _check_finite(A=A.value, a0=self.a0, c=self.c, d=self.d)
+        self._A = A
 
     @property
     def A(self) -> np.ndarray:
-        out = np.zeros(self.A_shape)
-        out.ravel()[self.A_index] = self.A_value
-        return out
+        return self._A.dense()
 
     @property
     def xi_dim(self) -> int:
-        return self.A_shape[0]
+        return self._A.shape[0]
 
     @property
     def x_dim(self) -> int:
-        return self.A_shape[1]
-
-
-def _stored_entries(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flat row-major positions and values of M's nonzeros and -0.0s."""
-    flat = M.reshape(-1)
-    index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-    return index, flat[index]
+        return self._A.shape[1]
 
 
 def _aligned_rows(m: int, k: int) -> np.ndarray:
@@ -215,10 +229,10 @@ BLOCK_ENTRIES = 1 << 15
 
 class ConstraintStack(Sequence):
     """The m member constraints of a chance group, over xi of length k and
-    x of length n, stored stacked instead of one object each: the stored
-    entries of every member's ``A`` as flat positions in an (m, k, n)
-    array with their values, those of every ``c`` likewise in an (m, n)
-    array, and ``a0`` (m x k) and ``d`` (m,) as read-only arrays.
+    x of length n, stored stacked instead of one object each: every
+    member's ``A`` as one (m, k, n) record of stored entries
+    (``_Entries``), every ``c`` as one (m, n) record, and ``a0`` (m x k)
+    and ``d`` (m,) as read-only arrays.
 
     Reads return fresh dense arrays, so a reader forms each member's
     products from the same dense vectors and matrices as it would from
@@ -230,46 +244,43 @@ class ConstraintStack(Sequence):
     stack itself never changes.
     """
 
-    __slots__ = ("shape", "_A_start", "_A_index", "_A_value", "_c_index",
-                 "_c_value", "a0", "d")
+    __slots__ = ("shape", "_A", "_c", "a0", "d")
 
-    def __init__(self, members: list[BiAffineConstraint]):
-        k, n = members[0].A_shape
-        m = len(members)
-        self.shape = (m, k, n)
-        counts = [con.A_index.size for con in members]
-        # Member j's A entries are _A_index/_A_value[_A_start[j]:_A_start[j + 1]].
-        self._A_start = tuple(itertools.accumulate(counts, initial=0))
-        self._A_index = (np.concatenate([con.A_index for con in members])
-                         + np.repeat(np.arange(m) * (k * n), counts))
-        self._A_value = np.concatenate([con.A_value for con in members])
-        self._c_index, self._c_value = _stored_entries(
-            np.array([con.c for con in members]))
+    def __init__(self, shape, index, value, a0, c, d):
+        """The stack whose members' ``A``, stacked (m, k, n), are
+        ``_Entries(shape, index, value)``, with the dense ``a0``
+        (m x k), ``c`` (m x n) and ``d`` (m,)."""
+        self._A = _Entries(shape, index, value)
+        self._c = _Entries.of(c)
+        m, k, _ = self.shape = self._A.shape
         self.a0 = _aligned_rows(m, k)
-        self.a0[:] = [con.a0 for con in members]
-        self.d = np.array([con.d for con in members])
-        for arr in (self._A_index, self._A_value, self._c_index,
-                    self._c_value, self.a0, self.d):
-            arr.setflags(write=False)
+        self.a0[:] = a0
+        self.d = np.array(d, dtype=float)
+        _check_finite(A=self._A.value, a0=self.a0, c=self._c.value, d=self.d)
+        self.a0.setflags(write=False)
+        self.d.setflags(write=False)
+
+    @classmethod
+    def of(cls, members: list[BiAffineConstraint]) -> "ConstraintStack":
+        """The stack of ``members``, all over the same xi and x lengths."""
+        k, n = members[0]._A.shape
+        return cls((len(members), k, n),
+                   np.concatenate([con._A.index + j * (k * n)
+                                   for j, con in enumerate(members)]),
+                   np.concatenate([con._A.value for con in members]),
+                   *([getattr(con, key) for con in members]
+                     for key in ("a0", "c", "d")))
 
     def __len__(self) -> int:
         return self.shape[0]
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        m, k, n = self.shape
-        j = operator.index(j)
-        if not -m <= j < m:
-            raise IndexError("constraint index out of range")
-        j %= m
-        lo, hi = self._A_start[j:j + 2]
-        c_lo, c_hi = np.searchsorted(self._c_index, [j * n, (j + 1) * n])
-        c = np.zeros(n)
-        c[self._c_index[c_lo:c_hi] - j * n] = self._c_value[c_lo:c_hi]
-        return BiAffineConstraint.from_entries(
-            (k, n), self._A_index[lo:hi] - j * k * n, self._A_value[lo:hi],
-            self.a0[j], c, self.d[j])
+        j = range(len(self))[j]  # a range for a slice
+        if isinstance(j, range):
+            return [self[i] for i in j]
+        A, c = self._A.rows(j, j + 1), self._c.rows(j, j + 1)
+        return BiAffineConstraint(_Entries(A.shape[1:], A.index, A.value),
+                                  self.a0[j], c.dense()[0], self.d[j])
 
     def dense_A(self):
         """Each member's ``A`` in turn, as a fresh dense (k, n) array: a
@@ -286,70 +297,49 @@ class ConstraintStack(Sequence):
         m, k, n = self.shape
         step = max(1, BLOCK_ENTRIES // max(1, k * n))
         for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            s, e = self._A_start[lo], self._A_start[hi]
-            block = np.zeros((hi - lo, k, n))
-            block.reshape(-1)[self._A_index[s:e] - lo * k * n] = self._A_value[s:e]
-            yield lo, block
+            yield lo, self._A.rows(lo, min(lo + step, m)).dense()
 
     @property
     def c(self) -> np.ndarray:
         """Every member's dense ``c``, as one fresh (m, n) array."""
-        m, _, n = self.shape
-        out = np.zeros((m, n))
-        out.reshape(-1)[self._c_index] = self._c_value
-        return out
-
-
-class _StoredMatrix:
-    """A matrix attribute kept as its shape and its stored entries (see
-    ``_stored_entries``), so that every entry, sign of zero included,
-    reads back exactly.  A read returns a fresh dense float64 array, or
-    None when the matrix is absent; assigning a matrix stores it so."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        stored = getattr(obj, self.slot)
-        if stored is None:
-            return None
-        shape, index, value = stored
-        out = np.zeros(shape)
-        out.reshape(-1)[index] = value
-        return out
-
-    def __set__(self, obj, M):
-        if M is not None:
-            M = np.asarray(M, dtype=float)
-            M = (M.shape, *_stored_entries(M))
-        setattr(obj, self.slot, M)
+        return self._c.dense()
 
 
 class Polytope:
     """Deterministic feasible set: G x <= h, A_eq x = b_eq, lower/upper.
 
-    ``G`` and ``A_eq`` are kept as their stored entries, as a group's
-    constraints are (``_StoredMatrix``): a dispatch polytope has two
-    nonzeros per row.  Each read returns a fresh dense array (None when
-    the block is absent)."""
-
-    G = _StoredMatrix()
-    A_eq = _StoredMatrix()
+    ``G`` and ``A_eq`` are kept as their stored entries (``_Entries``), as
+    a group's constraints are: a dispatch polytope has two nonzeros per
+    row.  Each read returns a fresh dense array (None when the block is
+    absent); assigning a matrix stores it so."""
 
     def __init__(self, G=None, h=None, A_eq=None, b_eq=None, lower=None,
                  upper=None):
         self.G, self.h, self.A_eq, self.b_eq = G, h, A_eq, b_eq
         self.lower, self.upper = lower, upper
 
+    @property
+    def G(self):
+        return None if self._G is None else self._G.dense()
+
+    @G.setter
+    def G(self, M):
+        self._G = None if M is None else _Entries.of(M)
+
+    @property
+    def A_eq(self):
+        return None if self._A_eq is None else self._A_eq.dense()
+
+    @A_eq.setter
+    def A_eq(self, M):
+        self._A_eq = None if M is None else _Entries.of(M)
+
     def validate(self, n: int) -> None:
         check_blocks(self, n, "polytope: ")
 
     @property
     def n_ineq(self) -> int:
-        return 0 if self._G is None else self._G[0][0]
+        return 0 if self._G is None else self._G.shape[0]
 
 
 def check_risk(owner: str, epsilon, rho) -> tuple[float, float]:
@@ -392,7 +382,7 @@ class JccGroup:
         dual_norm(self.norm)
         k, cons = self.samples.dim, self.constraints
         stacked = isinstance(cons, ConstraintStack)
-        shapes = [cons.shape[1:]] if stacked else [g.A_shape for g in cons]
+        shapes = [cons.shape[1:]] if stacked else [(g.xi_dim, g.x_dim) for g in cons]
         for j, (xi_dim, x_dim) in enumerate(shapes):
             if xi_dim != k:
                 raise ModelError(
@@ -403,7 +393,7 @@ class JccGroup:
                     f"group {self.label!r}: constraint {j} has x-dim "
                     f"{x_dim}, constraint 0 has {shapes[0][1]}")
         if not stacked:
-            self.constraints = ConstraintStack(cons)
+            self.constraints = ConstraintStack.of(cons)
 
     @property
     def n(self) -> int:
@@ -744,8 +734,8 @@ def _shape(value) -> tuple[int, int]:
     return k, n
 
 
-def _entries_from_json(data, where) -> tuple:
-    """The (shape, index, value) of a matrix written as the JSON object
+def _entries_from_json(data, where) -> _Entries:
+    """The record of a matrix written as the JSON object
     ``{"shape": [k, n], "index": [...], "value": [...]}`` at path
     ``where``: ``value[i]`` sits at flat row-major position ``index[i]``,
     the indices strictly increasing, and every other entry is 0.0."""
@@ -774,21 +764,19 @@ def _entries_from_json(data, where) -> tuple:
             values.append(number(v))
         except (TypeError, ValueError) as exc:
             raise ModelError(f"{where}/value/{i}: {exc}") from None
-    return shape, positions, values
+    return _Entries(shape, positions, values)
 
 
 def _constraint_from_json(data, where) -> BiAffineConstraint:
     """The constraint of the JSON object at path ``where``, whose ``A`` is
     a dense nested list or its stored entries (``_entries_from_json``)."""
     A = read_field(data, "A", where)
-    build = (partial(BiAffineConstraint.from_entries,
-                     *_entries_from_json(A, f"{where}/A"))
-             if isinstance(A, dict)
-             else partial(BiAffineConstraint, read_field(data, "A", where, floats)))
-    rest = [read_field(data, k, where, floats) for k in ("a0", "c")]
-    rest.append(read_field(data, "d", where, number))
+    A = (_entries_from_json(A, f"{where}/A") if isinstance(A, dict)
+         else read_field(data, "A", where, floats))
+    a0, c, d = (read_field(data, key, where, kind) for key, kind in
+                (("a0", floats), ("c", floats), ("d", number)))
     try:
-        return build(*rest)
+        return BiAffineConstraint(A, a0, c, d)
     except ModelError as exc:  # a0 or c against the shape of A
         raise ModelError(f"{where}: {exc}") from None
 
@@ -808,23 +796,23 @@ def problem_to_dict(problem: CcpProblem) -> dict:
     }
     if problem.var_names is not None:
         out["var_names"] = list(problem.var_names)
-    if poly.G is not None:
-        out["polytope"]["ineq_lhs"] = poly.G.tolist()
-        out["polytope"]["ineq_rhs"] = poly.h.tolist()
-    if poly.A_eq is not None:
-        out["polytope"]["eq_lhs"] = poly.A_eq.tolist()
-        out["polytope"]["eq_rhs"] = poly.b_eq.tolist()
+    for kind, M, b in (("ineq", poly.G, poly.h), ("eq", poly.A_eq, poly.b_eq)):
+        if M is not None:
+            out["polytope"] |= {f"{kind}_lhs": M.tolist(), f"{kind}_rhs": b.tolist()}
     for g in problem.groups:
+        cons = g.constraints
         out["groups"].append({
             "label": g.label,
             "epsilon": g.epsilon,
             "rho": g.rho,
             "norm": g.norm,
             "constraints": [
-                {"A": {"shape": list(c.A_shape), "index": c.A_index.tolist(),
-                       "value": c.A_value.tolist()},
-                 "a0": c.a0.tolist(), "c": c.c.tolist(), "d": c.d}
-                for c in g.constraints
+                {"A": {"shape": list(A.shape[1:]), "index": A.index.tolist(),
+                       "value": A.value.tolist()},
+                 "a0": a0, "c": c, "d": d}
+                for A, a0, c, d in zip(
+                    (cons._A.rows(j, j + 1) for j in range(len(cons))),
+                    cons.a0.tolist(), cons.c.tolist(), cons.d.tolist())
             ],
             "samples": g.samples.data.tolist(),
         })

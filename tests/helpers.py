@@ -1,6 +1,8 @@
 """Shared fixtures-by-construction for the solver tests."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
@@ -171,6 +173,15 @@ def random_instance(seed: int) -> CcpProblem:
         groups=groups)
 
 
+def perfbench_inputs():
+    """The benchmark's seeded case generators, imported by file path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def random_dispatch_case(seed: int):
     """Small feasible dispatch case for audit sweeps.
 
@@ -257,3 +268,120 @@ def mean_point(problem: CcpProblem) -> np.ndarray:
     """The mean-value LP's point, where ``_binding_groups`` seeds a
     working set."""
     return solve_lp(algorithms.mean_value_lp(problem)).x
+
+
+def _dense(shape, entries=()) -> np.ndarray:
+    """Zeros of ``shape`` with ``out[index] = value`` for each (index,
+    value) entry, in order."""
+    out = np.zeros(shape)
+    for index, value in entries:
+        out[index] = value
+    return out
+
+
+def _constraint(k: int, nv: int, A=(), a0=(), c=(), d: float = 0.0):
+    """The dense (A, a0, c, d) of xi'(A x + a0) + c'x + d <= 0 over xi of
+    length k and x of length nv, from the (index, value) entries of A, a0
+    and c."""
+    return _dense((k, nv), A), _dense(k, a0), _dense(nv, c), float(d)
+
+
+def dense_dispatch_rows(case):
+    """The rows that ``dispatch.build_ccp`` compiles, assembled one dense
+    row and one dense member at a time: the reference for its index
+    arithmetic.  Returns (G, h, A_eq, b_eq) and, per group in group
+    order, the dense (A, a0, c, d) of each member."""
+    from jccopt.dispatch import VarIndex, _net_load
+
+    T, dt = case.horizon, case.step
+    idx = VarIndex(case)
+    nv = idx.n_vars
+    gens, adns, lines = case.generators, case.adns, case.network.lines
+
+    # segment anchoring: p[g,t] - sum_s seg[g,s,t] = p_min
+    eq = [(_dense(nv, [(idx.p[gi, t], 1.0), (idx.seg[gi][:, t], -1.0)]),
+           g.p_min) for gi, g in enumerate(gens) for t in range(T)]
+    # balance: sum_g p + sum_w forecast = sum_d adn_p + fixed load
+    load, forecast = _net_load(case)
+    eq += [(_dense(nv, [(idx.p[:, t], 1.0), (idx.adn_p[:, t], -1.0)]),
+            load[t] - forecast[t]) for t in range(T)]
+    # participation partitions
+    eq += [(_dense(nv, [(idx.a_up[:, t], 1.0)]), 1.0) for t in range(T)]
+    eq += [(_dense(nv, [(idx.a_dn[:, t], 1.0), (idx.adn_a_up[:, t], 1.0)]),
+            1.0) for t in range(T)]
+    ineq = []
+    for gi, g in enumerate(gens):
+        p = idx.p[gi]
+        for t in range(T):
+            # p + r_up <= p_max; headroom below: p - r_dn >= p_min
+            ineq.append((_dense(nv, [(p[t], 1.0), (idx.r_up[gi, t], 1.0)]),
+                         g.p_max))
+            ineq.append((_dense(nv, [(p[t], -1.0), (idx.r_dn[gi, t], 1.0)]),
+                         -g.p_min))
+        for t in range(T - 1):
+            # ramp_dn*dt <= p[t+1] - p[t] <= ramp_up*dt
+            row = _dense(nv, [(p[t + 1], 1.0), (p[t], -1.0)])
+            ineq += [(row, g.ramp_up * dt), (-row, -g.ramp_dn * dt)]
+    G, h = (np.array(v) for v in zip(*ineq))
+    A_eq, b_eq = (np.array(v) for v in zip(*eq))
+
+    groups = []
+    for gi, g in enumerate(gens):
+        # xi = [omega_plus (T), omega_minus (T)];
+        # a_dn * omega_plus - r_dn <= 0, then -a_up * omega_minus - r_up <= 0
+        k = 2 * T
+        groups.append(
+            [_constraint(k, nv, A=[((t, idx.a_dn[gi, t]), 1.0)],
+                         c=[(idx.r_dn[gi, t], -1.0)]) for t in range(T)]
+            + [_constraint(k, nv, A=[((T + t, idx.a_up[gi, t]), -1.0)],
+                           c=[(idx.r_up[gi, t], -1.0)]) for t in range(T)])
+    for di, d in enumerate(adns):
+        # xi = [omega_plus (T), p_lo (T), p_hi (T), e_lo (T), e_hi (T)]
+        p, r, a = idx.adn_p[di], idx.adn_r_up[di], idx.adn_a_up[di]
+        k = 5 * T
+        groups.append(
+            # p_lo_t - adn_p_t <= 0
+            [_constraint(k, nv, a0=[(T + t, 1.0)], c=[(p[t], -1.0)])
+             for t in range(T)]
+            # adn_p_t + r_t - p_hi_t <= 0
+            + [_constraint(k, nv, a0=[(2 * T + t, -1.0)],
+                           c=[(p[t], 1.0), (r[t], 1.0)]) for t in range(T)]
+            # e_lo_t - dt*sum_{tau<=t} adn_p_tau <= 0
+            + [_constraint(k, nv, a0=[(3 * T + t, 1.0)], c=[(p[:t + 1], -dt)])
+               for t in range(T)]
+            # dt*sum_{tau<=t} (adn_p + r) - e_hi_t <= 0
+            + [_constraint(k, nv, a0=[(4 * T + t, -1.0)],
+                           c=[(p[:t + 1], dt), (r[:t + 1], dt)])
+               for t in range(T)]
+            # a_up * omega_plus - r <= 0
+            + [_constraint(k, nv, A=[((t, a[t]), 1.0)], c=[(r[t], -1.0)])
+               for t in range(T)])
+    farms = case.wind.farms if case.wind is not None else []
+    W = len(farms)
+    psi = case.network.resolved_ptdf()
+    gen_bus = [case.network.bus_pos(g.bus) for g in gens]
+    adn_bus = [case.network.bus_pos(d.bus) for d in adns]
+    farm_bus = [case.network.bus_pos(f.bus) for f in farms]
+    loads = np.array([b.fixed_load for b in case.network.buses])
+    forecasts = np.array([f.forecast for f in farms]).reshape(W, T)
+    for li, ln in enumerate(lines):
+        # xi = [farm errors (W*T, farm-major), omega_plus (T), omega_minus (T)]
+        psi_g, psi_d = psi[li, gen_bus], psi[li, adn_bus]
+        psi_w = psi[li, farm_bus]
+        k = (W + 2) * T
+        cons = []
+        for t in range(T):
+            # flow of the forecasts and fixed loads, summed term by term
+            const = sum(psi_w * forecasts[:, t]) - sum(psi[li] * loads[:, t])
+            for sign in (1.0, -1.0):
+                cons.append(_constraint(
+                    k, nv,
+                    A=[((W * T + t, idx.a_dn[:, t]), -sign * psi_g),
+                       ((W * T + T + t, idx.a_up[:, t]), -sign * psi_g),
+                       ((W * T + t, idx.adn_a_up[:, t]), -sign * psi_d)],
+                    a0=[(np.arange(W) * T + t, sign * psi_w)],
+                    c=[(idx.p[:, t], sign * psi_g),
+                       (idx.adn_p[:, t], -sign * psi_d)],
+                    d=sign * const - ln.capacity))
+        groups.append(cons)
+    return (G, h, A_eq, b_eq), groups

@@ -487,7 +487,7 @@ def test_evaluate_reads_the_dispatch_report_sparse_or_dense(tmp_path, capsys):
     assert report["results"]["cvar"]["x"] == x.tolist()
     for gd, g in zip(report["problem"]["groups"], model.problem.groups):
         for cd, con in zip(gd["constraints"], g.constraints):
-            assert cd["A"]["index"] == con.A_index.tolist()
+            assert cd["A"]["index"] == con._A.index.tolist()
             cd["A"] = con.A.tolist()
     dense = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert 5 * report_file.stat().st_size <= len(dense)

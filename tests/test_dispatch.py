@@ -17,7 +17,7 @@ from jccopt import (Adn, BiAffineConstraint, Bus, DispatchCase, Generator,
 from jccopt.cases import overlap_case, render_case, three_bus_case
 from jccopt.model import problem_to_dict
 
-from helpers import random_dispatch_case
+from helpers import dense_dispatch_rows, perfbench_inputs, random_dispatch_case
 
 
 # -- ptdf ---------------------------------------------------------------------
@@ -269,6 +269,63 @@ def test_day_ahead_case_reaches_every_segment(day_ahead_model):
     assert day_ahead_model.problem.polytope.n_ineq == 2 * (2 * 24 + 2 * 23)
     _, det = deterministic_dispatch(case)
     assert np.all(det.x[day_ahead_model.index.seg[0]].max(axis=1) > 1.0)
+
+
+def _stored(M: np.ndarray):
+    """The flat positions and values of M's nonzeros and -0.0s."""
+    flat = M.reshape(-1)
+    index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+    return index, flat[index]
+
+
+def _same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+_REFERENCE_CASES = {
+    "three-bus-n10": lambda: three_bus_case(n_train=10),
+    "three-bus-n20": lambda: three_bus_case(n_train=20),
+    "overlap": overlap_case,
+    "day-ahead": day_ahead_case,
+    **{f"draw-{d}": (lambda d=d: perfbench_inputs().three_bus_draw(1, 10, d))
+       for d in range(6)},
+    **{f"random-{s}": (lambda s=s: random_dispatch_case(s)) for s in range(4)},
+}
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.01])
+@pytest.mark.parametrize("name", list(_REFERENCE_CASES))
+def test_build_ccp_stores_the_dense_reference_rows(name, rho):
+    """build_ccp's index arithmetic gives the rows that a dense assembly,
+    one row and one member at a time, gives: the polytope and every
+    member's stored entries, signs of zeros included, its a0, c and d."""
+    case = _REFERENCE_CASES[name]()
+    problem = build_ccp(case, rho_override=rho).problem
+    (G, h, A_eq, b_eq), groups = dense_dispatch_rows(case)
+    poly = problem.polytope
+    for got, want in ((poly.G, G), (poly.h, h), (poly.A_eq, A_eq),
+                      (poly.b_eq, b_eq)):
+        assert _same_bytes(got, want)
+    for record, M in ((poly._G, G), (poly._A_eq, A_eq)):
+        index, value = _stored(M)
+        assert _same_bytes(record.index, index) and _same_bytes(record.value, value)
+    assert len(problem.groups) == len(groups)
+    for group, members in zip(problem.groups, groups):
+        assert group.rho == rho
+        cons = group.constraints
+        assert cons.shape == (len(members), *members[0][0].shape)
+        for j, (A, a0, c, d) in enumerate(members):
+            record = cons._A.rows(j, j + 1)
+            index, value = _stored(A)
+            assert record.shape == (1, *A.shape)
+            assert _same_bytes(record.index, index) and _same_bytes(record.value, value)
+            assert _same_bytes(cons.a0[j], a0) and _same_bytes(cons.c[j], c)
+            assert _same_bytes(cons.d[j], np.float64(d))
+        assert cons._A.index.size == sum(_stored(A)[0].size for A, *_ in members)
+        index, value = _stored(np.array([c for _, _, c, _ in members]))
+        assert _same_bytes(cons._c.index, index) and _same_bytes(cons._c.value, value)
 
 
 def test_three_bus_shapes(three_bus_model):

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +15,11 @@ from jccopt import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, ModelError,
 from jccopt import algorithms, lp
 from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
-from jccopt.lp import _Tableau, residuals
+from jccopt.lp import SimplexSession, _Tableau, residuals
 from jccopt.model import problem_from_dict, problem_to_dict
 from jccopt.toys import interval_toy
 
-from helpers import scipy_solve
+from helpers import perfbench_inputs, scipy_solve
 
 
 def test_box_only_minimum():
@@ -926,27 +924,20 @@ def test_refresh_of_a_singular_basis_raises():
         tab.refresh_basics()
 
 
-def _perfbench_inputs():
-    """The benchmark's seeded case generators, imported by file path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# From the primal crash, a cold solve of this LP drifts: phase 1 is clean
-# (277 pivots), but in phase 2 pivot 436 lands on a basis with condition
-# number 2.6e7, by pivot 437 the true basis is exactly singular, and the
-# tableau pivots on an entry of 9.2e14, which leaves the basic values 1.47
-# off and fails the feasibility audit.  Which kernels drift depends on the
-# BLAS.  A one-shot solve starts from the dual start, whose path does not
-# cross that basis; the drift itself remains, and a factored basis that is
-# refactored periodically would remove it.
+# From the primal crash, a cold solve of this LP drifts: phase 1 is clean,
+# but in phase 2 the tableau reaches a basis with condition number 2.6e7
+# and the primal ratio test pivots on an entry of about 3e-10 whose exact
+# value is 0, which leaves the point off its rows and fails the
+# feasibility audit.  Which kernels drift depends on the BLAS.  A one-shot
+# solve starts from the dual start, whose path does not cross that basis;
+# a session's cold solve starts primal and, when it fails so, is retried
+# from the dual start.  The drift itself remains, and a relative pivot
+# tolerance or a factored basis would remove it.
 def test_cold_solve_of_a_drawn_three_bus_level_lp_matches_highs():
-    inputs = _perfbench_inputs()
+    inputs = perfbench_inputs()
     p = build_ccp(inputs.three_bus_draw(201, 20, 0), rho_override=0.0).problem
     ones = [np.ones(g.n) for g in p.groups]
     level_lp = algorithms.SStepAssembler(p).lp_at(94.70310507636037, ones)
     status, objective = _highs(level_lp)
     _agree(solve_lp(level_lp), status, objective)
+    _agree(SimplexSession(level_lp).solve(), status, objective)

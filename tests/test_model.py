@@ -302,7 +302,7 @@ def test_bi_affine_A_reads_back_exactly():
         assert A.shape == M.shape and A.dtype == np.float64
         assert np.array_equal(A, M)
         assert np.array_equal(np.signbit(A), np.signbit(M))
-        assert con.A_index.size == _stored(M)
+        assert con._A.index.size == _stored(M)
         assert con.A is not con.A
         A[...] = 7.0  # a read is a copy: the constraint does not change
         assert np.array_equal(con.A, M)
@@ -324,7 +324,7 @@ def test_sparse_A_round_trips_bit_exactly():
             "value": M.ravel()[stored].tolist()}
         con = problem_from_dict(d).groups[0].constraints[0]
         assert con.A.tobytes() == M.tobytes()  # signs of zeros included
-        assert np.array_equal(con.A_index, stored)
+        assert np.array_equal(con._A.index, stored)
 
 
 def test_dense_A_reads_to_the_same_problem():
@@ -400,11 +400,11 @@ def test_three_bus_constraints_store_only_their_entries():
     p = build_ccp(three_bus_case()).problem
     cons = [con for g in p.groups for con in g.constraints]
     for con in cons:
-        assert con.A_index.size == con.A_value.size == _stored(con.A)
+        assert con._A.index.size == con._A.value.size == _stored(con.A)
     # 92 nonzeros and 24 negative zeros out of 55,488 dense entries.
     assert sum(con.A.size for con in cons) == 55488
     assert sum(np.count_nonzero(con.A) for con in cons) == 92
-    assert sum(con.A_index.size for con in cons) == 116
+    assert sum(con._A.index.size for con in cons) == 116
     blob = json.dumps(problem_to_dict(p))
     assert json.dumps(problem_to_dict(problem_from_dict(json.loads(blob)))) == blob
 
@@ -529,14 +529,14 @@ def test_polytope_keeps_its_matrices_as_stored_entries():
         G = p.G
         G[...] = 7.0  # a read is a copy: the polytope does not change
         assert p.G.tobytes() == M.tobytes()
-        shape, index, value = p._G
+        shape, index, value = p._G.shape, p._G.index, p._G.value
         assert shape == M.shape and index.size == value.size == _stored(M)
     p = Polytope(lower=[0.0])
     assert p.G is None and p.A_eq is None and p.n_ineq == 0
     # 56 nonzeros in each block; G's negated ramp rows add 396 -0.0s.
     poly = build_ccp(three_bus_case()).problem.polytope
-    assert poly._G[1].size == _stored(poly.G) == 56 + 396
-    assert poly._A_eq[1].size == _stored(poly.A_eq) == 56
+    assert poly._G.index.size == _stored(poly.G) == 56 + 396
+    assert poly._A_eq.index.size == _stored(poly.A_eq) == 56
 
 
 def test_row_norms_match_norm_value():
