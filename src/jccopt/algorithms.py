@@ -164,61 +164,62 @@ class _ScenarioLpBuilder:
         self.rhs.append(np.atleast_1d(rhs))
         self.n_rows += mat.shape[0]
 
-    def add_margins(self, group: JccGroup) -> list[dict]:
-        """Columns and rows for the Wasserstein margins at the group's rho.
-
-        Returns one ``{column: rho}`` dict per constraint, the margin terms
-        of its scenario rows.  For the l1 uncertainty norm (dual linf) one
-        bound column per constraint covers all components; for linf (dual
-        l1) each component gets its own, and the margin is rho times their
-        sum.  Each bound column b of component r gets the two rows
-        +-(A[r] x + a0[r]) <= b; identically zero components are skipped,
-        since they add nothing to either norm.  A norm outside NORMS (set
-        after the group was built) raises ModelError.
+    def add_margins(self, group: JccGroup):
+        """Columns and rows for the Wasserstein margins at the group's rho,
+        and the margin terms of its scenario rows as arrays ``(members,
+        columns, coefficient)``: member ``members[i]``'s rows get
+        ``coefficient[i]`` in column ``columns[i]``.  For the l1 uncertainty
+        norm (dual linf) one bound column per constraint covers all
+        components; for linf (dual l1) each component gets its own, and the
+        margin is rho times their sum.  Each bound column b of component r
+        gets the two rows +-(A[r] x + a0[r]) <= b; identically zero
+        components are skipped, since they add nothing to either norm.  A
+        norm outside NORMS (set after the group was built) raises ModelError.
         """
         rho = group.rho
         if rho == 0.0:
-            return [{} for _ in group.constraints]
-        dual = dual_norm(group.norm)
-        cons = group.constraints
-        As = list(cons.dense_A())
-        nz = [np.flatnonzero((a0 != 0.0) | np.any(A != 0.0, axis=1))
-              for A, a0 in zip(As, cons.a0)]
-        if dual == "linf":
-            blk = self.add_block(len(nz))
-            bound_cols = [np.full(r.size, blk.start + j) for j, r in enumerate(nz)]
-            terms = [{blk.start + j: rho} for j in range(len(nz))]
-        else:
-            blk = self.add_block(sum(r.size for r in nz))
-            ends = np.cumsum([r.size for r in nz])[:-1]
-            bound_cols = np.split(np.arange(blk.start, blk.stop), ends)
-            terms = [{int(col): rho for col in cols} for cols in bound_cols]
-        for A, a0, r, cols in zip(As, cons.a0, nz, bound_cols):
-            comp = np.repeat(r, 2)  # the + row, then the - row
-            sign = np.tile([1.0, -1.0], r.size)
-            block = np.zeros((comp.size, self.cols))
-            block[:, :self.n] = sign[:, None] * A[comp]
-            block[np.arange(comp.size), np.repeat(cols, 2)] = -1.0
-            self.append_rows(block, -sign * a0[comp])
-        return terms
+            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
+        dual, cons = dual_norm(group.norm), group.constraints
+        parts = []
+        for j, A in cons.A_blocks():
+            a0 = cons.a0[j:j + len(A)]
+            member, comp = np.nonzero((a0 != 0.0) | np.any(A != 0.0, axis=2))
+            parts.append((j + member, A[member, comp], a0[member, comp]))
+        member, A, a0 = (np.concatenate(p) for p in zip(*parts))
+        # One bound column per member (dual linf) or per component (l1).
+        members = np.arange(len(cons)) if dual == "linf" else member
+        blk = self.add_block(members.size)
+        bound = blk.start + (member if dual == "linf" else np.arange(member.size))
+        sign = np.tile([1.0, -1.0], member.size)  # the + row, then the - row
+        block = np.zeros((sign.size, self.cols))
+        block[:, :self.n] = sign[:, None] * np.repeat(A, 2, axis=0)
+        block[np.arange(sign.size), np.repeat(bound, 2)] = -1.0
+        self.append_rows(block, -sign * np.repeat(a0, 2))
+        return members, np.arange(blk.start, blk.stop), np.full(members.size, rho)
 
-    def scenario_rows(self, group: JccGroup, terms: list[dict],
-                      diag: int | None = None) -> None:
+    def member_rows(self, data: np.ndarray, cons) -> np.ndarray:
+        """Rows of the full width, zero but for data_i'A_j + c_j over x, as
+        a (members, len(data), cols) array, from one batched product per
+        block of ``cons.A_blocks()`` (see ``ConstraintStack``)."""
+        rows, c = np.zeros((len(cons), len(data), self.cols)), cons.c
+        for j, A in cons.A_blocks():
+            rows[j:j + len(A), :, :self.n] = np.matmul(data, A) + c[j:j + len(A), None]
+        return rows
+
+    def scenario_rows(self, group: JccGroup, terms, diag: int | None = None) -> None:
         """Rows  xi_i'(A_j x + a0_j) + c_j'x + d_j + extra <= 0  for every
-        scenario, one constraint after another.  ``terms[j]`` maps column ->
-        coefficient of constraint j's extra terms; with ``diag``, the row of
-        scenario i also gets -1 in column diag + i (a per-scenario shortfall
-        or excess)."""
+        scenario, one constraint after another.  ``terms`` are the extra
+        terms as arrays ``(members, columns, coefficient)`` (see
+        ``add_margins``); with ``diag``, the row of scenario i also gets -1
+        in column diag + i (a per-scenario shortfall or excess)."""
         data, cons = group.samples.data, group.constraints
-        for A, a0, c, d, extra in zip(cons.dense_A(), cons.a0, cons.c,
-                                      cons.d.tolist(), terms):
-            block = np.zeros((group.n, self.cols))
-            block[:, :self.n] = data @ A + c
-            for col, coeff in extra.items():
-                block[:, col] = coeff
-            if diag is not None:
-                block[np.arange(group.n), diag + np.arange(group.n)] = -1.0
-            self.append_rows(block, 0.0 - (data @ a0 + d))
+        rows = self.member_rows(data, cons)
+        members, columns, coefficient = terms
+        rows[members, :, columns] = coefficient[:, None]
+        if diag is not None:
+            rows[:, np.arange(group.n), diag + np.arange(group.n)] = -1.0
+        rhs = 0.0 - (np.matvec(data, cons.a0) + cons.d[:, None])
+        self.append_rows(rows.reshape(-1, self.cols), rhs.ravel())
 
     def cost(self) -> np.ndarray:
         """The problem's objective over x, zero over the added columns."""
@@ -493,11 +494,8 @@ def mean_value_lp(problem: CcpProblem) -> LpProblem:
     builder = _ScenarioLpBuilder(problem)
     for g in problem.groups:
         mean, cons = g.samples.mean, g.constraints
-        for A, a0, c, d in zip(cons.dense_A(), cons.a0, cons.c,
-                               cons.d.tolist()):
-            row = np.zeros((1, builder.cols))
-            row[0, :builder.n] = mean @ A + c
-            builder.append_rows(row, np.array([-(mean @ a0 + d)]))
+        builder.append_rows(builder.member_rows(mean[None], cons)[:, 0],
+                            -(np.vecdot(mean, cons.a0) + cons.d))
     return builder.finish(builder.cost())
 
 
@@ -517,7 +515,9 @@ def cvar_lp(problem: CcpProblem, groups=None) -> LpProblem:
             continue
         t_blk = builder.add_block(1, lo=-np.inf)
         w_blk = builder.add_block(g.n)
-        builder.scenario_rows(g, [{**m, t_blk.start: -1.0} for m in terms],
+        m = len(g.constraints)
+        tail = np.arange(m), np.full(m, t_blk.start), np.full(m, -1.0)
+        builder.scenario_rows(g, [np.r_[a, b] for a, b in zip(terms, tail)],
                               w_blk.start)
         row = np.zeros((1, builder.cols))
         row[0, t_blk.start] = 1.0

@@ -82,7 +82,8 @@ _PRICE_SIGN.setflags(write=False)
 
 def check_blocks(blocks, n: int, where: str = "") -> None:
     """Convert and check in place the blocks of an LpProblem or Polytope
-    over n variables: paired ``G``/``h`` and ``A_eq``/``b_eq`` of matching
+    over n variables (a block that needs no conversion is not assigned
+    again): paired ``G``/``h`` and ``A_eq``/``b_eq`` of matching
     shapes and finite entries; bounds of length n, infinite where absent,
     never NaN, and never +inf below or -inf above.  ``where`` prefixes the
     error messages."""
@@ -92,6 +93,7 @@ def check_blocks(blocks, n: int, where: str = "") -> None:
             raise ModelError(f"{where}{lhs} and {rhs} must be given together")
         if M is None:
             continue
+        given = {lhs: M, rhs: b}
         b = np.atleast_1d(np.asarray(b, dtype=float))
         M = np.atleast_2d(np.asarray(M, dtype=float))
         if M.shape != (b.size, n):
@@ -99,8 +101,8 @@ def check_blocks(blocks, n: int, where: str = "") -> None:
         for name, arr in ((lhs, M), (rhs, b)):
             if not np.all(np.isfinite(arr)):
                 raise ModelError(f"{where}{name}: entries must be finite")
-        setattr(blocks, lhs, M)
-        setattr(blocks, rhs, b)
+            if arr is not given[name]:  # a Polytope keeps its records
+                setattr(blocks, name, arr)
     blocks.lower = (np.full(n, -np.inf) if blocks.lower is None
                     else np.atleast_1d(np.asarray(blocks.lower, dtype=float)))
     blocks.upper = (np.full(n, np.inf) if blocks.upper is None

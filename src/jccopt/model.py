@@ -46,15 +46,6 @@ def dual_norm(norm: str) -> str:
         raise ModelError(f"unknown norm {norm!r}; expected one of {NORMS}") from None
 
 
-def norm_value(v: np.ndarray, norm: str) -> float:
-    v = np.asarray(v, dtype=float)
-    if norm == "l1":
-        return float(np.sum(np.abs(v)))
-    if norm == "linf":
-        return float(np.max(np.abs(v), initial=0.0))
-    raise ModelError(f"unknown norm {norm!r}; expected one of {NORMS}")
-
-
 @dataclass
 class SampleSet:
     """n >= 1 scenarios of a k-dimensional uncertain vector, one per row."""
@@ -234,14 +225,16 @@ class ConstraintStack(Sequence):
     (``_Entries``), every ``c`` as one (m, n) record, and ``a0`` (m x k)
     and ``d`` (m,) as read-only arrays.
 
-    Reads return fresh dense arrays, so a reader forms each member's
-    products from the same dense vectors and matrices as it would from
-    the member: ``dense_A()`` gives one member's ``A`` at a time,
-    ``A_blocks()`` consecutive members' in blocks of at most
-    ``BLOCK_ENTRIES`` entries (or one member), and ``c`` every member's at
-    once (m x n, small next to the m dense ``A``).  Indexing gives a
-    member as a new BiAffineConstraint (a list of them for a slice); the
-    stack itself never changes.
+    Reads return fresh dense arrays: ``A_blocks()`` gives consecutive
+    members' ``A`` in blocks of at most ``BLOCK_ENTRIES`` entries (or one
+    member), and ``c`` every member's at once (m x n).  ``JccGroup.values``
+    and the LP rows (``algorithms._ScenarioLpBuilder``) read members only
+    through ``A_blocks``, with per-member BLAS calls (batched ``np.matmul``
+    or ``np.matvec`` over a block, ``np.matvec`` or ``np.vecdot`` over the
+    rows of ``a0`` and ``c``): each is the call a member's own product
+    makes, so it rounds alike, where one product over all members would
+    not.  Indexing gives a member as a new BiAffineConstraint (a list of
+    them for a slice); the stack itself never changes.
     """
 
     __slots__ = ("shape", "_A", "_c", "a0", "d")
@@ -281,14 +274,6 @@ class ConstraintStack(Sequence):
         A, c = self._A.rows(j, j + 1), self._c.rows(j, j + 1)
         return BiAffineConstraint(_Entries(A.shape[1:], A.index, A.value),
                                   self.a0[j], c.dense()[0], self.d[j])
-
-    def dense_A(self):
-        """Each member's ``A`` in turn, as a fresh dense (k, n) array: a
-        copy out of its block, aligned as a member's own ``A`` is (see
-        ``_aligned_rows``)."""
-        for _, block in self.A_blocks():
-            for A in block:
-                yield A.copy()
 
     def A_blocks(self):
         """The members' dense ``A`` in order, as pairs (j, block): a fresh
@@ -411,11 +396,8 @@ class JccGroup:
         data, rho = self.samples.data, self.rho
         x = np.asarray(x, dtype=float)
         cons = self.constraints
-        # Row j of a is A_j x + a0_j, row j of g is g_j on every scenario.
-        # The stacked products make, per constraint, the BLAS call its own
-        # product makes (a matrix-vector product for A_j x and data a_j, a
-        # dot product for c_j x); one product over all constraints would
-        # round differently.
+        # Row j of a is A_j x + a0_j, row j of g is g_j on every scenario,
+        # from per-member BLAS calls (see ConstraintStack).
         a = _aligned_rows(*cons.shape[:2])
         for j, block in cons.A_blocks():
             np.matvec(block, x, out=a[j:j + len(block)])
@@ -432,8 +414,9 @@ class JccGroup:
 
 
 def _row_norms(a: np.ndarray, norm: str) -> np.ndarray:
-    """``norm_value`` of each row of a, bit for bit, in one reduction: the
-    row sums add in the order a row's own sum does."""
+    """The dual norm of each row of a, in one reduction: the row sums add
+    in the order a row's own sum does, so each equals the one-row
+    reference ``norm_value`` of tests/helpers.py bit for bit."""
     if norm == "l1":
         return np.abs(a).sum(axis=1)
     return np.max(np.abs(a), axis=1, initial=0.0)

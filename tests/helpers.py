@@ -8,11 +8,12 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from jccopt import (OPTIMAL, UNBOUNDED, BiAffineConstraint, CcpProblem,
-                    JccGroup, LpProblem, NumericError, Polytope, SampleSet,
-                    SStepAssembler, algorithms, lp, shortfalls, solve_lp)
+                    JccGroup, LpProblem, ModelError, NumericError, Polytope,
+                    SampleSet, SStepAssembler, algorithms, lp, shortfalls,
+                    solve_lp)
 from jccopt.algorithms import (_hard_rows, _point, _report, cvar_lp,
                                scenario_hard_lp)
-from jccopt.model import risk_budget
+from jccopt.model import NORMS, risk_budget
 
 
 def s_step(problem: CcpProblem, z: list[np.ndarray], f: float):
@@ -268,6 +269,17 @@ def mean_point(problem: CcpProblem) -> np.ndarray:
     """The mean-value LP's point, where ``_binding_groups`` seeds a
     working set."""
     return solve_lp(algorithms.mean_value_lp(problem)).x
+
+
+def norm_value(v: np.ndarray, norm: str) -> float:
+    """The l1 or linf norm of the vector v, one sum or max at a time: the
+    reference for ``model._row_norms``."""
+    v = np.asarray(v, dtype=float)
+    if norm == "l1":
+        return float(np.sum(np.abs(v)))
+    if norm == "linf":
+        return float(np.max(np.abs(v), initial=0.0))
+    raise ModelError(f"unknown norm {norm!r}; expected one of {NORMS}")
 
 
 def _dense(shape, entries=()) -> np.ndarray:

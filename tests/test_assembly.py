@@ -6,13 +6,14 @@ assembled with: it takes a scenario mask, pads every row block to the
 final width and stacks the copies.  The polish and oracle LPs
 (``scenario_hard_lp``), the skeleton itself, the all-groups CVaR LP
 (``cvar_lp``) and the mean-value LP must come out bit-identical to its
-passes, so pivots and answers cannot move.
+passes, so pivots and answers cannot move, whatever blocks of members
+the builder reads (``model.BLOCK_ENTRIES``).
 """
 
 import numpy as np
 import pytest
 
-from jccopt import lp
+from jccopt import lp, model
 from jccopt.algorithms import (SStepAssembler, cvar_lp, mean_value_lp,
                                scenario_hard_lp)
 from jccopt.cases import overlap_case, three_bus_case
@@ -20,7 +21,7 @@ from jccopt.dispatch import build_ccp
 from jccopt.errors import ModelError
 from jccopt.toys import interval_toy, two_group_toy
 
-from helpers import random_instance
+from helpers import random_dispatch_case, random_instance
 
 
 class _ReferenceBuilder:
@@ -194,6 +195,11 @@ CASES = {
     "two-group": lambda: two_group_toy(3),
     "interval": lambda: interval_toy(0.4),
     "interval-rho0.1": lambda: interval_toy(0.4, rho=0.1),
+    # epsilon 0: the CVaR LP keeps the scenario rows hard
+    "interval-eps0": lambda: interval_toy(0.0),
+    "interval-eps0-rho0.1": lambda: interval_toy(0.0, rho=0.1),
+    **{f"random-dispatch-{s}-rho0.01": (lambda s=s: build_ccp(
+        random_dispatch_case(s), rho_override=0.01).problem) for s in (0, 1)},
     **{f"random-{s}": (lambda s=s: random_instance(s)) for s in RANDOM_SEEDS},
 }
 
@@ -214,16 +220,26 @@ def _masks(problem, seed):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_lps_equal_the_reference_builder(name):
+def test_lps_equal_the_reference_builder(name, monkeypatch):
+    """At the default block limit, at one member per block, and at two
+    members per block of the group with the most members."""
     problem = CASES[name]()
-    asm = SStepAssembler(problem)
-    assert_same_lp(asm.lp_template, reference_skeleton(problem), "skeleton")
-    for label, masks in _masks(problem, 11):
-        assert_same_lp(scenario_hard_lp(asm, masks),
-                       reference_hard_lp(problem, masks), f"hard LP, {label}")
-    assert_same_lp(mean_value_lp(problem), reference_mean_value_lp(problem),
-                   "mean-value LP")
-    assert_same_lp(cvar_lp(problem), reference_cvar_lp(problem), "CVaR LP")
+    largest = max(problem.groups, key=lambda g: len(g.constraints))
+    _, k, n = largest.constraints.shape
+    for limit in (model.BLOCK_ENTRIES, 1, 2 * k * n):
+        monkeypatch.setattr(model, "BLOCK_ENTRIES", limit)
+        where = f"at BLOCK_ENTRIES {limit}"
+        asm = SStepAssembler(problem)
+        assert_same_lp(asm.lp_template, reference_skeleton(problem),
+                       f"skeleton {where}")
+        for label, masks in _masks(problem, 11):
+            assert_same_lp(scenario_hard_lp(asm, masks),
+                           reference_hard_lp(problem, masks),
+                           f"hard LP, {label}, {where}")
+        assert_same_lp(mean_value_lp(problem), reference_mean_value_lp(problem),
+                       f"mean-value LP {where}")
+        assert_same_lp(cvar_lp(problem), reference_cvar_lp(problem),
+                       f"CVaR LP {where}")
 
 
 def test_hard_lp_rejects_a_mask_of_the_wrong_length():

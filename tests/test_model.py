@@ -15,10 +15,10 @@ from jccopt.cases import three_bus_case
 from jccopt.dispatch import build_ccp
 from jccopt import model
 from jccopt.model import (ConstraintStack, ViolationReport, dual_norm,
-                          norm_value, risk_budget)
+                          risk_budget)
 from jccopt.toys import INTERVAL_SCENARIOS, interval_toy, two_group_toy
 
-from helpers import random_instance
+from helpers import norm_value, random_instance
 
 
 def test_dual_norm_pairs():
@@ -461,7 +461,6 @@ def test_a_group_stores_its_members_stacked(monkeypatch):
             assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
         assert np.signbit(got.d) == np.signbit(want.d) and got.d == want.d
     stacked = np.stack([m.A for m in members])
-    assert [A.tobytes() for A in cons.dense_A()] == [A.tobytes() for A in stacked]
     assert cons.c.tobytes() == np.stack([m.c for m in members]).tobytes()
     # Rows start 16-byte aligned, as a member's own a0 does.
     assert all(row.ctypes.data % 16 == 0 for row in cons.a0)
@@ -509,6 +508,16 @@ def test_polytope_validate_shapes():
     p = Polytope(G=[[1.0, 0.0]], h=[1.0])
     p.validate(2)
     assert p.lower.shape == (2,)
+    # Nested lists, whole numbers and a 1-d G are converted.
+    p = Polytope(G=[[1.0, -0.0]], h=[2], A_eq=[[0, 1]], b_eq=3, lower=[0, 0])
+    p.validate(2)
+    assert p.G.tobytes() == np.array([[1.0, -0.0]]).tobytes()
+    for got, want in ((p.h, [2.0]), (p.A_eq, [[0.0, 1.0]]), (p.b_eq, [3.0]),
+                      (p.lower, [0.0, 0.0]), (p.upper, [np.inf, np.inf])):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    p = Polytope(G=[1.0, 2.0], h=[1.0])
+    p.validate(2)
+    assert p._G.shape == (1, 2) and p.n_ineq == 1
     with pytest.raises(ModelError, match="G must be"):
         Polytope(G=[[1.0]], h=[1.0]).validate(2)
     with pytest.raises(ModelError, match="together"):
@@ -537,6 +546,40 @@ def test_polytope_keeps_its_matrices_as_stored_entries():
     poly = build_ccp(three_bus_case()).problem.polytope
     assert poly._G.index.size == _stored(poly.G) == 56 + 396
     assert poly._A_eq.index.size == _stored(poly.A_eq) == 56
+
+
+def test_a_problem_keeps_the_records_its_polytope_was_built_with():
+    """Validation reads G and A_eq dense but stores nothing back that it
+    did not convert: the polytope keeps its very records."""
+    problem = build_ccp(three_bus_case()).problem
+    poly = problem.polytope
+    records = poly._G, poly._A_eq
+    for _ in range(2):
+        CcpProblem(problem.objective, poly, problem.groups)
+        assert poly._G is records[0] and poly._A_eq is records[1]
+
+
+@pytest.mark.parametrize("blocks, n, message", [
+    ({"G": [[1.0]]}, 1, "G and h must be given together"),
+    ({"b_eq": [1.0]}, 1, "A_eq and b_eq must be given together"),
+    ({"G": [[1.0]], "h": [1.0]}, 2, "G must be (1, 2), got (1, 1)"),
+    ({"G": [1.0, 2.0], "h": [1.0, 2.0]}, 2, "G must be (2, 2), got (1, 2)"),
+    ({"A_eq": [[1.0, 0.0]], "b_eq": [1.0, 2.0]}, 2,
+     "A_eq must be (2, 2), got (1, 2)"),
+    ({"G": [[np.inf]], "h": [1.0]}, 1, "G: entries must be finite"),
+    ({"G": [[np.nan]], "h": [1.0]}, 1, "G: entries must be finite"),
+    ({"G": [[1.0]], "h": [np.nan]}, 1, "h: entries must be finite"),
+    ({"A_eq": [[-np.inf]], "b_eq": [1.0]}, 1, "A_eq: entries must be finite"),
+    ({"A_eq": [[1.0]], "b_eq": [np.inf]}, 1, "b_eq: entries must be finite"),
+    ({"lower": [0.0]}, 2, "bounds must match the variable count"),
+    ({"upper": [np.nan]}, 1, "bounds may be infinite but not NaN"),
+    ({"lower": [np.inf]}, 1,
+     "a lower bound may not be +inf, nor an upper bound -inf"),
+])
+def test_polytope_messages(blocks, n, message):
+    with pytest.raises(ModelError) as info:
+        Polytope(**blocks).validate(n)
+    assert str(info.value) == "polytope: " + message
 
 
 def test_row_norms_match_norm_value():
